@@ -58,15 +58,19 @@ from .protocol import (
 from .rng import shot_stream
 from .states import (
     QubitLayout,
+    StabilizerTableau,
     StateVector,
     apply_pauli,
     bell_product_state,
+    bell_product_tableau,
     dense_expectation,
     eigenrelation_check,
     expectation,
     ghz_state,
     measure_context,
+    measure_tableau,
     singlet_product_state,
+    tableau_expectation,
 )
 
 __version__ = "0.1.0"

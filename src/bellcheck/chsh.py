@@ -15,6 +15,7 @@ pair and raising the maximum to the n-th power.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import product as iter_product
 
@@ -25,6 +26,9 @@ from .states import dense_expectation, singlet_product_state
 
 VTOL = 1e-12
 MAX_DENSE_PAIRS = 5
+# Largest n for which (2*sqrt(2))^n, the optimal quantum value, is a finite
+# float64; beyond it the values overflow.
+MAX_PAIRS = int(math.log(sys.float_info.max) / math.log(2.0 * math.sqrt(2.0)))
 
 _AXES = ("X", "Y", "Z")
 

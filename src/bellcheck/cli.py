@@ -158,6 +158,10 @@ def cmd_bks_solve(args) -> RunReport:
         report = RunReport("bks solve", {"file": args.file})
         with open(args.file, "r", encoding="utf-8") as fh:
             system = parse_document(fh.read())
+        # A verdict on contexts that are not physical would be meaningless.
+        for check in validate(system).checks:
+            if not check.ok:
+                raise UsageError(f"{args.file}: context {check.context_index}: {check.problem}")
     ps = build_parity_system(system)
     result = solve(ps)
     report.extras["result"] = "SAT" if result.satisfiable else "UNSAT"
@@ -251,6 +255,8 @@ def cmd_correlate(args) -> RunReport:
 
 def cmd_chsh(args) -> RunReport:
     n = args.n
+    if not 1 <= n <= chsh_mod.MAX_PAIRS:
+        raise UsageError(f"--n must be in 1..{chsh_mod.MAX_PAIRS}, got {n}")
     report = RunReport("chsh", {"n": n}, seed=args.seed)
     vectors = chsh_mod.optimal_vectors()
     target = (2.0 * math.sqrt(2.0)) ** n
@@ -371,6 +377,9 @@ def main(argv: list[str] | None = None) -> int:
         report = args.func(args)
     except (UsageError, DslSyntaxError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except Exception as err:  # exit 1 is reserved for a failed verification
+        print(f"error: {type(err).__name__}: {' '.join(str(err).split())}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - started
     if args.format == "json":

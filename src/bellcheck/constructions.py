@@ -10,6 +10,7 @@ self-validates its structural properties before returning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .parity import ParityRow, ParitySystem
@@ -40,14 +41,16 @@ class ContextSystem:
     @property
     def catalog(self) -> tuple[PauliOperator, ...]:
         """Distinct observables in order of first appearance (phase included)."""
-        return self._catalog_counts()[0]
+        return self._catalog_counts[0]
 
     @property
     def occurrence_counts(self) -> tuple[int, ...]:
         """Number of contexts containing each catalog entry, catalog order."""
-        return self._catalog_counts()[1]
+        return self._catalog_counts[1]
 
+    @cached_property
     def _catalog_counts(self) -> tuple[tuple[PauliOperator, ...], tuple[int, ...]]:
+        # Built once per system: the contexts are immutable.
         seen: dict[PauliOperator, int] = {}
         counts: list[int] = []
         for ctx in self.contexts:
@@ -58,13 +61,6 @@ class ContextSystem:
                     seen[obs] = len(counts)
                     counts.append(1)
         return tuple(seen), tuple(counts)
-
-    def catalog_index(self, obs: PauliOperator) -> int:
-        seen = self._catalog_counts()[0]
-        for i, entry in enumerate(seen):
-            if entry == obs:
-                return i
-        raise ValueError(f"observable {format_pauli(obs)} not in catalog")
 
 
 def product_sign(context: Context) -> int:
@@ -90,10 +86,24 @@ class ContextCheck:
     failing_pair: tuple[str, str] | None
     product_sign: int | None
     expected_sign: int
+    non_hermitian: str | None = None  # first member that is not an observable
+
+    @property
+    def problem(self) -> str | None:
+        """Why the context is not a physical one, or None when it is."""
+        if self.non_hermitian is not None:
+            return f"observable {self.non_hermitian} is not Hermitian"
+        if not self.commuting:
+            return f"observables {self.failing_pair[0]} and {self.failing_pair[1]} do not commute"
+        if self.product_sign is None:
+            return "product is not +-identity"
+        if self.product_sign != self.expected_sign:
+            return f"product is {self.product_sign:+d} * identity, declared {self.expected_sign:+d}"
+        return None
 
     @property
     def ok(self) -> bool:
-        return self.commuting and self.product_sign == self.expected_sign
+        return self.problem is None
 
 
 @dataclass(frozen=True)
@@ -109,7 +119,7 @@ class ValidationReport:
 
 
 def validate(system: ContextSystem) -> ValidationReport:
-    """Check pairwise commutation and product sign of every context.
+    """Check Hermiticity, pairwise commutation and product sign of every context.
 
     The report carries a per-context verdict plus catalog occurrence
     counts; it never raises on a mismatch.
@@ -128,7 +138,10 @@ def validate(system: ContextSystem) -> ValidationReport:
                 sign = product_sign(ctx)
             except ConstructionError:
                 sign = None
-        check = ContextCheck(idx, failing is None, failing, sign, ctx.expected_sign)
+        non_hermitian = next(
+            (format_pauli(o) for o in ctx.observables if not o.is_hermitian), None
+        )
+        check = ContextCheck(idx, failing is None, failing, sign, ctx.expected_sign, non_hermitian)
         checks.append(check)
         if not check.ok:
             failures.append(idx)

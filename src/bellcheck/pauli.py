@@ -186,13 +186,16 @@ def format_pauli(op: PauliOperator) -> str:
 
     Letters are listed in qubit order with Y where the masks overlap.
     A phase prefix is emitted only when the phase is nontrivial; the
-    identity word renders as "I".
+    identity word renders as "I".  Only the support's set bits are
+    visited, so a sparse word on a large register formats quickly.
     """
-    tokens = [
-        f"{op.letter(j)}{j}"
-        for j in range(1, op.num_qubits + 1)
-        if (op.x_mask | op.z_mask) & (1 << (j - 1))
-    ]
+    tokens = []
+    support = op.x_mask | op.z_mask
+    while support:
+        bit = support & -support
+        support ^= bit
+        letter = _LETTERS[(1 if op.x_mask & bit else 0) + (2 if op.z_mask & bit else 0)]
+        tokens.append(f"{letter}{bit.bit_length()}")
     if not tokens:
         tokens = ["I"]
     if op.phase_exponent:

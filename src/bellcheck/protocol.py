@@ -2,7 +2,8 @@
 
 Per round, observer A measures a full commuting context on her block of
 the Bell-product state and observer B measures one shared observable on
-his block, either by itself or inside his copy of the same context.
+his block, either by itself or inside his copy of the same context.  Both
+measure on the stabilizer tableau of the shared state (`states`).
 Recorded outcomes are independently flipped with probability `noise` and
 erased (inconclusive) with probability 1 - `efficiency`.
 
@@ -14,13 +15,14 @@ exactly; the summary statistics quantify how both degrade otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .constructions import ContextSystem
-from .pauli import format_pauli
+from .pauli import PauliOperator, format_pauli
 from .rng import shot_stream
-from .states import QubitLayout, bell_product_state, measure_context
+from .states import QubitLayout, bell_product_tableau, measure_tableau
 
 MODES = ("alone", "in_context")
 
@@ -48,6 +50,20 @@ def _record(outcomes, p_flip: float, efficiency: float, rng) -> tuple[int | None
         else:
             recorded.append(-value if flip else value)
     return tuple(recorded)
+
+
+@lru_cache(maxsize=256)
+def _embedded(
+    n: int, observables: tuple[PauliOperator, ...], side: str
+) -> tuple[PauliOperator, ...]:
+    """Observables moved onto one observer's block of the 2n-qubit register.
+
+    Memoized: an experiment measures each context on each side many times,
+    and the embedded words are immutable.
+    """
+    layout = QubitLayout(n)
+    embed = layout.alice_embedding if side == "alice" else layout.bob_embedding
+    return tuple(embed(o) for o in observables)
 
 
 @dataclass(frozen=True)
@@ -97,16 +113,13 @@ def run_round(
             f"{alice_context_id}"
         ) from None
 
-    layout = QubitLayout(n)
-    state = bell_product_state(n)
-    alice_ops = [layout.alice_embedding(o) for o in context.observables]
-    alice_raw, state = measure_context(state, alice_ops, rng)
+    state = bell_product_tableau(n)
+    alice_raw, state = measure_tableau(state, _embedded(n, context.observables, "alice"), rng)
     if bob_mode == "alone":
-        bob_raw, state = measure_context(state, [layout.bob_embedding(shared)], rng)
+        bob_raw, state = measure_tableau(state, _embedded(n, (shared,), "bob"), rng)
         bob_shared_pos = 0
     else:
-        bob_ops = [layout.bob_embedding(o) for o in context.observables]
-        bob_raw, state = measure_context(state, bob_ops, rng)
+        bob_raw, state = measure_tableau(state, _embedded(n, context.observables, "bob"), rng)
         bob_shared_pos = shared_pos
 
     alice_recorded = _record(alice_raw, p_alice, efficiency, rng)

@@ -1,21 +1,26 @@
-"""Dense state vectors, shared entangled states, and projective measurement.
+"""Dense state vectors, stabilizer tableaux, and projective measurement.
 
 Basis-index convention: qubit 1 is the most significant bit of the basis
 index, matching the dense-matrix export of the Pauli module.  Shared
 states use the block layout: for n pairs, the first observer holds
 qubits 1..n, the second holds n+1..2n, and qubit k is paired with n+k.
 
-All built-in states have dyadic-rational amplitudes, so the eigenrelation
-and product-constraint checks hold to 1e-12 with room to spare.
+All built-in states have dyadic-rational amplitudes, so the
+product-constraint checks hold to 1e-12 with room to spare.  The
+Bell-product state also exists as a stabilizer tableau, measured in exact
+GF(2) arithmetic at O(n^2) memory; the protocol and the eigenrelation
+check use it, and the dense path is its test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import PauliOperator, commutes, format_pauli, relabel
+from .pauli import PauliOperator, commutes, format_pauli, identity, multiply, relabel
 
 ATOL = 1e-12
 MAX_STATE_QUBITS = 26
@@ -53,14 +58,6 @@ class QubitLayout:
     """Block layout for n shared pairs: observer A holds 1..n, B holds n+1..2n."""
 
     n: int
-
-    @property
-    def alice_indices(self) -> tuple[int, ...]:
-        return tuple(range(1, self.n + 1))
-
-    @property
-    def bob_indices(self) -> tuple[int, ...]:
-        return tuple(range(self.n + 1, 2 * self.n + 1))
 
     def alice_embedding(self, op: PauliOperator) -> PauliOperator:
         return relabel(op, {k: k for k in range(1, self.n + 1)}, 2 * self.n)
@@ -162,15 +159,19 @@ def dense_expectation(state: StateVector, matrix: np.ndarray) -> float:
     return float(value.real)
 
 
-def eigenrelation_check(n: int, op: PauliOperator) -> bool:
-    """Whether (op on block A)(op on block B) fixes the n-pair Bell product state."""
-    if op.num_qubits != n:
-        raise ValueError(f"operator acts on {op.num_qubits} qubits, expected {n}")
-    layout = QubitLayout(n)
-    state = bell_product_state(n)
-    moved = StateVector(2 * n, apply_pauli(layout.bob_embedding(op), state))
-    moved = apply_pauli(layout.alice_embedding(op), moved)
-    return float(np.linalg.norm(moved - state.amplitudes)) < ATOL
+def _checked_context(context_ops) -> list[PauliOperator]:
+    ops = list(context_ops)
+    for op in ops:
+        if not op.is_hermitian:
+            raise ValueError(f"observable {format_pauli(op)} is not Hermitian")
+    for i in range(len(ops)):
+        for j in range(i + 1, len(ops)):
+            if not commutes(ops[i], ops[j]):
+                raise ValueError(
+                    f"observables {format_pauli(ops[i])} and "
+                    f"{format_pauli(ops[j])} do not commute"
+                )
+    return ops
 
 
 def measure_context(
@@ -185,17 +186,7 @@ def measure_context(
     Probabilities within 1e-12 of 0 or 1 are snapped, so outcomes that
     are algebraically forced (context product constraints) are exact.
     """
-    ops = list(context_ops)
-    for op in ops:
-        if not op.is_hermitian:
-            raise ValueError(f"observable {format_pauli(op)} is not Hermitian")
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if not commutes(ops[i], ops[j]):
-                raise ValueError(
-                    f"observables {format_pauli(ops[i])} and "
-                    f"{format_pauli(ops[j])} do not commute"
-                )
+    ops = _checked_context(context_ops)
     amp = state.amplitudes
     outcomes = []
     for op in ops:
@@ -213,3 +204,128 @@ def measure_context(
         amp = projected / norm
         outcomes.append(outcome)
     return outcomes, StateVector(state.num_qubits, amp)
+
+
+# --- stabilizer tableau ----------------------------------------------------
+#
+# Every state the protocol meets is a stabilizer state: the Bell product
+# and anything reached from it by measuring Pauli words.  The tableau of
+# Aaronson and Gottesman (PRA 70, 052328, 2004) holds such a state on m
+# qubits as m commuting Hermitian stabilizer words whose common +1
+# eigenspace is the state (a -1 sign sits in the word's phase), plus m
+# destabilizer words: destabilizers[i] anticommutes with stabilizers[i]
+# and commutes with every other row of both lists.  A measured word is
+# then a fair coin or forced, and memory is O(m^2) bits, not 2^m amplitudes.
+
+
+class StabilizerTableau(NamedTuple):
+    # A NamedTuple, not a frozen dataclass: as immutable, and cheaper to
+    # define at import, which every CLI run pays.
+    num_qubits: int
+    stabilizers: tuple[PauliOperator, ...]
+    destabilizers: tuple[PauliOperator, ...]
+
+
+@lru_cache(maxsize=16)
+def bell_product_tableau(n: int) -> StabilizerTableau:
+    """The n-pair Bell product of `bell_product_state` as a tableau.
+
+    Pair k is stabilized by X_k X_{n+k} and Z_k Z_{n+k}, destabilized by
+    Z_k and X_{n+k}.  The tableau is immutable, so one copy per n is shared.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    m = 2 * n
+    pairs = [(1 << k) | (1 << (n + k)) for k in range(n)]
+    stabilizers = [PauliOperator(m, p, 0) for p in pairs] + [PauliOperator(m, 0, p) for p in pairs]
+    destabilizers = [PauliOperator(m, 0, 1 << k) for k in range(n)]
+    destabilizers += [PauliOperator(m, 1 << (n + k), 0) for k in range(n)]
+    return StabilizerTableau(m, tuple(stabilizers), tuple(destabilizers))
+
+
+def _forced_sign(stabilizers, destabilizers, op: PauliOperator) -> int:
+    """Eigenvalue of `op` on the state, for a word commuting with every stabilizer.
+
+    Such a word is +-(product of the stabilizers whose destabilizer it
+    anticommutes with); the sign of that exact product is the answer.
+    """
+    acc = identity(op.num_qubits)
+    for stabilizer, destabilizer in zip(stabilizers, destabilizers):
+        if not commutes(destabilizer, op):
+            acc = multiply(acc, stabilizer)
+    if acc.x_mask != op.x_mask or acc.z_mask != op.z_mask:
+        raise RuntimeError("tableau does not generate the measured word (tableau bug)")
+    return +1 if acc.phase_exponent == op.phase_exponent else -1
+
+
+def _check_size(op: PauliOperator, tableau: StabilizerTableau) -> None:
+    if op.num_qubits != tableau.num_qubits:
+        raise ValueError(
+            f"operator acts on {op.num_qubits} qubits, tableau has {tableau.num_qubits}"
+        )
+
+
+def tableau_expectation(tableau: StabilizerTableau, op: PauliOperator) -> float:
+    """<state| op |state> for a Hermitian Pauli word: 0 or exactly +-1."""
+    _check_size(op, tableau)
+    if not op.is_hermitian:
+        raise ValueError(f"operator {format_pauli(op)} is not Hermitian")
+    if not all(commutes(s, op) for s in tableau.stabilizers):
+        return 0.0
+    return float(_forced_sign(tableau.stabilizers, tableau.destabilizers, op))
+
+
+def measure_tableau(
+    tableau: StabilizerTableau,
+    context_ops: list[PauliOperator] | tuple[PauliOperator, ...],
+    rng: np.random.Generator,
+) -> tuple[list[int], StabilizerTableau]:
+    """`measure_context` on a tableau: same checks, draws and outcomes.
+
+    A word anticommuting with some stabilizer has p_plus = 1/2; the others
+    have p_plus 0 or 1 from `_forced_sign`.  Either way one `rng.random()`
+    is drawn per word, as in the state-vector path, so equal streams give
+    equal outcomes on both.
+    """
+    ops = _checked_context(context_ops)
+    for op in ops:
+        _check_size(op, tableau)
+    stabilizers = list(tableau.stabilizers)
+    destabilizers = list(tableau.destabilizers)
+    outcomes = []
+    for op in ops:
+        pivot = next((i for i, s in enumerate(stabilizers) if not commutes(s, op)), None)
+        if pivot is None:
+            p_plus = 1.0 if _forced_sign(stabilizers, destabilizers, op) == +1 else 0.0
+        else:
+            p_plus = 0.5
+        outcome = +1 if rng.random() < p_plus else -1
+        outcomes.append(outcome)
+        if pivot is None:
+            continue
+        # Every other row anticommuting with op absorbs the pivot row, so
+        # only the pivot anticommutes; it becomes a destabilizer and the
+        # measured word, signed by the outcome, takes its place.
+        row = stabilizers[pivot]
+        for rows in (stabilizers, destabilizers):
+            for i, other in enumerate(rows):
+                if i != pivot and not commutes(other, op):
+                    rows[i] = multiply(other, row)
+        destabilizers[pivot] = row
+        stabilizers[pivot] = PauliOperator(
+            op.num_qubits, op.x_mask, op.z_mask, op.phase_exponent + (0 if outcome == +1 else 2)
+        )
+    return outcomes, StabilizerTableau(tableau.num_qubits, tuple(stabilizers), tuple(destabilizers))
+
+
+def eigenrelation_check(n: int, op: PauliOperator) -> bool:
+    """Whether (op on block A)(op on block B) fixes the n-pair Bell product state.
+
+    The mirrored product is always Hermitian; it fixes the state iff
+    measuring it on the Bell tableau gives a forced +1.
+    """
+    if op.num_qubits != n:
+        raise ValueError(f"operator acts on {op.num_qubits} qubits, expected {n}")
+    layout = QubitLayout(n)
+    mirrored = multiply(layout.alice_embedding(op), layout.bob_embedding(op))
+    return tableau_expectation(bell_product_tableau(n), mirrored) == 1.0

@@ -69,13 +69,39 @@ class TestBksSolve:
         assert set(payload["assignment"].values()) <= {1, -1}
 
     def test_unsatisfiable_file(self, capsys, tmp_path):
-        path = tmp_path / "contra.obs"
-        path.write_text("qubits 1\nset Z1 = +1\nset Z1 = -1\n")
+        path = tmp_path / "square.obs"
+        path.write_text(
+            "qubits 2\n"
+            "set X1, X2, X1 X2\n"
+            "set Z2, Z1, Z1 Z2\n"
+            "set X1 Z2, Z1 X2, Y1 Y2\n"
+            "set X1, Z2, X1 Z2\n"
+            "set X2, Z1, Z1 X2\n"
+            "set X1 X2, Z1 Z2, Y1 Y2 = -1\n"
+        )
         code, out, _ = run(capsys, ["bks", "solve", "--file", str(path), "--format", "json"])
         assert code == 0
         payload = json.loads(out)
         assert payload["result"] == "UNSAT"
-        assert payload["certificate"] == [0, 1]
+        assert payload["certificate"] == [0, 1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize(
+        "text,problem",
+        [
+            ("qubits 1\nset Z1 = +1\nset Z1 = -1\n", "context 0: product is not +-identity"),
+            ("qubits 1\nset X1 = -1\nset X1 = +1\n", "context 0: product is not +-identity"),
+            ("qubits 1\nset X1, Y1\n", "context 0: observables X1 and Y1 do not commute"),
+            ("qubits 1\nset i X1, -i X1\n", "context 0: observable i X1 is not Hermitian"),
+            ("qubits 2\nset Z1, Z2, Z1 Z2\nset Z1, Z1 = -1\n", "context 1: product is +1 * identity, declared -1"),
+        ],
+    )
+    def test_non_physical_file_exits_two(self, capsys, tmp_path, text, problem):
+        path = tmp_path / "bad.obs"
+        path.write_text(text)
+        code, out, err = run(capsys, ["bks", "solve", "--file", str(path), "--format", "json"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: {problem}\n"
 
     def test_malformed_file_exits_two(self, capsys, tmp_path):
         path = tmp_path / "bad.obs"
@@ -144,6 +170,18 @@ class TestCorrelate:
         _, second, _ = run(capsys, argv)
         assert first == second
 
+    @pytest.mark.parametrize("n", [11, 13])
+    def test_large_n_runs_on_the_tableau(self, capsys, n):
+        code, out, _ = run(
+            capsys,
+            ["correlate", "--n", str(n), "--shots", "200", "--seed", "1", "--format", "json"],
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        assert len(payload["checks"]) == 4
+        assert all(c["passed"] for c in payload["checks"])
+
     def test_bad_n_exits_two(self, capsys):
         code, _, err = run(capsys, ["correlate", "--n", "4", "--shots", "10"])
         assert code == 2
@@ -167,6 +205,18 @@ class TestChsh:
         names = [c["name"] for c in payload["checks"]]
         assert "quantum value (dense)" not in names
 
+    @pytest.mark.parametrize("n", ["0", "683", "1100"])
+    def test_out_of_range_n_exits_two(self, capsys, n):
+        code, out, err = run(capsys, ["chsh", "--n", n, "--format", "json"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --n must be in 1..682, got {n}\n"
+
+    def test_largest_n_passes(self, capsys):
+        code, out, _ = run(capsys, ["chsh", "--n", "682", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
     def test_seed_determinism(self, capsys):
         _, first, _ = run(capsys, ["chsh", "--n", "1", "--seed", "7", "--format", "json"])
         _, second, _ = run(capsys, ["chsh", "--n", "1", "--seed", "7", "--format", "json"])
@@ -181,6 +231,14 @@ class TestEigencheck:
         payload = json.loads(out)
         expected = 9 if n == 2 else 3 * n + 1
         assert len(payload["checks"]) == expected
+
+    @pytest.mark.parametrize("n", [11, 13])
+    def test_large_families(self, capsys, n):
+        code, out, _ = run(capsys, ["eigencheck", "--n", str(n), "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["checks"]) == 3 * n + 1
+        assert all(c["passed"] for c in payload["checks"])
 
     def test_bad_n(self, capsys):
         code, _, err = run(capsys, ["eigencheck", "--n", "6"])
@@ -197,6 +255,16 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "square", "--frob"])
         assert exc.value.code == 2
+
+    def test_unexpected_error_exits_two_with_one_line(self, capsys, monkeypatch):
+        def broken():
+            raise OverflowError("result\ntoo large")
+
+        monkeypatch.setattr(cli, "mermin_square", broken)
+        code, out, err = run(capsys, ["verify", "square"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: OverflowError: result too large\n"
 
     def test_text_report_shows_wall_time(self, capsys):
         _, out, _ = run(capsys, ["verify", "square"])

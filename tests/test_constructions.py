@@ -144,6 +144,45 @@ class TestValidateFaultInjection:
         report = validate(system)
         assert not report.ok
         assert report.checks[0].failing_pair == ("X1", "Z1")
+        assert report.checks[0].problem == "observables X1 and Z1 do not commute"
+
+    def test_non_hermitian_member_flagged(self):
+        # (i X1)(-i X1) is +identity, so only the Hermiticity check catches it.
+        system = ContextSystem(
+            1, (Context((parse_pauli("i X1", 1), parse_pauli("-i X1", 1)), +1),)
+        )
+        report = validate(system)
+        assert report.checks[0].commuting
+        assert report.checks[0].product_sign == +1
+        assert report.checks[0].non_hermitian == "i X1"
+        assert report.failures == (0,)
+        assert report.checks[0].problem == "observable i X1 is not Hermitian"
+
+    def test_problem_names_wrong_and_missing_signs(self):
+        system = ContextSystem(
+            1,
+            (
+                Context((parse_pauli("Z1", 1),), +1),
+                Context((parse_pauli("Z1", 1), parse_pauli("Z1", 1)), -1),
+            ),
+        )
+        first, second = validate(system).checks
+        assert first.problem == "product is not +-identity"
+        assert second.problem == "product is +1 * identity, declared -1"
+        assert validate(mermin_square()).checks[0].problem is None
+
+
+class TestCatalogCache:
+    def test_built_once_per_system(self):
+        system = generalized_sets(5)
+        assert system.catalog is system.catalog
+        assert system.occurrence_counts is system.occurrence_counts
+
+    def test_cache_does_not_affect_equality(self):
+        a, b = mermin_square(), mermin_square()
+        a.catalog
+        assert a == b
+        assert hash(a) == hash(b)
 
 
 class TestGhz:

@@ -219,6 +219,11 @@ class TestFormat:
     def test_y_where_masks_overlap(self):
         assert format_pauli(PauliOperator(2, 0b11, 0b10, 0)) == "X1 Y2"
 
+    def test_sparse_word_on_large_register(self):
+        op = parse_pauli("Z3 Y400 X832", 832)
+        assert format_pauli(op) == "Z3 Y400 X832"
+        assert format_pauli(PauliOperator(832, 0, 0, 2)) == "- I"
+
     @given(single_paulis)
     def test_round_trip(self, op):
         assert parse_pauli(format_pauli(op), op.num_qubits) == op

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from bellcheck import protocol
 from bellcheck.constructions import generalized_sets, mermin_square
 from bellcheck.protocol import (
     ExperimentConfig,
@@ -12,6 +13,7 @@ from bellcheck.protocol import (
     run_round,
 )
 from bellcheck.rng import shot_stream
+from bellcheck.states import bell_product_state, measure_context
 
 
 def binomial_4sigma(p, shots):
@@ -139,3 +141,40 @@ class TestRunExperiment:
     def test_negative_shots_rejected(self):
         with pytest.raises(ValueError, match="shots"):
             run_experiment(ExperimentConfig(n=2, system=mermin_square(), shots=-1))
+
+
+class TestTableauAgainstDenseOracle:
+    """The protocol's tableau path against the same protocol on state vectors.
+
+    `measure_context` and `measure_tableau` take and return their states the
+    same way, so swapping them (and the initial state) inside `protocol`
+    rebuilds the dense path with every draw in the same place.
+    """
+
+    @staticmethod
+    def dense(monkeypatch, fn, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "bell_product_tableau", bell_product_state)
+            patch.setattr(protocol, "measure_tableau", measure_context)
+            return fn(*args)
+
+    @pytest.mark.parametrize("mode", ["alone", "in_context"])
+    @pytest.mark.parametrize("noise,efficiency", [(0.0, 1.0), (0.1, 0.8), ((0.05, 0.2), 0.95)])
+    @pytest.mark.parametrize("n,shots", [(2, 60), (3, 40), (5, 24), (7, 8)])
+    def test_summaries_equal(self, monkeypatch, n, shots, noise, efficiency, mode):
+        system = mermin_square() if n == 2 else generalized_sets(n)
+        for seed in (0, 3, 2**40 + 1):
+            config = ExperimentConfig(
+                n=n, system=system, shots=shots, noise=noise,
+                efficiency=efficiency, seed=seed, bob_mode=mode,
+            )
+            assert run_experiment(config) == self.dense(monkeypatch, run_experiment, config)
+
+    def test_rounds_equal(self, monkeypatch):
+        system = generalized_sets(3)
+        for ctx_id, obs_id in default_schedule(system):
+            for mode in ("alone", "in_context"):
+                args = (3, system, ctx_id, obs_id, mode, 0.2, 0.9)
+                fast = run_round(*args, shot_stream(8, obs_id))
+                slow = self.dense(monkeypatch, run_round, *args, shot_stream(8, obs_id))
+                assert fast == slow

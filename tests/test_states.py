@@ -8,19 +8,22 @@ from scipy import stats
 
 from conftest import dense_oracle, random_pauli
 from bellcheck.constructions import generalized_sets, mermin_square
-from bellcheck.pauli import PauliOperator, parse_pauli
+from bellcheck.pauli import PauliOperator, commutes, parse_pauli
 from bellcheck.rng import shot_stream
 from bellcheck.states import (
     QubitLayout,
     StateVector,
     apply_pauli,
     bell_product_state,
+    bell_product_tableau,
     dense_expectation,
     eigenrelation_check,
     expectation,
     ghz_state,
     measure_context,
+    measure_tableau,
     singlet_product_state,
+    tableau_expectation,
 )
 
 INV_SQRT2 = 2.0 ** -0.5
@@ -124,7 +127,50 @@ class TestExpectation:
         assert dense_expectation(state, dense_oracle(op)) == expectation(state, op)
 
 
+def dense_eigenrelation(n, op):
+    """State-vector oracle: apply op on block B, then on block A, compare."""
+    layout = QubitLayout(n)
+    state = bell_product_state(n)
+    moved = StateVector(2 * n, apply_pauli(layout.bob_embedding(op), state))
+    moved = apply_pauli(layout.alice_embedding(op), moved)
+    return float(np.linalg.norm(moved - state.amplitudes)) < 1e-12
+
+
+def hermitian_pauli(rng, num_qubits):
+    op = random_pauli(rng, num_qubits)
+    return PauliOperator(num_qubits, op.x_mask, op.z_mask, 2 * int(rng.integers(0, 2)))
+
+
+class FixedDraw:
+    """Stand-in generator whose every draw is `value`."""
+
+    def __init__(self, value):
+        self.value = value
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self.value
+
+
 class TestEigenrelation:
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 9])
+    def test_tableau_matches_dense_oracle_on_catalog(self, n):
+        system = mermin_square() if n == 2 else generalized_sets(n)
+        for op in system.catalog:
+            assert eigenrelation_check(n, op) == dense_eigenrelation(n, op)
+
+    def test_tableau_matches_dense_oracle_on_y(self):
+        op = parse_pauli("Y1", 1)
+        assert eigenrelation_check(1, op) is dense_eigenrelation(1, op) is False
+
+    def test_random_words_match_dense_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(1, 4))
+            op = random_pauli(rng, n)
+            assert eigenrelation_check(n, op) == dense_eigenrelation(n, op)
+
     def test_all_square_observables(self):
         for op in mermin_square().catalog:
             assert eigenrelation_check(2, op)
@@ -220,3 +266,116 @@ class TestMeasureContext:
         op = parse_pauli("Z1", 2)
         outcomes, post = measure_context(state, [op], shot_stream(9, 0))
         assert expectation(post, op) == pytest.approx(float(outcomes[0]), abs=1e-12)
+
+
+class TestTableau:
+    @staticmethod
+    def assert_relations(tableau):
+        assert len(tableau.stabilizers) == len(tableau.destabilizers) == tableau.num_qubits
+        for i, s in enumerate(tableau.stabilizers):
+            assert s.is_hermitian
+            for j, d in enumerate(tableau.destabilizers):
+                assert commutes(s, d) == (i != j)
+            assert all(commutes(s, t) for t in tableau.stabilizers)
+            assert all(commutes(tableau.destabilizers[i], d) for d in tableau.destabilizers)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bell_tableau_relations(self, n):
+        tableau = bell_product_tableau(n)
+        assert tableau.num_qubits == 2 * n
+        self.assert_relations(tableau)
+        state = bell_product_state(n)
+        for s in tableau.stabilizers:
+            assert expectation(state, s) == pytest.approx(1.0, abs=1e-12)
+
+    def test_bell_tableau_is_shared(self):
+        assert bell_product_tableau(4) is bell_product_tableau(4)
+        with pytest.raises(ValueError):
+            bell_product_tableau(0)
+
+    def test_expectation_matches_dense_on_random_words(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            n = int(rng.integers(1, 4))
+            op = hermitian_pauli(rng, 2 * n)
+            dense = expectation(bell_product_state(n), op)
+            assert tableau_expectation(bell_product_tableau(n), op) == pytest.approx(dense, abs=1e-12)
+
+    def test_random_outcome_has_p_plus_one_half(self):
+        # Z1 anticommutes with the stabilizer X1 X2 of one Bell pair.
+        op = parse_pauli("Z1", 2)
+        assert expectation(bell_product_state(1), op) == pytest.approx(0.0, abs=1e-12)
+        assert tableau_expectation(bell_product_tableau(1), op) == 0.0
+        assert measure_tableau(bell_product_tableau(1), [op], FixedDraw(0.4999))[0] == [+1]
+        assert measure_tableau(bell_product_tableau(1), [op], FixedDraw(0.5))[0] == [-1]
+
+    @pytest.mark.parametrize("text,sign", [("X1 X2", +1), ("Z1 Z2", +1), ("Y1 Y2", -1)])
+    def test_forced_outcome_matches_dense_sign(self, text, sign):
+        op = parse_pauli(text, 2)
+        assert expectation(bell_product_state(1), op) == pytest.approx(sign, abs=1e-12)
+        assert tableau_expectation(bell_product_tableau(1), op) == sign
+        for draw in (0.0, 0.5, 1.0 - 2.0**-53):
+            rng = FixedDraw(draw)
+            outcomes, post = measure_tableau(bell_product_tableau(1), [op], rng)
+            assert outcomes == [sign]
+            assert rng.draws == 1
+            assert post == bell_product_tableau(1)
+
+    def test_one_draw_per_word(self):
+        system = generalized_sets(5)
+        layout = QubitLayout(5)
+        for ctx in system.contexts:
+            ops = [layout.alice_embedding(o) for o in ctx.observables]
+            rng = FixedDraw(0.25)
+            measure_tableau(bell_product_tableau(5), ops, rng)
+            assert rng.draws == len(ops)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_measurement_sequences_match_dense(self, n):
+        """Same stream, same outcomes; the post-measurement states agree on every word."""
+        rng = np.random.default_rng(100 + n)
+        for trial in range(40):
+            tableau, state = bell_product_tableau(n), bell_product_state(n)
+            for step in range(3):
+                ops = []
+                while len(ops) < 3:
+                    op = hermitian_pauli(rng, 2 * n)
+                    if all(commutes(op, o) for o in ops):
+                        ops.append(op)
+                seed = int(rng.integers(0, 2**31))
+                fast, tableau = measure_tableau(tableau, ops, shot_stream(seed, step))
+                slow, state = measure_context(state, ops, shot_stream(seed, step))
+                assert fast == slow
+                for s in tableau.stabilizers:
+                    assert expectation(state, s) == pytest.approx(1.0, abs=1e-9)
+            for _ in range(20):
+                op = hermitian_pauli(rng, 2 * n)
+                assert tableau_expectation(tableau, op) == pytest.approx(
+                    expectation(state, op), abs=1e-9
+                )
+
+    def test_post_measurement_tableau_keeps_its_relations(self):
+        layout = QubitLayout(3)
+        ops = [layout.alice_embedding(o) for o in generalized_sets(3).contexts[0].observables]
+        _, tableau = measure_tableau(bell_product_tableau(3), ops, shot_stream(1, 0))
+        self.assert_relations(tableau)
+
+    def test_rejects_non_commuting(self):
+        with pytest.raises(ValueError, match="commute"):
+            measure_tableau(
+                bell_product_tableau(1),
+                [parse_pauli("X1", 2), parse_pauli("Z1", 2)],
+                shot_stream(0, 0),
+            )
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            measure_tableau(bell_product_tableau(1), [PauliOperator(2, 0, 0, 1)], shot_stream(0, 0))
+        with pytest.raises(ValueError, match="Hermitian"):
+            tableau_expectation(bell_product_tableau(1), PauliOperator(2, 1, 0, 3))
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError, match="qubits"):
+            measure_tableau(bell_product_tableau(1), [parse_pauli("X1", 4)], shot_stream(0, 0))
+        with pytest.raises(ValueError, match="qubits"):
+            tableau_expectation(bell_product_tableau(2), parse_pauli("X1", 2))
