@@ -55,14 +55,16 @@ from .protocol import (
     run_experiment,
     run_round,
 )
-from .rng import shot_stream
+from .rng import shot_draws, shot_stream
 from .states import (
     QubitLayout,
     StabilizerTableau,
     StateVector,
     apply_pauli,
     bell_product_state,
+    affine_values,
     bell_product_tableau,
+    compile_context,
     dense_expectation,
     eigenrelation_check,
     expectation,
@@ -73,4 +75,4 @@ from .states import (
     tableau_expectation,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

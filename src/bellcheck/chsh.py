@@ -17,12 +17,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iter_product
 
 import numpy as np
 
-from .pauli import parse_pauli, relabel, to_dense
-from .states import dense_expectation, singlet_product_state
+from .pauli import parse_pauli, to_dense
+from .states import dense_expectation, hermitian_overlap, singlet_product_state
 
 VTOL = 1e-12
 MAX_DENSE_PAIRS = 5
@@ -78,13 +79,28 @@ def _coefficients(v: MeasurementVectors) -> np.ndarray:
     return np.outer(a, b + bp) + np.outer(ap, b - bp)
 
 
+@lru_cache(maxsize=1)
+def _pair_basis() -> tuple[tuple[np.ndarray, ...], ...]:
+    """The nine 4x4 matrices alpha1 beta2, alpha and beta in X, Y, Z; built once."""
+    basis = []
+    for alpha in _AXES:
+        row = []
+        for beta in _AXES:
+            matrix = to_dense(parse_pauli(f"{alpha}1 {beta}2", 2))
+            matrix.flags.writeable = False  # shared by every caller
+            row.append(matrix)
+        basis.append(tuple(row))
+    return tuple(basis)
+
+
 def chsh_pair_operator(v: MeasurementVectors) -> np.ndarray:
     """Dense 4x4 CHSH operator for one pair."""
     coeff = _coefficients(v)
+    basis = _pair_basis()
     out = np.zeros((4, 4), dtype=complex)
-    for i, alpha in enumerate(_AXES):
-        for j, beta in enumerate(_AXES):
-            out += coeff[i, j] * to_dense(parse_pauli(f"{alpha}1 {beta}2", 2))
+    for i in range(3):
+        for j in range(3):
+            out += coeff[i, j] * basis[i][j]
     if np.max(np.abs(out - out.conj().T)) > VTOL:
         raise AssertionError("CHSH pair operator is not Hermitian")
     return out
@@ -95,24 +111,13 @@ def pair_expectation(v: MeasurementVectors) -> float:
     return dense_expectation(singlet_product_state(1), chsh_pair_operator(v))
 
 
-def _embedded_pair_operator(v: MeasurementVectors, pair: int, n: int) -> np.ndarray:
-    coeff = _coefficients(v)
-    dim = 1 << (2 * n)
-    out = np.zeros((dim, dim), dtype=complex)
-    for i, alpha in enumerate(_AXES):
-        for j, beta in enumerate(_AXES):
-            word = parse_pauli(f"{alpha}1 {beta}2", 2)
-            embedded = relabel(word, {1: pair, 2: n + pair}, 2 * n)
-            out += coeff[i, j] * to_dense(embedded)
-    return out
-
-
 def quantum_value(n: int, v: MeasurementVectors, method: str = "factorized") -> float:
     """Expectation of the n-pair operator on n shared singlets.
 
     "factorized" raises the simulated per-pair expectation to the n-th
-    power (any n >= 1); "dense" builds the full product operator and
-    evaluates it on the 2n-qubit singlet product state (n <= 5).
+    power (any n >= 1); "dense" applies the pair operator to each (k, n+k)
+    qubit pair of the 2n-qubit singlet product state and takes the
+    overlap with that state (n <= 5).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -121,10 +126,15 @@ def quantum_value(n: int, v: MeasurementVectors, method: str = "factorized") -> 
     if method == "dense":
         if n > MAX_DENSE_PAIRS:
             raise ValueError(f"dense path limited to n <= {MAX_DENSE_PAIRS}, got {n}")
-        total = _embedded_pair_operator(v, 1, n)
-        for pair in range(2, n + 1):
-            total = total @ _embedded_pair_operator(v, pair, n)
-        return dense_expectation(singlet_product_state(n), total)
+        state = singlet_product_state(n)
+        # One tensor axis per qubit, qubit 1 first; the pair operator's
+        # axes are (out k, out n+k, in k, in n+k).
+        op = chsh_pair_operator(v).reshape(2, 2, 2, 2)
+        amp = state.amplitudes.reshape((2,) * (2 * n))
+        for k in range(n):
+            amp = np.tensordot(op, amp, axes=([2, 3], [k, n + k]))
+            amp = np.moveaxis(amp, (0, 1), (k, n + k))
+        return hermitian_overlap(state, amp.reshape(-1))
     raise ValueError(f"method must be 'factorized' or 'dense', got {method!r}")
 
 

@@ -145,10 +145,7 @@ def brute_force(ps: ParitySystem) -> SolveResult:
         for j in range(k):
             if row_mask >> j & 1:
                 mask |= 1 << (k - 1 - j)
-        v = space & dtype(mask)
-        for shift in (16, 8, 4, 2, 1):
-            v ^= v >> dtype(shift)
-        sat &= (v & dtype(1)) == dtype(ps.rows[ridx].rhs)
+        sat &= (np.bitwise_count(space & dtype(mask)) & 1) == ps.rows[ridx].rhs
     hits = np.flatnonzero(sat)
     if hits.size == 0:
         return SolveResult(False)

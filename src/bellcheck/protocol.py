@@ -7,6 +7,10 @@ measure on the stabilizer tableau of the shared state (`states`).
 Recorded outcomes are independently flipped with probability `noise` and
 erased (inconclusive) with probability 1 - `efficiency`.
 
+A round is compiled once into GF(2) affine forms, one per outcome
+(`states.compile_context`); an experiment then samples all shots of each
+schedule entry together with numpy, each shot reading its own stream.
+
 With no noise and unit efficiency the shared outcomes agree on every
 round and every fully-recorded context satisfies its product constraint
 exactly; the summary statistics quantify how both degrade otherwise.
@@ -21,10 +25,12 @@ import numpy as np
 
 from .constructions import ContextSystem
 from .pauli import PauliOperator, format_pauli
-from .rng import shot_stream
-from .states import QubitLayout, bell_product_tableau, measure_tableau
+from .rng import check_key, shot_draws
+from .states import QubitLayout, affine_values, bell_product_tableau, compile_context
 
 MODES = ("alone", "in_context")
+# Shots sampled together: memory is O(BLOCK_SHOTS x words), not O(shots).
+BLOCK_SHOTS = 4096
 
 
 def _noise_pair(noise) -> tuple[float, float]:
@@ -36,20 +42,6 @@ def _noise_pair(noise) -> tuple[float, float]:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"flip probability must be in [0, 1], got {p}")
     return float(p_alice), float(p_bob)
-
-
-def _record(outcomes, p_flip: float, efficiency: float, rng) -> tuple[int | None, ...]:
-    # Two draws per outcome in a fixed order keeps the stream layout
-    # identical whatever the noise parameters are.
-    recorded = []
-    for value in outcomes:
-        flip = rng.random() < p_flip
-        lost = rng.random() >= efficiency
-        if lost:
-            recorded.append(None)
-        else:
-            recorded.append(-value if flip else value)
-    return tuple(recorded)
 
 
 @lru_cache(maxsize=256)
@@ -79,7 +71,7 @@ class RoundRecord:
     efficiency: float
 
 
-def run_round(
+def _compile_round(
     n: int,
     system: ContextSystem,
     alice_context_id: int,
@@ -87,16 +79,25 @@ def run_round(
     bob_mode: str,
     noise,
     efficiency: float,
-    rng: np.random.Generator,
-) -> RoundRecord:
-    """One protocol round; `shared_observable_id` indexes the system catalog."""
+    blocks: dict,
+) -> tuple:
+    """Check one schedule entry and compile its round into affine forms.
+
+    Runs every check of a round, in the order a round always ran them, so
+    a bad entry raises before any draw.  `blocks` holds the symbolic
+    measurement of each context's Alice block (and of Bob's copy of the
+    context in "in_context" mode), shared by every entry that reaches it.
+    Returns (outcome forms, Alice's word count, shared positions of Alice
+    and Bob, context id, product bit), where the outcome forms list
+    Alice's words, then Bob's.
+    """
     if system.num_qubits != n:
         raise ValueError(f"system acts on {system.num_qubits} qubits, expected {n}")
     if not 0 <= alice_context_id < len(system.contexts):
         raise ValueError(f"unknown context id {alice_context_id}")
     if bob_mode not in MODES:
         raise ValueError(f"bob_mode must be one of {MODES}, got {bob_mode!r}")
-    p_alice, p_bob = _noise_pair(noise)
+    _noise_pair(noise)
     if not 0.0 < efficiency <= 1.0:
         raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
 
@@ -113,25 +114,82 @@ def run_round(
             f"{alice_context_id}"
         ) from None
 
-    state = bell_product_tableau(n)
-    alice_raw, state = measure_tableau(state, _embedded(n, context.observables, "alice"), rng)
+    alice = blocks.get(alice_context_id)
+    if alice is None:
+        words = _embedded(n, context.observables, "alice")
+        alice = blocks[alice_context_id] = compile_context(bell_product_tableau(n), words)
+    alice_forms, tableau, signs = alice
     if bob_mode == "alone":
-        bob_raw, state = measure_tableau(state, _embedded(n, (shared,), "bob"), rng)
+        key = (alice_context_id, shared_observable_id)
+        words = _embedded(n, (shared,), "bob")
         bob_shared_pos = 0
     else:
-        bob_raw, state = measure_tableau(state, _embedded(n, context.observables, "bob"), rng)
+        key = (alice_context_id, None)
+        words = _embedded(n, context.observables, "bob")
         bob_shared_pos = shared_pos
+    bob_forms = blocks.get(key)
+    if bob_forms is None:
+        bob_forms = blocks[key] = compile_context(tableau, words, signs, len(alice_forms))[0]
+    product_bit = 0 if context.expected_sign == +1 else 1
+    return (
+        alice_forms + bob_forms,
+        len(alice_forms),
+        shared_pos,
+        len(alice_forms) + bob_shared_pos,
+        alice_context_id,
+        product_bit,
+    )
 
-    alice_recorded = _record(alice_raw, p_alice, efficiency, rng)
-    bob_recorded = _record(bob_raw, p_bob, efficiency, rng)
+
+def _sample(compiled: tuple, draws: np.ndarray, p_alice: float, p_bob: float, efficiency: float):
+    """Recorded outcome bits and erasure flags of a compiled round, per shot.
+
+    Row i of `draws` is shot i's stream: one draw per word, then a flip
+    draw and an erasure draw per outcome, Alice's outcomes first.  The
+    layout is the same whatever the noise parameters are.
+    """
+    forms, split = compiled[0], compiled[1]
+    width = len(forms)
+    values = affine_values(forms, draws[:, :width])
+    flips = np.empty(values.shape, dtype=bool)
+    flips[:, :split] = draws[:, width : width + 2 * split : 2] < p_alice
+    flips[:, split:] = draws[:, width + 2 * split :: 2] < p_bob
+    lost = draws[:, width + 1 :: 2] >= efficiency
+    return values ^ flips, lost
+
+
+def run_round(
+    n: int,
+    system: ContextSystem,
+    alice_context_id: int,
+    shared_observable_id: int,
+    bob_mode: str,
+    noise,
+    efficiency: float,
+    rng: np.random.Generator,
+) -> RoundRecord:
+    """One protocol round; `shared_observable_id` indexes the system catalog.
+
+    The one-shot form of the compiled round that `run_experiment` samples.
+    """
+    compiled = _compile_round(
+        n, system, alice_context_id, shared_observable_id, bob_mode, noise, efficiency, {}
+    )
+    p_alice, p_bob = _noise_pair(noise)
+    draws = np.array([[rng.random() for _ in range(3 * len(compiled[0]))]])
+    values, lost = _sample(compiled, draws, p_alice, p_bob, efficiency)
+    recorded = tuple(
+        None if gone else 1 - 2 * int(bit) for bit, gone in zip(values[0], lost[0])
+    )
+    _, split, shared_alice, shared_bob, _, _ = compiled
     return RoundRecord(
         alice_context=alice_context_id,
-        alice_outcomes=alice_recorded,
+        alice_outcomes=recorded[:split],
         bob_mode=bob_mode,
-        bob_outcomes=bob_recorded,
+        bob_outcomes=recorded[split:],
         shared_observable=shared_observable_id,
-        shared_alice=alice_recorded[shared_pos],
-        shared_bob=bob_recorded[bob_shared_pos],
+        shared_alice=recorded[shared_alice],
+        shared_bob=recorded[shared_bob],
         noise=(p_alice, p_bob),
         efficiency=float(efficiency),
     )
@@ -178,8 +236,10 @@ def default_schedule(system: ContextSystem) -> tuple[tuple[int, int], ...]:
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Run `shots` rounds cycling over the schedule, with per-shot RNG streams.
 
-    The summary is bit-identical for equal seeds regardless of execution
-    order because every shot derives its randomness from (seed, shot).
+    Each schedule entry the run reaches is checked and compiled once, then
+    all of its shots are sampled together in blocks of `BLOCK_SHOTS`.  The
+    summary is bit-identical for equal seeds regardless of execution order
+    because every shot derives its randomness from (seed, shot).
     """
     if config.shots < 0:
         raise ValueError(f"shots must be >= 0, got {config.shots}")
@@ -187,16 +247,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     schedule = config.schedule or default_schedule(config.system)
     if not schedule:
         raise ValueError("schedule is empty")
+    if config.shots:
+        check_key(config.seed, 0)  # a bad seed fails before any entry is checked
 
-    comparable = 0
-    equal = 0
-    context_totals: dict[int, int] = {}
-    context_passes: dict[int, int] = {}
-    shared_counts: dict[str, dict[int, int]] = {"alice": {+1: 0, -1: 0}, "bob": {+1: 0, -1: 0}}
-
-    for shot in range(config.shots):
-        ctx_id, obs_id = schedule[shot % len(schedule)]
-        record = run_round(
+    blocks: dict = {}
+    rounds = [
+        _compile_round(
             config.n,
             config.system,
             ctx_id,
@@ -204,30 +260,43 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
             config.bob_mode,
             (p_alice, p_bob),
             config.efficiency,
-            shot_stream(config.seed, shot),
+            blocks,
         )
-        if record.shared_alice is not None and record.shared_bob is not None:
-            comparable += 1
-            if record.shared_alice == record.shared_bob:
-                equal += 1
-        if record.shared_alice is not None:
-            shared_counts["alice"][record.shared_alice] += 1
-        if record.shared_bob is not None:
-            shared_counts["bob"][record.shared_bob] += 1
+        for ctx_id, obs_id in schedule[: min(len(schedule), config.shots)]
+    ]
 
-        expected = config.system.contexts[ctx_id].expected_sign
-        measured_contexts = [record.alice_outcomes]
+    comparable = 0
+    equal = 0
+    context_totals: dict[int, int] = {}
+    context_passes: dict[int, int] = {}
+    shared_counts: dict[str, dict[int, int]] = {"alice": {+1: 0, -1: 0}, "bob": {+1: 0, -1: 0}}
+
+    for entry, compiled in enumerate(rounds):
+        forms, split, shared_alice, shared_bob, ctx_id, product_bit = compiled
+        contexts = [slice(0, split)]
         if config.bob_mode == "in_context":
-            measured_contexts.append(record.bob_outcomes)
-        for outcomes in measured_contexts:
-            if any(v is None for v in outcomes):
-                continue
-            context_totals[ctx_id] = context_totals.get(ctx_id, 0) + 1
-            product = 1
-            for v in outcomes:
-                product *= v
-            if product == expected:
-                context_passes[ctx_id] = context_passes.get(ctx_id, 0) + 1
+            contexts.append(slice(split, len(forms)))
+        shots = range(entry, config.shots, len(schedule))
+        for start in range(0, len(shots), BLOCK_SHOTS):
+            draws = shot_draws(config.seed, shots[start : start + BLOCK_SHOTS], 3 * len(forms))
+            values, lost = _sample(compiled, draws, p_alice, p_bob, config.efficiency)
+            kept = ~lost
+            both = kept[:, shared_alice] & kept[:, shared_bob]
+            comparable += int(np.count_nonzero(both))
+            equal += int(np.count_nonzero(both & (values[:, shared_alice] == values[:, shared_bob])))
+            for side, col in (("alice", shared_alice), ("bob", shared_bob)):
+                minus = int(np.count_nonzero(kept[:, col] & (values[:, col] == 1)))
+                shared_counts[side][+1] += int(np.count_nonzero(kept[:, col])) - minus
+                shared_counts[side][-1] += minus
+            for cols in contexts:
+                full = kept[:, cols].all(axis=1)
+                total = int(np.count_nonzero(full))
+                if not total:
+                    continue
+                context_totals[ctx_id] = context_totals.get(ctx_id, 0) + total
+                parity = np.bitwise_xor.reduce(values[:, cols], axis=1)
+                passes = int(np.count_nonzero(full & (parity == product_bit)))
+                context_passes[ctx_id] = context_passes.get(ctx_id, 0) + passes
 
     if config.shots == 0:
         return ExperimentSummary(

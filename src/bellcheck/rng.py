@@ -12,9 +12,36 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
-def shot_stream(seed: int, shot: int) -> np.random.Generator:
-    """Independent generator for one shot of a seeded experiment."""
+def check_key(seed: int, shot: int) -> None:
+    """Raise unless (seed, shot) is a valid stream key."""
     if seed < 0 or shot < 0:
         raise ValueError("seed and shot index must be non-negative")
+
+
+def shot_stream(seed: int, shot: int) -> np.random.Generator:
+    """Independent generator for one shot of a seeded experiment."""
+    check_key(seed, shot)
     key = np.array([seed & _MASK64, shot & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def shot_draws(seed: int, shots: range, k: int) -> np.ndarray:
+    """The first k draws of each shot's stream, one row per shot in `shots`.
+
+    Row i equals `shot_stream(seed, shots[i]).random(k)`, which is also
+    k scalar `random()` calls.  One Philox is re-keyed per shot through
+    its state instead of building a generator per shot.
+    """
+    check_key(seed, min(shots[0], shots[-1]) if shots else 0)
+    bit_generator = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
+    generator = np.random.Generator(bit_generator)
+    # A fresh state: zero counter, empty buffer.  The setter copies it, so
+    # the key array can be rewritten in place for the next shot.
+    state = bit_generator.state
+    key = state["state"]["key"]
+    out = np.empty((len(shots), k))
+    for row, shot in enumerate(shots):
+        key[1] = shot & _MASK64
+        bit_generator.state = state
+        generator.random(out=out[row])
+    return out

@@ -115,13 +115,6 @@ def _dense_mask(mask: int, num_qubits: int) -> int:
     return out
 
 
-def _bit_parity(values: np.ndarray) -> np.ndarray:
-    v = values.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> np.uint64(shift)
-    return (v & np.uint64(1)).astype(np.int64)
-
-
 def apply_pauli(op: PauliOperator, state: StateVector) -> np.ndarray:
     """Raw amplitudes of op|state> (not renormalized; Pauli words are unitary)."""
     if op.num_qubits != state.num_qubits:
@@ -135,7 +128,7 @@ def apply_pauli(op: PauliOperator, state: StateVector) -> np.ndarray:
     # op|b> = i^(phase+y) * (-1)^{|b & z|} |b xor x>.
     coef = _PHASES[(op.phase_exponent + (op.x_mask & op.z_mask).bit_count()) % 4]
     idx = np.arange(1 << m, dtype=np.uint64)
-    signs = 1 - 2 * _bit_parity(idx & np.uint64(dz))
+    signs = 1 - 2 * (np.bitwise_count(idx & np.uint64(dz)) & 1).astype(np.int64)
     out = np.empty_like(state.amplitudes)
     out[idx ^ np.uint64(dx)] = coef * signs * state.amplitudes
     return out
@@ -153,7 +146,12 @@ def expectation(state: StateVector, op: PauliOperator) -> float:
 
 def dense_expectation(state: StateVector, matrix: np.ndarray) -> float:
     """<state| M |state> for a dense Hermitian matrix."""
-    value = np.vdot(state.amplitudes, matrix @ state.amplitudes)
+    return hermitian_overlap(state, matrix @ state.amplitudes)
+
+
+def hermitian_overlap(state: StateVector, applied: np.ndarray) -> float:
+    """<state| M |state> given applied = M|state> for a Hermitian M."""
+    value = np.vdot(state.amplitudes, applied)
     if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
         raise AssertionError(f"expectation has imaginary part {value.imag}")
     return float(value.real)
@@ -216,6 +214,10 @@ def measure_context(
 # destabilizer words: destabilizers[i] anticommutes with stabilizers[i]
 # and commutes with every other row of both lists.  A measured word is
 # then a fair coin or forced, and memory is O(m^2) bits, not 2^m amplitudes.
+#
+# Measured symbolically (`compile_context`), each stabilizer's sign is a
+# GF(2) affine form over the coins of the words measured so far, so one
+# pass over a context serves every shot; the draws only evaluate the forms.
 
 
 class StabilizerTableau(NamedTuple):
@@ -243,19 +245,23 @@ def bell_product_tableau(n: int) -> StabilizerTableau:
     return StabilizerTableau(m, tuple(stabilizers), tuple(destabilizers))
 
 
-def _forced_sign(stabilizers, destabilizers, op: PauliOperator) -> int:
-    """Eigenvalue of `op` on the state, for a word commuting with every stabilizer.
+def _forced_form(stabilizers, destabilizers, signs, op: PauliOperator) -> int:
+    """Outcome of `op`, a word commuting with every stabilizer, as an affine form.
 
     Such a word is +-(product of the stabilizers whose destabilizer it
-    anticommutes with); the sign of that exact product is the answer.
+    anticommutes with).  Stabilizer i is its row times (-1)^signs[i], so
+    the outcome bit is the XOR of those rows' sign forms, plus 1 in bit 0
+    when the exact product of the rows is -op.
     """
     acc = identity(op.num_qubits)
-    for stabilizer, destabilizer in zip(stabilizers, destabilizers):
+    form = 0
+    for stabilizer, destabilizer, sign in zip(stabilizers, destabilizers, signs):
         if not commutes(destabilizer, op):
             acc = multiply(acc, stabilizer)
+            form ^= sign
     if acc.x_mask != op.x_mask or acc.z_mask != op.z_mask:
         raise RuntimeError("tableau does not generate the measured word (tableau bug)")
-    return +1 if acc.phase_exponent == op.phase_exponent else -1
+    return form ^ (acc.phase_exponent != op.phase_exponent)
 
 
 def _check_size(op: PauliOperator, tableau: StabilizerTableau) -> None:
@@ -272,7 +278,75 @@ def tableau_expectation(tableau: StabilizerTableau, op: PauliOperator) -> float:
         raise ValueError(f"operator {format_pauli(op)} is not Hermitian")
     if not all(commutes(s, op) for s in tableau.stabilizers):
         return 0.0
-    return float(_forced_sign(tableau.stabilizers, tableau.destabilizers, op))
+    signs = (0,) * tableau.num_qubits
+    return 1.0 - 2.0 * _forced_form(tableau.stabilizers, tableau.destabilizers, signs, op)
+
+
+def compile_context(
+    tableau: StabilizerTableau,
+    context_ops: list[PauliOperator] | tuple[PauliOperator, ...],
+    signs: tuple[int, ...] | None = None,
+    first: int = 0,
+) -> tuple[tuple[int, ...], StabilizerTableau, tuple[int, ...]]:
+    """Measure a context symbolically: every outcome as a GF(2) affine form.
+
+    An outcome bit is 1 for the outcome -1.  A form is an int bitmask over
+    the fair coins of the measured words: bit 0 is the constant, bit j+1
+    the coin of word j, with the words numbered from `first`.  Whether a
+    word is a coin depends only on commutation, never on earlier outcomes,
+    so one pass labels each word either "fair coin j" (form 1 << (j+1)) or
+    forced (a constant XOR earlier coins).
+
+    Stabilizer i of the returned tableau is its row times (-1)^(post sign
+    form i); `signs` gives those forms for the input tableau (all 0 when
+    None), so a later context continues from this one's result.  Returns
+    (outcome forms, post-measurement rows, post sign forms).
+    """
+    ops = _checked_context(context_ops)
+    for op in ops:
+        _check_size(op, tableau)
+    stabilizers = list(tableau.stabilizers)
+    destabilizers = list(tableau.destabilizers)
+    row_signs = list(signs) if signs is not None else [0] * tableau.num_qubits
+    forms = []
+    for j, op in enumerate(ops, first):
+        pivot = next((i for i, s in enumerate(stabilizers) if not commutes(s, op)), None)
+        if pivot is None:
+            forms.append(_forced_form(stabilizers, destabilizers, row_signs, op))
+            continue
+        coin = 1 << (j + 1)
+        forms.append(coin)
+        # Every other row anticommuting with op absorbs the pivot row, so
+        # only the pivot anticommutes; it becomes a destabilizer and the
+        # measured word, signed by the coin, takes its place.
+        row, row_sign = stabilizers[pivot], row_signs[pivot]
+        for i, other in enumerate(stabilizers):
+            if i != pivot and not commutes(other, op):
+                stabilizers[i] = multiply(other, row)
+                row_signs[i] ^= row_sign
+        for i, other in enumerate(destabilizers):
+            if i != pivot and not commutes(other, op):
+                destabilizers[i] = multiply(other, row)
+        destabilizers[pivot] = row
+        stabilizers[pivot] = op
+        row_signs[pivot] = coin
+    post = StabilizerTableau(tableau.num_qubits, tuple(stabilizers), tuple(destabilizers))
+    return tuple(forms), post, tuple(row_signs)
+
+
+def affine_values(forms, draws: np.ndarray) -> np.ndarray:
+    """Evaluate affine forms on measurement draws, one row per shot.
+
+    `draws[:, j]` is word j's draw; its coin comes up 1 (outcome -1) when
+    the draw is >= 1/2, as `measure_context` does with p_plus = 1/2.  A
+    forced word ignores its own draw.  Returns a uint8 array of bits.
+    """
+    shots, width = draws.shape
+    coins = np.ones((shots, width + 1), dtype=np.uint8)
+    coins[:, 1:] = draws >= 0.5
+    matrix = np.array([[form >> i & 1 for form in forms] for i in range(width + 1)], dtype=np.uint8)
+    # uint8 sums wrap mod 256, which keeps their parity.
+    return (coins @ matrix) & 1
 
 
 def measure_tableau(
@@ -282,40 +356,20 @@ def measure_tableau(
 ) -> tuple[list[int], StabilizerTableau]:
     """`measure_context` on a tableau: same checks, draws and outcomes.
 
-    A word anticommuting with some stabilizer has p_plus = 1/2; the others
-    have p_plus 0 or 1 from `_forced_sign`.  Either way one `rng.random()`
-    is drawn per word, as in the state-vector path, so equal streams give
-    equal outcomes on both.
+    `compile_context` labels each word a coin (p_plus = 1/2) or forced
+    (p_plus 0 or 1); then one `rng.random()` per word, as in the
+    state-vector path, evaluates the forms, so equal streams give equal
+    outcomes on both.
     """
-    ops = _checked_context(context_ops)
-    for op in ops:
-        _check_size(op, tableau)
-    stabilizers = list(tableau.stabilizers)
-    destabilizers = list(tableau.destabilizers)
-    outcomes = []
-    for op in ops:
-        pivot = next((i for i, s in enumerate(stabilizers) if not commutes(s, op)), None)
-        if pivot is None:
-            p_plus = 1.0 if _forced_sign(stabilizers, destabilizers, op) == +1 else 0.0
-        else:
-            p_plus = 0.5
-        outcome = +1 if rng.random() < p_plus else -1
-        outcomes.append(outcome)
-        if pivot is None:
-            continue
-        # Every other row anticommuting with op absorbs the pivot row, so
-        # only the pivot anticommutes; it becomes a destabilizer and the
-        # measured word, signed by the outcome, takes its place.
-        row = stabilizers[pivot]
-        for rows in (stabilizers, destabilizers):
-            for i, other in enumerate(rows):
-                if i != pivot and not commutes(other, op):
-                    rows[i] = multiply(other, row)
-        destabilizers[pivot] = row
-        stabilizers[pivot] = PauliOperator(
-            op.num_qubits, op.x_mask, op.z_mask, op.phase_exponent + (0 if outcome == +1 else 2)
-        )
-    return outcomes, StabilizerTableau(tableau.num_qubits, tuple(stabilizers), tuple(destabilizers))
+    forms, post, signs = compile_context(tableau, context_ops)
+    draws = np.array([[rng.random() for _ in forms]])
+    bits = affine_values(forms + signs, draws)[0]
+    outcomes = [1 - 2 * int(bit) for bit in bits[: len(forms)]]
+    stabilizers = tuple(
+        PauliOperator(s.num_qubits, s.x_mask, s.z_mask, s.phase_exponent + 2) if flip else s
+        for s, flip in zip(post.stabilizers, bits[len(forms):])
+    )
+    return outcomes, post._replace(stabilizers=stabilizers)
 
 
 def eigenrelation_check(n: int, op: PauliOperator) -> bool:

@@ -5,7 +5,8 @@ import math
 import pytest
 
 from bellcheck import protocol
-from bellcheck.constructions import generalized_sets, mermin_square
+from bellcheck.constructions import Context, ContextSystem, generalized_sets, mermin_square
+from bellcheck.pauli import PauliOperator, parse_pauli
 from bellcheck.protocol import (
     ExperimentConfig,
     default_schedule,
@@ -13,7 +14,7 @@ from bellcheck.protocol import (
     run_round,
 )
 from bellcheck.rng import shot_stream
-from bellcheck.states import bell_product_state, measure_context
+from protocol_reference import reference_experiment, reference_round
 
 
 def binomial_4sigma(p, shots):
@@ -143,38 +144,149 @@ class TestRunExperiment:
             run_experiment(ExperimentConfig(n=2, system=mermin_square(), shots=-1))
 
 
+def system_for(n):
+    return mermin_square() if n == 2 else generalized_sets(n)
+
+
 class TestTableauAgainstDenseOracle:
-    """The protocol's tableau path against the same protocol on state vectors.
+    """The compiled batch sampler against the per-round reference protocol.
 
-    `measure_context` and `measure_tableau` take and return their states the
-    same way, so swapping them (and the initial state) inside `protocol`
-    rebuilds the dense path with every draw in the same place.
+    The reference measures each round on its own stream, either on dense
+    state vectors (`measure_context`) or on a concrete tableau, so every
+    draw is read in the same place and the summaries must be equal.
     """
-
-    @staticmethod
-    def dense(monkeypatch, fn, *args):
-        with monkeypatch.context() as patch:
-            patch.setattr(protocol, "bell_product_tableau", bell_product_state)
-            patch.setattr(protocol, "measure_tableau", measure_context)
-            return fn(*args)
 
     @pytest.mark.parametrize("mode", ["alone", "in_context"])
     @pytest.mark.parametrize("noise,efficiency", [(0.0, 1.0), (0.1, 0.8), ((0.05, 0.2), 0.95)])
     @pytest.mark.parametrize("n,shots", [(2, 60), (3, 40), (5, 24), (7, 8)])
-    def test_summaries_equal(self, monkeypatch, n, shots, noise, efficiency, mode):
-        system = mermin_square() if n == 2 else generalized_sets(n)
+    def test_summaries_equal(self, n, shots, noise, efficiency, mode):
         for seed in (0, 3, 2**40 + 1):
             config = ExperimentConfig(
-                n=n, system=system, shots=shots, noise=noise,
+                n=n, system=system_for(n), shots=shots, noise=noise,
                 efficiency=efficiency, seed=seed, bob_mode=mode,
             )
-            assert run_experiment(config) == self.dense(monkeypatch, run_experiment, config)
+            compiled = run_experiment(config)
+            assert compiled == reference_experiment(config, "dense")
+            assert compiled == reference_experiment(config, "tableau")
 
-    def test_rounds_equal(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["alone", "in_context"])
+    @pytest.mark.parametrize("n,shots", [(9, 40), (11, 30), (13, 30)])
+    def test_large_n_equals_tableau_reference(self, n, shots, mode):
+        config = ExperimentConfig(
+            n=n, system=system_for(n), shots=shots, noise=0.1,
+            efficiency=0.8, seed=n, bob_mode=mode,
+        )
+        assert run_experiment(config) == reference_experiment(config)
+
+    @pytest.mark.parametrize("mode", ["alone", "in_context"])
+    @pytest.mark.parametrize("shots", [0, 1, 7])
+    def test_few_shots(self, shots, mode):
+        # Fewer shots than the 18 schedule entries: only the first few run.
+        config = ExperimentConfig(
+            n=2, system=mermin_square(), shots=shots, noise=0.2, efficiency=0.7,
+            seed=5, bob_mode=mode,
+        )
+        assert run_experiment(config) == reference_experiment(config)
+
+    @pytest.mark.parametrize("mode", ["alone", "in_context"])
+    def test_custom_schedule(self, mode):
+        system = generalized_sets(3)
+        schedule = tuple(
+            (ci, system.catalog.index(system.contexts[ci].observables[k]))
+            for ci, k in ((4, 0), (0, 1), (4, 0), (2, 2))
+        )
+        config = ExperimentConfig(
+            n=3, system=system, shots=23, schedule=schedule, noise=0.1,
+            efficiency=0.9, seed=11, bob_mode=mode,
+        )
+        assert run_experiment(config) == reference_experiment(config)
+
+    def test_blocks_do_not_change_the_summary(self, monkeypatch):
+        config = ExperimentConfig(
+            n=3, system=generalized_sets(3), shots=200, noise=0.1, efficiency=0.9, seed=2
+        )
+        whole = run_experiment(config)
+        monkeypatch.setattr(protocol, "BLOCK_SHOTS", 3)
+        assert run_experiment(config) == whole == reference_experiment(config)
+
+    def test_rounds_equal(self):
         system = generalized_sets(3)
         for ctx_id, obs_id in default_schedule(system):
             for mode in ("alone", "in_context"):
                 args = (3, system, ctx_id, obs_id, mode, 0.2, 0.9)
                 fast = run_round(*args, shot_stream(8, obs_id))
-                slow = self.dense(monkeypatch, run_round, *args, shot_stream(8, obs_id))
-                assert fast == slow
+                for backend in ("dense", "tableau"):
+                    assert fast == reference_round(*args, shot_stream(8, obs_id), backend)
+
+
+class CountingDraw:
+    """Stand-in generator that counts its draws."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return 0.25
+
+
+NON_COMMUTING = ContextSystem(
+    2, (Context((parse_pauli("X1", 2), parse_pauli("Z1", 2)), +1),)
+)
+NON_HERMITIAN = ContextSystem(2, (Context((PauliOperator(2, 1, 0, 1),), +1),))
+
+# (system, n, schedule, bob_mode, noise, efficiency, seed); with a schedule,
+# its last entry is the bad one, reached after a good one.  A round takes
+# no seed, so the negative-seed case is for experiments only.
+BAD_INPUTS = [
+    (mermin_square(), 3, None, "alone", 0.0, 1.0, 0),
+    (mermin_square(), 2, ((0, 0), (17, 0)), "alone", 0.0, 1.0, 0),
+    (mermin_square(), 2, ((0, 0), (0, 99)), "alone", 0.0, 1.0, 0),
+    (mermin_square(), 2, ((0, 0), (0, 3)), "in_context", 0.0, 1.0, 0),
+    (mermin_square(), 2, None, "together", 0.0, 1.0, 0),
+    (mermin_square(), 2, None, "alone", 1.5, 1.0, 0),
+    (mermin_square(), 2, None, "alone", (0.1, -0.1), 1.0, 0),
+    (mermin_square(), 2, None, "alone", 0.0, 0.0, 0),
+    (mermin_square(), 2, None, "alone", 0.0, 1.0, -1),
+    (NON_COMMUTING, 2, None, "alone", 0.0, 1.0, 0),
+    (NON_HERMITIAN, 2, None, "in_context", 0.0, 1.0, 0),
+]
+
+
+class TestBadInputs:
+    @staticmethod
+    def error(fn, *args):
+        with pytest.raises(ValueError) as info:
+            fn(*args)
+        return str(info.value)
+
+    @pytest.mark.parametrize("case", range(len(BAD_INPUTS)))
+    def test_experiment_raises_before_any_draw(self, monkeypatch, case):
+        system, n, schedule, mode, noise, efficiency, seed = BAD_INPUTS[case]
+        config = ExperimentConfig(
+            n=n, system=system, shots=5, schedule=schedule, noise=noise,
+            efficiency=efficiency, seed=seed, bob_mode=mode,
+        )
+        expected = self.error(reference_experiment, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "shot_draws", lambda *args: pytest.fail("drew first"))
+            assert self.error(run_experiment, config) == expected
+
+    @pytest.mark.parametrize("case", [i for i, c in enumerate(BAD_INPUTS) if c[-1] >= 0])
+    def test_round_raises_before_any_draw(self, case):
+        system, n, schedule, mode, noise, efficiency, _ = BAD_INPUTS[case]
+        ctx_id, obs_id = (schedule or ((0, 0),))[-1]
+        args = (n, system, ctx_id, obs_id, mode, noise, efficiency)
+        expected = self.error(reference_round, *args, CountingDraw(), "tableau")
+        rng = CountingDraw()
+        assert self.error(run_round, *args, rng) == expected
+        assert rng.draws == 0
+
+    def test_unreached_entries_are_not_checked(self):
+        config = ExperimentConfig(
+            n=2, system=mermin_square(), shots=1, schedule=((0, 0), (0, 99))
+        )
+        assert run_experiment(config) == reference_experiment(config)
+        assert run_experiment(
+            ExperimentConfig(n=2, system=mermin_square(), shots=0, bob_mode="together")
+        ).shots == 0

@@ -7,15 +7,18 @@ import pytest
 from scipy import stats
 
 from conftest import dense_oracle, random_pauli
+from protocol_reference import tableau_measure
 from bellcheck.constructions import generalized_sets, mermin_square
 from bellcheck.pauli import PauliOperator, commutes, parse_pauli
 from bellcheck.rng import shot_stream
 from bellcheck.states import (
     QubitLayout,
     StateVector,
+    affine_values,
     apply_pauli,
     bell_product_state,
     bell_product_tableau,
+    compile_context,
     dense_expectation,
     eigenrelation_check,
     expectation,
@@ -151,6 +154,16 @@ class FixedDraw:
     def random(self):
         self.draws += 1
         return self.value
+
+
+class SequenceDraw:
+    """Stand-in generator that hands out `values` in order."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return float(next(self.values))
 
 
 class TestEigenrelation:
@@ -353,6 +366,79 @@ class TestTableau:
                 assert tableau_expectation(tableau, op) == pytest.approx(
                     expectation(state, op), abs=1e-9
                 )
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_compiled_forms_match_measure_tableau(self, n):
+        """Alice's context, then Bob's copy, compiled once and evaluated per draw sequence."""
+        system = mermin_square() if n == 2 else generalized_sets(n)
+        layout = QubitLayout(n)
+        rng = np.random.default_rng(n)
+        start = bell_product_tableau(n)
+        for ctx in system.contexts:
+            alice = [layout.alice_embedding(o) for o in ctx.observables]
+            bob = [layout.bob_embedding(o) for o in ctx.observables]
+            alice_forms, post, signs = compile_context(start, alice)
+            bob_forms, _, _ = compile_context(post, bob, signs, len(alice))
+            forms = alice_forms + bob_forms
+            for j, form in enumerate(forms):
+                # A coin is its own bit; a forced word uses earlier coins only.
+                assert form == 1 << (j + 1) or form < 1 << (j + 1)
+            for trial in range(12):
+                draws = rng.random(len(forms))
+                draws[rng.random(len(forms)) < 0.3] = 0.5
+                bits = affine_values(forms, draws[None, :])[0]
+                compiled = [1 - 2 * int(b) for b in bits]
+                seq = SequenceDraw(draws)
+                first, tableau = measure_tableau(start, alice, seq)
+                second, _ = measure_tableau(tableau, bob, seq)
+                assert compiled == first + second
+                seq = SequenceDraw(draws)
+                first, tableau = tableau_measure(start, alice, seq)
+                second, _ = tableau_measure(tableau, bob, seq)
+                assert compiled == first + second
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_chained_compiles_match_reference(self, n):
+        """Contexts that do not commute with each other, compiled one after another."""
+        rng = np.random.default_rng(200 + n)
+        for trial in range(30):
+            contexts = []
+            for step in range(3):
+                ops = []
+                while len(ops) < 3:
+                    op = hermitian_pauli(rng, 2 * n)
+                    if all(commutes(op, o) for o in ops):
+                        ops.append(op)
+                contexts.append(ops)
+            tableau, signs, forms = bell_product_tableau(n), None, ()
+            for ops in contexts:
+                step_forms, tableau, signs = compile_context(tableau, ops, signs, len(forms))
+                forms += step_forms
+            draws = rng.random(len(forms))
+            bits = affine_values(forms + signs, draws[None, :])[0]
+            seq, reference, expected = SequenceDraw(draws), bell_product_tableau(n), []
+            for ops in contexts:
+                outcomes, reference = tableau_measure(reference, ops, seq)
+                expected += outcomes
+            assert [1 - 2 * int(b) for b in bits[: len(forms)]] == expected
+            # The symbolic signs, evaluated, are the reference tableau's signs.
+            for row, flip, concrete in zip(tableau.stabilizers, bits[len(forms):], reference.stabilizers):
+                assert (row.x_mask, row.z_mask) == (concrete.x_mask, concrete.z_mask)
+                assert (row.phase_exponent + 2 * int(flip)) % 4 == concrete.phase_exponent
+
+    def test_post_measurement_tableau_matches_reference(self):
+        rng = np.random.default_rng(23)
+        for trial in range(60):
+            n = int(rng.integers(1, 4))
+            ops = []
+            while len(ops) < 4:
+                op = hermitian_pauli(rng, 2 * n)
+                if all(commutes(op, o) for o in ops):
+                    ops.append(op)
+            draws = rng.random(len(ops))
+            fast = measure_tableau(bell_product_tableau(n), ops, SequenceDraw(draws))
+            slow = tableau_measure(bell_product_tableau(n), ops, SequenceDraw(draws))
+            assert fast == slow
 
     def test_post_measurement_tableau_keeps_its_relations(self):
         layout = QubitLayout(3)
