@@ -50,29 +50,26 @@ from .pauli import (
 from .protocol import (
     ExperimentConfig,
     ExperimentSummary,
-    RoundRecord,
     default_schedule,
     run_experiment,
-    run_round,
 )
 from .rng import shot_draws, shot_stream
 from .states import (
-    QubitLayout,
     StabilizerTableau,
     StateVector,
+    affine_values,
     apply_pauli,
     bell_product_state,
-    affine_values,
     bell_product_tableau,
     compile_context,
     dense_expectation,
     eigenrelation_check,
+    embed,
     expectation,
     ghz_state,
     measure_context,
-    measure_tableau,
     singlet_product_state,
     tableau_expectation,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"

@@ -19,7 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chsh as chsh_mod
-from .constructions import generalized_sets, ghz_contexts, ghz_observables, mermin_square, validate
+from .constructions import (
+    FAMILY_NS,
+    generalized_sets,
+    ghz_contexts,
+    ghz_observables,
+    mermin_square,
+    validate,
+)
 from .dsl import DslSyntaxError, parse_document
 from .parity import build_parity_system, check_assignment, check_certificate, solve
 from .pauli import PauliOperator, format_pauli, multiply
@@ -100,8 +107,11 @@ class RunReport:
 
 
 def _system_for(n: int):
+    """The square for n = 2, the generalized family for odd n in 3..13."""
     if n == 2:
         return mermin_square()
+    if n not in FAMILY_NS:
+        raise UsageError(f"--n must be 2 (square) or odd in 3..13, got {n}")
     return generalized_sets(n)
 
 
@@ -124,6 +134,18 @@ def _parity_checks(report: RunReport, system, expect_rows: int) -> None:
         report.check("certificate rows", len(result.certificate), expect_rows)
         report.check("certificate verifies", check_certificate(ps, result.certificate), True)
         report.extras["certificate"] = list(result.certificate)
+
+
+def _verdict(report: RunReport, ps, result, **sizes) -> None:
+    """Report SAT/UNSAT, then `sizes`, then the witness and its check."""
+    report.extras["result"] = "SAT" if result.satisfiable else "UNSAT"
+    report.extras.update(sizes)
+    if result.satisfiable:
+        report.extras["assignment"] = {name: result.assignment[name] for name in ps.variables}
+        report.check("assignment verifies", check_assignment(ps, result.assignment), True)
+    elif result.certificate is not None:
+        report.extras["certificate"] = list(result.certificate)
+        report.check("certificate verifies", check_certificate(ps, result.certificate), True)
 
 
 def cmd_verify_square(args) -> RunReport:
@@ -163,18 +185,7 @@ def cmd_bks_solve(args) -> RunReport:
             if not check.ok:
                 raise UsageError(f"{args.file}: context {check.context_index}: {check.problem}")
     ps = build_parity_system(system)
-    result = solve(ps)
-    report.extras["result"] = "SAT" if result.satisfiable else "UNSAT"
-    report.extras["variables"] = len(ps.variables)
-    report.extras["rows"] = len(ps.rows)
-    if result.satisfiable:
-        report.extras["assignment"] = {
-            name: result.assignment[name] for name in ps.variables
-        }
-        report.check("assignment verifies", check_assignment(ps, result.assignment), True)
-    else:
-        report.extras["certificate"] = list(result.certificate)
-        report.check("certificate verifies", check_certificate(ps, result.certificate), True)
+    _verdict(report, ps, solve(ps), variables=len(ps.variables), rows=len(ps.rows))
     return report
 
 
@@ -201,19 +212,12 @@ def cmd_ghz(args) -> RunReport:
     result = solve(ps)
     expect_sat = args.grouping == "bipartite"
     report.check("value assignment exists", result.satisfiable, expect_sat)
-    report.extras["result"] = "SAT" if result.satisfiable else "UNSAT"
-    if result.satisfiable:
-        report.extras["assignment"] = {name: result.assignment[name] for name in ps.variables}
-        report.check("assignment verifies", check_assignment(ps, result.assignment), True)
-    elif result.certificate is not None:
-        report.extras["certificate"] = list(result.certificate)
-        report.check("certificate verifies", check_certificate(ps, result.certificate), True)
+    _verdict(report, ps, result)
     return report
 
 
 def cmd_correlate(args) -> RunReport:
-    if args.n != 2 and (args.n % 2 == 0 or not 3 <= args.n <= 13):
-        raise UsageError(f"--n must be 2 (square) or odd in 3..13, got {args.n}")
+    system = _system_for(args.n)
     report = RunReport(
         "correlate",
         {
@@ -224,7 +228,6 @@ def cmd_correlate(args) -> RunReport:
         },
         seed=args.seed,
     )
-    system = _system_for(args.n)
     exact_regime = args.noise == 0.0 and args.efficiency == 1.0
     for mode in ("alone", "in_context"):
         summary = run_experiment(
@@ -288,10 +291,8 @@ def cmd_chsh(args) -> RunReport:
 
 
 def cmd_eigencheck(args) -> RunReport:
-    if args.n != 2 and (args.n % 2 == 0 or not 3 <= args.n <= 13):
-        raise UsageError(f"--n must be 2 (square) or odd in 3..13, got {args.n}")
-    report = RunReport("eigencheck", {"n": args.n})
     system = _system_for(args.n)
+    report = RunReport("eigencheck", {"n": args.n})
     for op in system.catalog:
         report.check(
             f"mirrored {format_pauli(op)} fixes the shared state",
@@ -307,7 +308,7 @@ class UsageError(ValueError):
 
 def _odd_n(value: str) -> int:
     n = int(value)
-    if n % 2 == 0 or not 3 <= n <= 13:
+    if n not in FAMILY_NS:
         raise argparse.ArgumentTypeError(f"n must be odd and within 3..13, got {n}")
     return n
 

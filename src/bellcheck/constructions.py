@@ -17,6 +17,10 @@ from .parity import ParityRow, ParitySystem
 from .pauli import PauliOperator, commutes, format_pauli, identity, multiply, parse_pauli, single
 
 
+# The n for which `generalized_sets` builds a family: odd, 3..13.
+FAMILY_NS = range(3, 14, 2)
+
+
 class ConstructionError(RuntimeError):
     """A built-in construction failed its own validation (internal bug)."""
 
@@ -79,6 +83,27 @@ def product_sign(context: Context) -> int:
     return +1 if acc.phase_exponent == 0 else -1
 
 
+def context_faults(observables) -> tuple[str | None, tuple[str, str] | None]:
+    """The first non-Hermitian member and the first non-commuting pair, as text.
+
+    Pairs are tried in `combinations` order; either part is None when the
+    context has no such fault.
+    """
+    non_hermitian = next((format_pauli(o) for o in observables if not o.is_hermitian), None)
+    pairs = combinations(observables, 2)
+    failing = next(((format_pauli(a), format_pauli(b)) for a, b in pairs if not commutes(a, b)), None)
+    return non_hermitian, failing
+
+
+def fault_message(non_hermitian: str | None, failing_pair: tuple[str, str] | None) -> str | None:
+    """Why a context's words are not jointly measurable; Hermiticity goes first."""
+    if non_hermitian is not None:
+        return f"observable {non_hermitian} is not Hermitian"
+    if failing_pair is not None:
+        return f"observables {failing_pair[0]} and {failing_pair[1]} do not commute"
+    return None
+
+
 @dataclass(frozen=True)
 class ContextCheck:
     context_index: int
@@ -91,10 +116,9 @@ class ContextCheck:
     @property
     def problem(self) -> str | None:
         """Why the context is not a physical one, or None when it is."""
-        if self.non_hermitian is not None:
-            return f"observable {self.non_hermitian} is not Hermitian"
-        if not self.commuting:
-            return f"observables {self.failing_pair[0]} and {self.failing_pair[1]} do not commute"
+        fault = fault_message(self.non_hermitian, self.failing_pair)
+        if fault is not None:
+            return fault
         if self.product_sign is None:
             return "product is not +-identity"
         if self.product_sign != self.expected_sign:
@@ -127,20 +151,13 @@ def validate(system: ContextSystem) -> ValidationReport:
     checks = []
     failures = []
     for idx, ctx in enumerate(system.contexts):
-        failing = None
-        for a, b in combinations(ctx.observables, 2):
-            if not commutes(a, b):
-                failing = (format_pauli(a), format_pauli(b))
-                break
+        non_hermitian, failing = context_faults(ctx.observables)
         sign = None
         if failing is None:
             try:
                 sign = product_sign(ctx)
             except ConstructionError:
                 sign = None
-        non_hermitian = next(
-            (format_pauli(o) for o in ctx.observables if not o.is_hermitian), None
-        )
         check = ContextCheck(idx, failing is None, failing, sign, ctx.expected_sign, non_hermitian)
         checks.append(check)
         if not check.ok:
@@ -192,7 +209,7 @@ def generalized_sets(n: int) -> ContextSystem:
     single-Z factors.  That yields 3n+1 distinct observables, each
     occurring in exactly two sets.
     """
-    if n % 2 == 0 or not 3 <= n <= 13:
+    if n not in FAMILY_NS:
         raise ValueError(f"n must be odd and within 3..13, got {n}")
 
     def wrap(i: int) -> int:

@@ -19,14 +19,13 @@ exactly; the summary statistics quantify how both degrade otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .constructions import ContextSystem
-from .pauli import PauliOperator, format_pauli
+from .pauli import format_pauli
 from .rng import check_key, shot_draws
-from .states import QubitLayout, affine_values, bell_product_tableau, compile_context
+from .states import affine_values, bell_product_tableau, compile_context, embed
 
 MODES = ("alone", "in_context")
 # Shots sampled together: memory is O(BLOCK_SHOTS x words), not O(shots).
@@ -44,62 +43,29 @@ def _noise_pair(noise) -> tuple[float, float]:
     return float(p_alice), float(p_bob)
 
 
-@lru_cache(maxsize=256)
-def _embedded(
-    n: int, observables: tuple[PauliOperator, ...], side: str
-) -> tuple[PauliOperator, ...]:
-    """Observables moved onto one observer's block of the 2n-qubit register.
-
-    Memoized: an experiment measures each context on each side many times,
-    and the embedded words are immutable.
-    """
-    layout = QubitLayout(n)
-    embed = layout.alice_embedding if side == "alice" else layout.bob_embedding
-    return tuple(embed(o) for o in observables)
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    alice_context: int
-    alice_outcomes: tuple[int | None, ...]
-    bob_mode: str
-    bob_outcomes: tuple[int | None, ...]
-    shared_observable: int
-    shared_alice: int | None
-    shared_bob: int | None
-    noise: tuple[float, float]
-    efficiency: float
-
-
 def _compile_round(
-    n: int,
-    system: ContextSystem,
-    alice_context_id: int,
-    shared_observable_id: int,
-    bob_mode: str,
-    noise,
-    efficiency: float,
-    blocks: dict,
+    config: ExperimentConfig, alice_context_id: int, shared_observable_id: int, blocks: dict
 ) -> tuple:
     """Check one schedule entry and compile its round into affine forms.
 
-    Runs every check of a round, in the order a round always ran them, so
-    a bad entry raises before any draw.  `blocks` holds the symbolic
-    measurement of each context's Alice block (and of Bob's copy of the
-    context in "in_context" mode), shared by every entry that reaches it.
+    Runs every check of the entry's round (`run_experiment` has checked
+    the noise) before compiling it, so a bad entry raises before any
+    draw.  `blocks` holds the symbolic measurement of each context's
+    Alice block (and of Bob's copy of the context in "in_context" mode),
+    shared by every entry that reaches it.
     Returns (outcome forms, Alice's word count, shared positions of Alice
     and Bob, context id, product bit), where the outcome forms list
     Alice's words, then Bob's.
     """
+    n, system, bob_mode = config.n, config.system, config.bob_mode
     if system.num_qubits != n:
         raise ValueError(f"system acts on {system.num_qubits} qubits, expected {n}")
     if not 0 <= alice_context_id < len(system.contexts):
         raise ValueError(f"unknown context id {alice_context_id}")
     if bob_mode not in MODES:
         raise ValueError(f"bob_mode must be one of {MODES}, got {bob_mode!r}")
-    _noise_pair(noise)
-    if not 0.0 < efficiency <= 1.0:
-        raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
+    if not 0.0 < config.efficiency <= 1.0:
+        raise ValueError(f"efficiency must be in (0, 1], got {config.efficiency}")
 
     context = system.contexts[alice_context_id]
     catalog = system.catalog
@@ -116,19 +82,18 @@ def _compile_round(
 
     alice = blocks.get(alice_context_id)
     if alice is None:
-        words = _embedded(n, context.observables, "alice")
+        words = [embed(o, n, "alice") for o in context.observables]
         alice = blocks[alice_context_id] = compile_context(bell_product_tableau(n), words)
     alice_forms, tableau, signs = alice
     if bob_mode == "alone":
         key = (alice_context_id, shared_observable_id)
-        words = _embedded(n, (shared,), "bob")
-        bob_shared_pos = 0
+        bob_words, bob_shared_pos = (shared,), 0
     else:
         key = (alice_context_id, None)
-        words = _embedded(n, context.observables, "bob")
-        bob_shared_pos = shared_pos
+        bob_words, bob_shared_pos = context.observables, shared_pos
     bob_forms = blocks.get(key)
     if bob_forms is None:
+        words = [embed(o, n, "bob") for o in bob_words]
         bob_forms = blocks[key] = compile_context(tableau, words, signs, len(alice_forms))[0]
     product_bit = 0 if context.expected_sign == +1 else 1
     return (
@@ -156,43 +121,6 @@ def _sample(compiled: tuple, draws: np.ndarray, p_alice: float, p_bob: float, ef
     flips[:, split:] = draws[:, width + 2 * split :: 2] < p_bob
     lost = draws[:, width + 1 :: 2] >= efficiency
     return values ^ flips, lost
-
-
-def run_round(
-    n: int,
-    system: ContextSystem,
-    alice_context_id: int,
-    shared_observable_id: int,
-    bob_mode: str,
-    noise,
-    efficiency: float,
-    rng: np.random.Generator,
-) -> RoundRecord:
-    """One protocol round; `shared_observable_id` indexes the system catalog.
-
-    The one-shot form of the compiled round that `run_experiment` samples.
-    """
-    compiled = _compile_round(
-        n, system, alice_context_id, shared_observable_id, bob_mode, noise, efficiency, {}
-    )
-    p_alice, p_bob = _noise_pair(noise)
-    draws = np.array([[rng.random() for _ in range(3 * len(compiled[0]))]])
-    values, lost = _sample(compiled, draws, p_alice, p_bob, efficiency)
-    recorded = tuple(
-        None if gone else 1 - 2 * int(bit) for bit, gone in zip(values[0], lost[0])
-    )
-    _, split, shared_alice, shared_bob, _, _ = compiled
-    return RoundRecord(
-        alice_context=alice_context_id,
-        alice_outcomes=recorded[:split],
-        bob_mode=bob_mode,
-        bob_outcomes=recorded[split:],
-        shared_observable=shared_observable_id,
-        shared_alice=recorded[shared_alice],
-        shared_bob=recorded[shared_bob],
-        noise=(p_alice, p_bob),
-        efficiency=float(efficiency),
-    )
 
 
 @dataclass(frozen=True)
@@ -247,21 +175,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     schedule = config.schedule or default_schedule(config.system)
     if not schedule:
         raise ValueError("schedule is empty")
-    if config.shots:
-        check_key(config.seed, 0)  # a bad seed fails before any entry is checked
+    check_key(config.seed, 0)  # a bad seed fails before any entry is checked
 
     blocks: dict = {}
     rounds = [
-        _compile_round(
-            config.n,
-            config.system,
-            ctx_id,
-            obs_id,
-            config.bob_mode,
-            (p_alice, p_bob),
-            config.efficiency,
-            blocks,
-        )
+        _compile_round(config, ctx_id, obs_id, blocks)
         for ctx_id, obs_id in schedule[: min(len(schedule), config.shots)]
     ]
 

@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import PauliOperator, commutes, format_pauli, identity, multiply, relabel
+from .constructions import context_faults, fault_message
+from .pauli import PauliOperator, commutes, format_pauli, identity, multiply
 
 ATOL = 1e-12
 MAX_STATE_QUBITS = 26
@@ -53,17 +54,18 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-@dataclass(frozen=True)
-class QubitLayout:
-    """Block layout for n shared pairs: observer A holds 1..n, B holds n+1..2n."""
+def embed(op: PauliOperator, n: int, side: str) -> PauliOperator:
+    """An n-qubit word moved onto one observer's block of the 2n-qubit register.
 
-    n: int
-
-    def alice_embedding(self, op: PauliOperator) -> PauliOperator:
-        return relabel(op, {k: k for k in range(1, self.n + 1)}, 2 * self.n)
-
-    def bob_embedding(self, op: PauliOperator) -> PauliOperator:
-        return relabel(op, {k: self.n + k for k in range(1, self.n + 1)}, 2 * self.n)
+    Observer A ("alice") holds qubits 1..n and B ("bob") holds n+1..2n, so
+    B's copy is both masks shifted left by n.  Phase is preserved.
+    """
+    if op.num_qubits != n:
+        raise ValueError(f"operator acts on {op.num_qubits} qubits, expected {n}")
+    if side not in ("alice", "bob"):
+        raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
+    shift = n if side == "bob" else 0
+    return PauliOperator(2 * n, op.x_mask << shift, op.z_mask << shift, op.phase_exponent)
 
 
 def bell_product_state(n: int) -> StateVector:
@@ -159,16 +161,9 @@ def hermitian_overlap(state: StateVector, applied: np.ndarray) -> float:
 
 def _checked_context(context_ops) -> list[PauliOperator]:
     ops = list(context_ops)
-    for op in ops:
-        if not op.is_hermitian:
-            raise ValueError(f"observable {format_pauli(op)} is not Hermitian")
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if not commutes(ops[i], ops[j]):
-                raise ValueError(
-                    f"observables {format_pauli(ops[i])} and "
-                    f"{format_pauli(ops[j])} do not commute"
-                )
+    fault = fault_message(*context_faults(ops))
+    if fault is not None:
+        raise ValueError(fault)
     return ops
 
 
@@ -349,37 +344,11 @@ def affine_values(forms, draws: np.ndarray) -> np.ndarray:
     return (coins @ matrix) & 1
 
 
-def measure_tableau(
-    tableau: StabilizerTableau,
-    context_ops: list[PauliOperator] | tuple[PauliOperator, ...],
-    rng: np.random.Generator,
-) -> tuple[list[int], StabilizerTableau]:
-    """`measure_context` on a tableau: same checks, draws and outcomes.
-
-    `compile_context` labels each word a coin (p_plus = 1/2) or forced
-    (p_plus 0 or 1); then one `rng.random()` per word, as in the
-    state-vector path, evaluates the forms, so equal streams give equal
-    outcomes on both.
-    """
-    forms, post, signs = compile_context(tableau, context_ops)
-    draws = np.array([[rng.random() for _ in forms]])
-    bits = affine_values(forms + signs, draws)[0]
-    outcomes = [1 - 2 * int(bit) for bit in bits[: len(forms)]]
-    stabilizers = tuple(
-        PauliOperator(s.num_qubits, s.x_mask, s.z_mask, s.phase_exponent + 2) if flip else s
-        for s, flip in zip(post.stabilizers, bits[len(forms):])
-    )
-    return outcomes, post._replace(stabilizers=stabilizers)
-
-
 def eigenrelation_check(n: int, op: PauliOperator) -> bool:
     """Whether (op on block A)(op on block B) fixes the n-pair Bell product state.
 
     The mirrored product is always Hermitian; it fixes the state iff
     measuring it on the Bell tableau gives a forced +1.
     """
-    if op.num_qubits != n:
-        raise ValueError(f"operator acts on {op.num_qubits} qubits, expected {n}")
-    layout = QubitLayout(n)
-    mirrored = multiply(layout.alice_embedding(op), layout.bob_embedding(op))
+    mirrored = multiply(embed(op, n, "alice"), embed(op, n, "bob"))
     return tableau_expectation(bell_product_tableau(n), mirrored) == 1.0

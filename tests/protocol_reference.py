@@ -6,15 +6,17 @@
 a concrete tableau measurement that updates the signs in place and shares
 no code with `states.compile_context` beyond the input checks.  Both draw
 one number per word and two per recorded outcome, in the order the
-compiled sampler reads them.
+compiled sampler reads them.  Words go onto each observer's block with
+`pauli.relabel`, not with `states.embed`.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
-from bellcheck.pauli import PauliOperator, commutes, identity, multiply
-from bellcheck.protocol import MODES, ExperimentSummary, RoundRecord, _embedded, _noise_pair
-from bellcheck.protocol import default_schedule
-from bellcheck.rng import shot_stream
+from bellcheck.pauli import PauliOperator, commutes, identity, multiply, relabel
+from bellcheck.protocol import MODES, ExperimentSummary, _noise_pair, default_schedule
+from bellcheck.rng import check_key, shot_stream
 from bellcheck.states import (
     StabilizerTableau,
     _check_size,
@@ -66,6 +68,20 @@ BACKENDS = {
 }
 
 
+class Round(NamedTuple):
+    """Recorded outcomes of one round; None marks an erased outcome."""
+
+    alice_outcomes: tuple
+    bob_outcomes: tuple
+    shared_alice: int | None
+    shared_bob: int | None
+
+
+def _on_side(n, observables, side):
+    offset = 0 if side == "alice" else n
+    return [relabel(o, {k: k + offset for k in range(1, n + 1)}, 2 * n) for o in observables]
+
+
 def _record(outcomes, p_flip, efficiency, rng):
     recorded = []
     for value in outcomes:
@@ -95,26 +111,16 @@ def reference_round(n, system, ctx_id, obs_id, bob_mode, noise, efficiency, rng,
     shared_pos = context.observables.index(shared)
 
     state = initial(n)
-    alice_raw, state = measure(state, _embedded(n, context.observables, "alice"), rng)
+    alice_raw, state = measure(state, _on_side(n, context.observables, "alice"), rng)
     if bob_mode == "alone":
-        bob_raw, state = measure(state, _embedded(n, (shared,), "bob"), rng)
+        bob_raw, state = measure(state, _on_side(n, (shared,), "bob"), rng)
         bob_shared_pos = 0
     else:
-        bob_raw, state = measure(state, _embedded(n, context.observables, "bob"), rng)
+        bob_raw, state = measure(state, _on_side(n, context.observables, "bob"), rng)
         bob_shared_pos = shared_pos
     alice = _record(alice_raw, p_alice, efficiency, rng)
     bob = _record(bob_raw, p_bob, efficiency, rng)
-    return RoundRecord(
-        alice_context=ctx_id,
-        alice_outcomes=alice,
-        bob_mode=bob_mode,
-        bob_outcomes=bob,
-        shared_observable=obs_id,
-        shared_alice=alice[shared_pos],
-        shared_bob=bob[bob_shared_pos],
-        noise=(p_alice, p_bob),
-        efficiency=float(efficiency),
-    )
+    return Round(alice, bob, alice[shared_pos], bob[bob_shared_pos])
 
 
 def reference_experiment(config, backend="tableau"):
@@ -124,6 +130,7 @@ def reference_experiment(config, backend="tableau"):
     schedule = config.schedule or default_schedule(config.system)
     if not schedule:
         raise ValueError("schedule is empty")
+    check_key(config.seed, 0)
     comparable = equal = 0
     totals, passes = {}, {}
     shared_counts = {"alice": {+1: 0, -1: 0}, "bob": {+1: 0, -1: 0}}

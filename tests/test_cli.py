@@ -1,17 +1,40 @@
 """Command surface: exit codes, report formats, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from bellcheck import cli
 from bellcheck.constructions import Context, ContextSystem, mermin_square
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_examples():
+    """The argv of every `bellcheck ...` line in the README, comments dropped."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    return [line.split("#")[0].split()[1:] for line in lines if line.startswith("bellcheck ")]
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+    def test_json_is_byte_identical(self, capsys, tmp_path, monkeypatch, argv):
+        # `--file my.obs` reads the README's own `.obs` example.
+        example = README.read_text(encoding="utf-8").split("## Observable files")[1]
+        (tmp_path / "my.obs").write_text(example.split("```")[1], encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        first = run(capsys, [*argv, "--format", "json"])
+        second = run(capsys, [*argv, "--format", "json"])
+        assert first[0] == 0, first[2]
+        assert first == second
+        assert json.loads(first[1])["passed"] is True
 
 
 class TestVerify:
@@ -58,6 +81,9 @@ class TestBksSolve:
         payload = json.loads(out)
         assert payload["result"] == "UNSAT"
         assert payload["certificate"] == [0, 1, 2, 3, 4, 5, 6]
+        # The key order is part of the report's bytes.
+        assert list(payload)[4:] == ["result", "variables", "rows", "certificate", "checks"]
+        assert (payload["variables"], payload["rows"]) == (16, 7)
 
     def test_satisfiable_file(self, capsys, tmp_path):
         path = tmp_path / "simple.obs"
@@ -132,6 +158,8 @@ class TestGhz:
         payload = json.loads(out)
         assert payload["result"] == result
         assert payload["passed"] is True
+        witness = "assignment" if result == "SAT" else "certificate"
+        assert list(payload)[4:] == ["result", witness, "checks"]
 
     def test_grouping_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -186,6 +214,24 @@ class TestCorrelate:
         code, _, err = run(capsys, ["correlate", "--n", "4", "--shots", "10"])
         assert code == 2
         assert "odd" in err
+        code, _, err = run(capsys, ["correlate", "--n", "15", "--shots", "10"])
+        assert code == 2
+        assert err == "error: --n must be 2 (square) or odd in 3..13, got 15\n"
+
+    @pytest.mark.parametrize(
+        "seed,shots",
+        [
+            ("18446744073709551617", "200"),  # 2**64 + 1 would alias seed 1
+            ("-5", "0"),  # checked even when no shot runs
+        ],
+    )
+    def test_bad_seed_exits_two_with_one_line(self, capsys, seed, shots):
+        argv = ["correlate", "--n", "3", "--shots", shots, "--noise", "0.1",
+                "--efficiency", "0.9", "--seed", seed, "--format", "json"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed and shot index must be non-negative and below 2**64\n"
 
 
 class TestChsh:
@@ -243,6 +289,9 @@ class TestEigencheck:
     def test_bad_n(self, capsys):
         code, _, err = run(capsys, ["eigencheck", "--n", "6"])
         assert code == 2
+        code, _, err = run(capsys, ["eigencheck", "--n", "15"])
+        assert code == 2
+        assert err == "error: --n must be 2 (square) or odd in 3..13, got 15\n"
 
 
 class TestUsage:

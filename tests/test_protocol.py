@@ -7,13 +7,7 @@ import pytest
 from bellcheck import protocol
 from bellcheck.constructions import Context, ContextSystem, generalized_sets, mermin_square
 from bellcheck.pauli import PauliOperator, parse_pauli
-from bellcheck.protocol import (
-    ExperimentConfig,
-    default_schedule,
-    run_experiment,
-    run_round,
-)
-from bellcheck.rng import shot_stream
+from bellcheck.protocol import ExperimentConfig, default_schedule, run_experiment
 from protocol_reference import reference_experiment, reference_round
 
 
@@ -21,52 +15,57 @@ def binomial_4sigma(p, shots):
     return 4.0 * math.sqrt(p * (1.0 - p) / shots)
 
 
+def one_entry(ctx_id, obs_id, mode="alone", noise=0.0, efficiency=1.0, shots=100, seed=0):
+    """Every shot runs the same round: a one-entry schedule on the square."""
+    return run_experiment(
+        ExperimentConfig(
+            n=2, system=mermin_square(), shots=shots, schedule=((ctx_id, obs_id),),
+            noise=noise, efficiency=efficiency, seed=seed, bob_mode=mode,
+        )
+    )
+
+
 class TestRunRound:
+    """One protocol round, repeated over the shots of a one-entry schedule."""
+
     def test_perfect_regime_shared_outcomes_agree(self):
-        system = mermin_square()
-        for shot in range(100):
-            record = run_round(2, system, 0, 0, "alone", 0.0, 1.0, shot_stream(1, shot))
-            assert record.shared_alice == record.shared_bob
-            assert record.shared_alice in (+1, -1)
+        summary = one_entry(0, 0, seed=1)
+        assert summary.equality_rate == 1.0
+        assert summary.equal_rounds == summary.comparable_rounds == 100
+        # The shared word is a fair coin, so both outcomes occur.
+        assert summary.shared_counts["alice"] == summary.shared_counts["bob"]
+        assert min(summary.shared_counts["alice"].values()) > 0
 
     def test_in_context_mode_also_agrees(self):
-        system = mermin_square()
-        for shot in range(100):
-            record = run_round(2, system, 5, 8, "in_context", 0.0, 1.0, shot_stream(2, shot))
-            assert record.shared_alice == record.shared_bob
-            product = 1
-            for v in record.bob_outcomes:
-                product *= v
-            assert product == system.contexts[5].expected_sign
+        summary = one_entry(5, 8, mode="in_context", seed=2)
+        assert summary.equality_rate == 1.0
+        # Both observers' copies of column 3 multiply to -1 on every shot.
+        assert summary.product_pass_rates == {5: 1.0}
 
     def test_no_inconclusive_markers_at_unit_efficiency(self):
-        system = mermin_square()
-        for shot in range(50):
-            record = run_round(2, system, 1, 3, "alone", 0.7, 1.0, shot_stream(3, shot))
-            assert None not in record.alice_outcomes
-            assert None not in record.bob_outcomes
+        summary = one_entry(1, 3, noise=0.7, shots=50, seed=3)
+        assert summary.conclusive_fraction == 1.0
+        assert summary.comparable_rounds == 50
+        assert sum(summary.shared_counts["bob"].values()) == 50
 
     def test_shared_observable_must_belong_to_context(self):
-        system = mermin_square()
         # catalog index 3 is Z2, which is not in row 1 (X1, X2, X1X2)
         with pytest.raises(ValueError, match="not in context"):
-            run_round(2, system, 0, 3, "alone", 0.0, 1.0, shot_stream(0, 0))
+            one_entry(0, 3)
 
     def test_unknown_ids_rejected(self):
-        system = mermin_square()
         with pytest.raises(ValueError, match="context id"):
-            run_round(2, system, 17, 0, "alone", 0.0, 1.0, shot_stream(0, 0))
+            one_entry(17, 0)
         with pytest.raises(ValueError, match="observable id"):
-            run_round(2, system, 0, 99, "alone", 0.0, 1.0, shot_stream(0, 0))
+            one_entry(0, 99)
         with pytest.raises(ValueError, match="bob_mode"):
-            run_round(2, system, 0, 0, "together", 0.0, 1.0, shot_stream(0, 0))
+            one_entry(0, 0, mode="together")
 
     def test_parameter_validation(self):
-        system = mermin_square()
         with pytest.raises(ValueError, match="flip probability"):
-            run_round(2, system, 0, 0, "alone", 1.5, 1.0, shot_stream(0, 0))
+            one_entry(0, 0, noise=1.5)
         with pytest.raises(ValueError, match="efficiency"):
-            run_round(2, system, 0, 0, "alone", 0.0, 0.0, shot_stream(0, 0))
+            one_entry(0, 0, efficiency=0.0)
 
 
 class TestRunExperiment:
@@ -210,13 +209,17 @@ class TestTableauAgainstDenseOracle:
         assert run_experiment(config) == whole == reference_experiment(config)
 
     def test_rounds_equal(self):
+        """Each round of the default schedule on its own, against both references."""
         system = generalized_sets(3)
-        for ctx_id, obs_id in default_schedule(system):
+        for entry in default_schedule(system):
             for mode in ("alone", "in_context"):
-                args = (3, system, ctx_id, obs_id, mode, 0.2, 0.9)
-                fast = run_round(*args, shot_stream(8, obs_id))
+                config = ExperimentConfig(
+                    n=3, system=system, shots=6, schedule=(entry,), noise=0.2,
+                    efficiency=0.9, seed=8, bob_mode=mode,
+                )
+                fast = run_experiment(config)
                 for backend in ("dense", "tableau"):
-                    assert fast == reference_round(*args, shot_stream(8, obs_id), backend)
+                    assert fast == reference_experiment(config, backend)
 
 
 class CountingDraw:
@@ -235,21 +238,25 @@ NON_COMMUTING = ContextSystem(
 )
 NON_HERMITIAN = ContextSystem(2, (Context((PauliOperator(2, 1, 0, 1),), +1),))
 
-# (system, n, schedule, bob_mode, noise, efficiency, seed); with a schedule,
-# its last entry is the bad one, reached after a good one.  A round takes
-# no seed, so the negative-seed case is for experiments only.
+# (system, n, schedule, bob_mode, noise, efficiency, seed, shots); with a
+# schedule, its last entry is the bad one, reached after a good one.  A
+# round takes no seed, so the bad-seed cases are for experiments only.
 BAD_INPUTS = [
-    (mermin_square(), 3, None, "alone", 0.0, 1.0, 0),
-    (mermin_square(), 2, ((0, 0), (17, 0)), "alone", 0.0, 1.0, 0),
-    (mermin_square(), 2, ((0, 0), (0, 99)), "alone", 0.0, 1.0, 0),
-    (mermin_square(), 2, ((0, 0), (0, 3)), "in_context", 0.0, 1.0, 0),
-    (mermin_square(), 2, None, "together", 0.0, 1.0, 0),
-    (mermin_square(), 2, None, "alone", 1.5, 1.0, 0),
-    (mermin_square(), 2, None, "alone", (0.1, -0.1), 1.0, 0),
-    (mermin_square(), 2, None, "alone", 0.0, 0.0, 0),
-    (mermin_square(), 2, None, "alone", 0.0, 1.0, -1),
-    (NON_COMMUTING, 2, None, "alone", 0.0, 1.0, 0),
-    (NON_HERMITIAN, 2, None, "in_context", 0.0, 1.0, 0),
+    (mermin_square(), 3, None, "alone", 0.0, 1.0, 0, 5),
+    (mermin_square(), 2, ((0, 0), (17, 0)), "alone", 0.0, 1.0, 0, 5),
+    (mermin_square(), 2, ((0, 0), (0, 99)), "alone", 0.0, 1.0, 0, 5),
+    (mermin_square(), 2, ((0, 0), (0, 3)), "in_context", 0.0, 1.0, 0, 5),
+    (mermin_square(), 2, None, "together", 0.0, 1.0, 0, 5),
+    (mermin_square(), 2, None, "alone", 1.5, 1.0, 0, 5),
+    (mermin_square(), 2, None, "alone", (0.1, -0.1), 1.0, 0, 5),
+    (mermin_square(), 2, None, "alone", 0.0, 0.0, 0, 5),
+    (mermin_square(), 2, None, "alone", 0.0, 1.0, -1, 5),
+    (NON_COMMUTING, 2, None, "alone", 0.0, 1.0, 0, 5),
+    (NON_HERMITIAN, 2, None, "in_context", 0.0, 1.0, 0, 5),
+    # Seeds are 64-bit stream keys: 2**64 + 1 would share seed 1's streams.
+    (mermin_square(), 3, None, "alone", 0.0, 1.0, 2**64 + 1, 5),
+    # The seed is checked even when no shot runs.
+    (mermin_square(), 2, None, "alone", 0.0, 1.0, -5, 0),
 ]
 
 
@@ -262,9 +269,9 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("case", range(len(BAD_INPUTS)))
     def test_experiment_raises_before_any_draw(self, monkeypatch, case):
-        system, n, schedule, mode, noise, efficiency, seed = BAD_INPUTS[case]
+        system, n, schedule, mode, noise, efficiency, seed, shots = BAD_INPUTS[case]
         config = ExperimentConfig(
-            n=n, system=system, shots=5, schedule=schedule, noise=noise,
+            n=n, system=system, shots=shots, schedule=schedule, noise=noise,
             efficiency=efficiency, seed=seed, bob_mode=mode,
         )
         expected = self.error(reference_experiment, config)
@@ -272,15 +279,22 @@ class TestBadInputs:
             patch.setattr(protocol, "shot_draws", lambda *args: pytest.fail("drew first"))
             assert self.error(run_experiment, config) == expected
 
-    @pytest.mark.parametrize("case", [i for i, c in enumerate(BAD_INPUTS) if c[-1] >= 0])
-    def test_round_raises_before_any_draw(self, case):
-        system, n, schedule, mode, noise, efficiency, _ = BAD_INPUTS[case]
+    @pytest.mark.parametrize("case", [i for i, c in enumerate(BAD_INPUTS) if c[6] in range(2**64)])
+    def test_round_raises_before_any_draw(self, monkeypatch, case):
+        """The bad entry alone, as a one-entry schedule, fails as the reference round does."""
+        system, n, schedule, mode, noise, efficiency, seed, _ = BAD_INPUTS[case]
         ctx_id, obs_id = (schedule or ((0, 0),))[-1]
-        args = (n, system, ctx_id, obs_id, mode, noise, efficiency)
-        expected = self.error(reference_round, *args, CountingDraw(), "tableau")
         rng = CountingDraw()
-        assert self.error(run_round, *args, rng) == expected
+        args = (n, system, ctx_id, obs_id, mode, noise, efficiency)
+        expected = self.error(reference_round, *args, rng, "tableau")
         assert rng.draws == 0
+        config = ExperimentConfig(
+            n=n, system=system, shots=1, schedule=((ctx_id, obs_id),), noise=noise,
+            efficiency=efficiency, seed=seed, bob_mode=mode,
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "shot_draws", lambda *args: pytest.fail("drew first"))
+            assert self.error(run_experiment, config) == expected
 
     def test_unreached_entries_are_not_checked(self):
         config = ExperimentConfig(

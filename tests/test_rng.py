@@ -6,7 +6,7 @@ import pytest
 from bellcheck.rng import shot_draws, shot_stream
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2**40 + 1, 2**64 + 5])
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 1, 2**64 - 1])
 def test_draw_rows_equal_scalar_draws_of_each_stream(seed):
     shots = range(3, 40, 6)
     rows = shot_draws(seed, shots, 9)
@@ -28,3 +28,13 @@ def test_negative_keys_rejected():
         shot_draws(1, range(-2, 2), 3)
     with pytest.raises(ValueError, match="non-negative"):
         shot_stream(0, -1)
+
+
+def test_keys_beyond_64_bits_rejected():
+    # Reducing them modulo 2**64 would give seed 2**64 + 1 the streams of seed 1.
+    with pytest.raises(ValueError, match="below 2"):
+        shot_draws(2**64 + 1, range(2), 3)
+    with pytest.raises(ValueError, match="below 2"):
+        shot_draws(1, range(2**64 - 1, 2**64 + 1), 3)
+    with pytest.raises(ValueError, match="below 2"):
+        shot_stream(2**64, 0)

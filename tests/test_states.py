@@ -9,10 +9,9 @@ from scipy import stats
 from conftest import dense_oracle, random_pauli
 from protocol_reference import tableau_measure
 from bellcheck.constructions import generalized_sets, mermin_square
-from bellcheck.pauli import PauliOperator, commutes, parse_pauli
+from bellcheck.pauli import PauliOperator, commutes, parse_pauli, relabel
 from bellcheck.rng import shot_stream
 from bellcheck.states import (
-    QubitLayout,
     StateVector,
     affine_values,
     apply_pauli,
@@ -21,15 +20,21 @@ from bellcheck.states import (
     compile_context,
     dense_expectation,
     eigenrelation_check,
+    embed,
     expectation,
     ghz_state,
     measure_context,
-    measure_tableau,
     singlet_product_state,
     tableau_expectation,
 )
 
 INV_SQRT2 = 2.0 ** -0.5
+
+
+def on_side(op, n, side):
+    """Oracle for `embed`: the word relabelled onto qubits 1..n or n+1..2n."""
+    offset = 0 if side == "alice" else n
+    return relabel(op, {k: k + offset for k in range(1, n + 1)}, 2 * n)
 
 
 class TestStates:
@@ -106,10 +111,8 @@ class TestApplyPauli:
 
 class TestExpectation:
     def test_mirrored_x_on_bell_pair(self):
-        layout = QubitLayout(1)
-        op = layout.alice_embedding(parse_pauli("X1", 1)) * layout.bob_embedding(
-            parse_pauli("X1", 1)
-        )
+        x = parse_pauli("X1", 1)
+        op = on_side(x, 1, "alice") * on_side(x, 1, "bob")
         assert expectation(bell_product_state(1), op) == pytest.approx(1.0, abs=1e-12)
 
     def test_local_z_on_singlet_vanishes(self):
@@ -132,28 +135,15 @@ class TestExpectation:
 
 def dense_eigenrelation(n, op):
     """State-vector oracle: apply op on block B, then on block A, compare."""
-    layout = QubitLayout(n)
     state = bell_product_state(n)
-    moved = StateVector(2 * n, apply_pauli(layout.bob_embedding(op), state))
-    moved = apply_pauli(layout.alice_embedding(op), moved)
+    moved = StateVector(2 * n, apply_pauli(on_side(op, n, "bob"), state))
+    moved = apply_pauli(on_side(op, n, "alice"), moved)
     return float(np.linalg.norm(moved - state.amplitudes)) < 1e-12
 
 
 def hermitian_pauli(rng, num_qubits):
     op = random_pauli(rng, num_qubits)
     return PauliOperator(num_qubits, op.x_mask, op.z_mask, 2 * int(rng.integers(0, 2)))
-
-
-class FixedDraw:
-    """Stand-in generator whose every draw is `value`."""
-
-    def __init__(self, value):
-        self.value = value
-        self.draws = 0
-
-    def random(self):
-        self.draws += 1
-        return self.value
 
 
 class SequenceDraw:
@@ -164,6 +154,56 @@ class SequenceDraw:
 
     def random(self):
         return float(next(self.values))
+
+
+def measure_compiled(tableau, contexts, draws):
+    """Compile `contexts` one after another, then evaluate on one draw per word.
+
+    Returns the +-1 outcomes and the post-measurement tableau with its sign
+    forms evaluated into the rows' phases.
+    """
+    signs, forms = None, ()
+    for ops in contexts:
+        step, tableau, signs = compile_context(tableau, ops, signs, len(forms))
+        forms += step
+    signs = signs or (0,) * tableau.num_qubits
+    bits = affine_values(forms + signs, np.asarray(draws, dtype=float)[None, :])[0]
+    rows = tuple(
+        PauliOperator(s.num_qubits, s.x_mask, s.z_mask, s.phase_exponent + 2 * int(flip))
+        for s, flip in zip(tableau.stabilizers, bits[len(forms):])
+    )
+    return [1 - 2 * int(b) for b in bits[: len(forms)]], tableau._replace(stabilizers=rows)
+
+
+def commuting_words(rng, num_qubits, count):
+    ops = []
+    while len(ops) < count:
+        op = hermitian_pauli(rng, num_qubits)
+        if all(commutes(op, o) for o in ops):
+            ops.append(op)
+    return ops
+
+
+class TestEmbed:
+    @pytest.mark.parametrize("side", ["alice", "bob"])
+    def test_matches_relabel_on_random_words(self, side):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 14))
+            op = random_pauli(rng, n)
+            assert embed(op, n, side) == on_side(op, n, side)
+
+    def test_size_mismatch(self):
+        message = "operator acts on 1 qubits, expected 2"
+        for side in ("alice", "bob"):
+            with pytest.raises(ValueError, match=message):
+                embed(parse_pauli("X1", 1), 2, side)
+        with pytest.raises(ValueError, match=message):
+            eigenrelation_check(2, parse_pauli("X1", 1))
+
+    def test_unknown_side(self):
+        with pytest.raises(ValueError, match="side"):
+            embed(parse_pauli("X1", 1), 1, "carol")
 
 
 class TestEigenrelation:
@@ -209,8 +249,7 @@ class TestEigenrelation:
 
 class TestMeasureContext:
     def embedded(self, context):
-        layout = QubitLayout(2)
-        return [layout.alice_embedding(o) for o in context.observables]
+        return [on_side(o, 2, "alice") for o in context.observables]
 
     def test_row_products_always_plus_one(self):
         system = mermin_square()
@@ -319,46 +358,50 @@ class TestTableau:
         op = parse_pauli("Z1", 2)
         assert expectation(bell_product_state(1), op) == pytest.approx(0.0, abs=1e-12)
         assert tableau_expectation(bell_product_tableau(1), op) == 0.0
-        assert measure_tableau(bell_product_tableau(1), [op], FixedDraw(0.4999))[0] == [+1]
-        assert measure_tableau(bell_product_tableau(1), [op], FixedDraw(0.5))[0] == [-1]
+        forms, _, _ = compile_context(bell_product_tableau(1), [op])
+        assert forms == (0b10,)  # the word's own coin
+        assert affine_values(forms, np.array([[0.4999], [0.5]])).tolist() == [[0], [1]]
+        for draw, outcome in ((0.4999, +1), (0.5, -1)):
+            assert tableau_measure(bell_product_tableau(1), [op], SequenceDraw([draw]))[0] == [outcome]
 
     @pytest.mark.parametrize("text,sign", [("X1 X2", +1), ("Z1 Z2", +1), ("Y1 Y2", -1)])
     def test_forced_outcome_matches_dense_sign(self, text, sign):
         op = parse_pauli(text, 2)
         assert expectation(bell_product_state(1), op) == pytest.approx(sign, abs=1e-12)
         assert tableau_expectation(bell_product_tableau(1), op) == sign
+        forms, post, signs = compile_context(bell_product_tableau(1), [op])
+        assert forms == ((1 - sign) // 2,)  # a constant: no coin bits
+        assert post == bell_product_tableau(1) and signs == (0, 0)
         for draw in (0.0, 0.5, 1.0 - 2.0**-53):
-            rng = FixedDraw(draw)
-            outcomes, post = measure_tableau(bell_product_tableau(1), [op], rng)
+            outcomes, post = measure_compiled(bell_product_tableau(1), [[op]], [draw])
             assert outcomes == [sign]
-            assert rng.draws == 1
             assert post == bell_product_tableau(1)
 
     def test_one_draw_per_word(self):
+        """Outcome j reads the draws of words 0..j only, so each word takes one draw."""
         system = generalized_sets(5)
-        layout = QubitLayout(5)
         for ctx in system.contexts:
-            ops = [layout.alice_embedding(o) for o in ctx.observables]
-            rng = FixedDraw(0.25)
-            measure_tableau(bell_product_tableau(5), ops, rng)
-            assert rng.draws == len(ops)
+            ops = [embed(o, 5, "alice") for o in ctx.observables]
+            forms, _, _ = compile_context(bell_product_tableau(5), ops)
+            assert len(forms) == len(ops)
+            for j, form in enumerate(forms):
+                assert form < 1 << (j + 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_measurement_sequences_match_dense(self, n):
-        """Same stream, same outcomes; the post-measurement states agree on every word."""
+        """Same draws, same outcomes; the post-measurement states agree on every word."""
         rng = np.random.default_rng(100 + n)
         for trial in range(40):
-            tableau, state = bell_product_tableau(n), bell_product_state(n)
+            state, contexts, draws = bell_product_state(n), [], []
             for step in range(3):
-                ops = []
-                while len(ops) < 3:
-                    op = hermitian_pauli(rng, 2 * n)
-                    if all(commutes(op, o) for o in ops):
-                        ops.append(op)
+                ops = commuting_words(rng, 2 * n, 3)
                 seed = int(rng.integers(0, 2**31))
-                fast, tableau = measure_tableau(tableau, ops, shot_stream(seed, step))
-                slow, state = measure_context(state, ops, shot_stream(seed, step))
-                assert fast == slow
+                step_draws = shot_stream(seed, step).random(len(ops))
+                slow, state = measure_context(state, ops, SequenceDraw(step_draws))
+                contexts.append(ops)
+                draws.extend(step_draws)
+                fast, tableau = measure_compiled(bell_product_tableau(n), contexts, draws)
+                assert fast[-len(ops):] == slow
                 for s in tableau.stabilizers:
                     assert expectation(state, s) == pytest.approx(1.0, abs=1e-9)
             for _ in range(20):
@@ -368,15 +411,18 @@ class TestTableau:
                 )
 
     @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_compiled_forms_match_measure_tableau(self, n):
-        """Alice's context, then Bob's copy, compiled once and evaluated per draw sequence."""
+    def test_compiled_forms_match_reference_measurements(self, n):
+        """Alice's context, then Bob's copy, compiled once and evaluated per draw sequence.
+
+        The references measure word by word on a concrete tableau and on
+        the dense state, reading the same draws.
+        """
         system = mermin_square() if n == 2 else generalized_sets(n)
-        layout = QubitLayout(n)
         rng = np.random.default_rng(n)
-        start = bell_product_tableau(n)
+        start, dense = bell_product_tableau(n), bell_product_state(n)
         for ctx in system.contexts:
-            alice = [layout.alice_embedding(o) for o in ctx.observables]
-            bob = [layout.bob_embedding(o) for o in ctx.observables]
+            alice = [embed(o, n, "alice") for o in ctx.observables]
+            bob = [embed(o, n, "bob") for o in ctx.observables]
             alice_forms, post, signs = compile_context(start, alice)
             bob_forms, _, _ = compile_context(post, bob, signs, len(alice))
             forms = alice_forms + bob_forms
@@ -389,12 +435,12 @@ class TestTableau:
                 bits = affine_values(forms, draws[None, :])[0]
                 compiled = [1 - 2 * int(b) for b in bits]
                 seq = SequenceDraw(draws)
-                first, tableau = measure_tableau(start, alice, seq)
-                second, _ = measure_tableau(tableau, bob, seq)
-                assert compiled == first + second
-                seq = SequenceDraw(draws)
                 first, tableau = tableau_measure(start, alice, seq)
                 second, _ = tableau_measure(tableau, bob, seq)
+                assert compiled == first + second
+                seq = SequenceDraw(draws)
+                first, state = measure_context(dense, alice, seq)
+                second, _ = measure_context(state, bob, seq)
                 assert compiled == first + second
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -402,66 +448,46 @@ class TestTableau:
         """Contexts that do not commute with each other, compiled one after another."""
         rng = np.random.default_rng(200 + n)
         for trial in range(30):
-            contexts = []
-            for step in range(3):
-                ops = []
-                while len(ops) < 3:
-                    op = hermitian_pauli(rng, 2 * n)
-                    if all(commutes(op, o) for o in ops):
-                        ops.append(op)
-                contexts.append(ops)
-            tableau, signs, forms = bell_product_tableau(n), None, ()
-            for ops in contexts:
-                step_forms, tableau, signs = compile_context(tableau, ops, signs, len(forms))
-                forms += step_forms
-            draws = rng.random(len(forms))
-            bits = affine_values(forms + signs, draws[None, :])[0]
+            contexts = [commuting_words(rng, 2 * n, 3) for step in range(3)]
+            draws = rng.random(9)
+            outcomes, tableau = measure_compiled(bell_product_tableau(n), contexts, draws)
             seq, reference, expected = SequenceDraw(draws), bell_product_tableau(n), []
             for ops in contexts:
-                outcomes, reference = tableau_measure(reference, ops, seq)
-                expected += outcomes
-            assert [1 - 2 * int(b) for b in bits[: len(forms)]] == expected
+                step, reference = tableau_measure(reference, ops, seq)
+                expected += step
+            assert outcomes == expected
             # The symbolic signs, evaluated, are the reference tableau's signs.
-            for row, flip, concrete in zip(tableau.stabilizers, bits[len(forms):], reference.stabilizers):
-                assert (row.x_mask, row.z_mask) == (concrete.x_mask, concrete.z_mask)
-                assert (row.phase_exponent + 2 * int(flip)) % 4 == concrete.phase_exponent
+            # Destabilizer phases carry no information and may differ.
+            assert tableau.stabilizers == reference.stabilizers
 
     def test_post_measurement_tableau_matches_reference(self):
         rng = np.random.default_rng(23)
         for trial in range(60):
             n = int(rng.integers(1, 4))
-            ops = []
-            while len(ops) < 4:
-                op = hermitian_pauli(rng, 2 * n)
-                if all(commutes(op, o) for o in ops):
-                    ops.append(op)
+            ops = commuting_words(rng, 2 * n, 4)
             draws = rng.random(len(ops))
-            fast = measure_tableau(bell_product_tableau(n), ops, SequenceDraw(draws))
+            fast = measure_compiled(bell_product_tableau(n), [ops], draws)
             slow = tableau_measure(bell_product_tableau(n), ops, SequenceDraw(draws))
             assert fast == slow
 
     def test_post_measurement_tableau_keeps_its_relations(self):
-        layout = QubitLayout(3)
-        ops = [layout.alice_embedding(o) for o in generalized_sets(3).contexts[0].observables]
-        _, tableau = measure_tableau(bell_product_tableau(3), ops, shot_stream(1, 0))
+        ops = [embed(o, 3, "alice") for o in generalized_sets(3).contexts[0].observables]
+        draws = shot_stream(1, 0).random(len(ops))
+        _, tableau = measure_compiled(bell_product_tableau(3), [ops], draws)
         self.assert_relations(tableau)
 
     def test_rejects_non_commuting(self):
-        with pytest.raises(ValueError, match="commute"):
-            measure_tableau(
-                bell_product_tableau(1),
-                [parse_pauli("X1", 2), parse_pauli("Z1", 2)],
-                shot_stream(0, 0),
-            )
+        with pytest.raises(ValueError, match="X1 and Z1 do not commute"):
+            compile_context(bell_product_tableau(1), [parse_pauli("X1", 2), parse_pauli("Z1", 2)])
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            measure_tableau(bell_product_tableau(1), [PauliOperator(2, 0, 0, 1)], shot_stream(0, 0))
+            compile_context(bell_product_tableau(1), [PauliOperator(2, 0, 0, 1)])
         with pytest.raises(ValueError, match="Hermitian"):
             tableau_expectation(bell_product_tableau(1), PauliOperator(2, 1, 0, 3))
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="qubits"):
-            measure_tableau(bell_product_tableau(1), [parse_pauli("X1", 4)], shot_stream(0, 0))
+            compile_context(bell_product_tableau(1), [parse_pauli("X1", 4)])
         with pytest.raises(ValueError, match="qubits"):
             tableau_expectation(bell_product_tableau(2), parse_pauli("X1", 2))
