@@ -313,8 +313,19 @@ def _odd_n(value: str) -> int:
     return n
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors end in one `error:` line and exit 2, like every other failure.
+
+    Subparsers are built from the same class, so they inherit this.
+    """
+
+    def error(self, message: str):
+        print(f"error: {' '.join(message.split())}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bellcheck",
         description="Verify commuting-set constructions, value-assignment "
         "impossibility, shared-state correlations, and CHSH bounds.",

@@ -8,8 +8,10 @@ Recorded outcomes are independently flipped with probability `noise` and
 erased (inconclusive) with probability 1 - `efficiency`.
 
 A round is compiled once into GF(2) affine forms, one per outcome
-(`states.compile_context`); an experiment then samples all shots of each
-schedule entry together with numpy, each shot reading its own stream.
+(`states.compile_context`), and from them into one linear map from a
+shot's recorded bits to the bits its statistics need.  An experiment
+then samples its shots in blocks with numpy, each shot reading its own
+stream, and counts the shots of each outcome pattern.
 
 With no noise and unit efficiency the shared outcomes agree on every
 round and every fully-recorded context satisfies its product constraint
@@ -19,17 +21,24 @@ exactly; the summary statistics quantify how both degrade otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import xor
 
 import numpy as np
 
 from .constructions import ContextSystem
 from .pauli import format_pauli
 from .rng import check_key, shot_draws
-from .states import affine_values, bell_product_tableau, compile_context, embed
+from .states import bell_product_tableau, compile_context, embed, form_matrix
 
 MODES = ("alone", "in_context")
 # Shots sampled together: memory is O(BLOCK_SHOTS x words), not O(shots).
 BLOCK_SHOTS = 4096
+# The bits of a shot's code, one per column of a round's statistics map:
+# Alice's and Bob's shared outcome erased, their recorded values, and
+# Alice's and Bob's context failing its product and erased in part.
+LOST_A, LOST_B, VALUE_A, VALUE_B, FAIL_A, FAIL_B, PARTIAL_A, PARTIAL_B = range(8)
+_CODE_WEIGHTS = 1 << np.arange(8)
 
 
 def _noise_pair(noise) -> tuple[float, float]:
@@ -46,16 +55,16 @@ def _noise_pair(noise) -> tuple[float, float]:
 def _compile_round(
     config: ExperimentConfig, alice_context_id: int, shared_observable_id: int, blocks: dict
 ) -> tuple:
-    """Check one schedule entry and compile its round into affine forms.
+    """Check one schedule entry and compile its round into a statistics map.
 
     Runs every check of the entry's round (`run_experiment` has checked
     the noise) before compiling it, so a bad entry raises before any
     draw.  `blocks` holds the symbolic measurement of each context's
     Alice block (and of Bob's copy of the context in "in_context" mode),
     shared by every entry that reaches it.
-    Returns (outcome forms, Alice's word count, shared positions of Alice
-    and Bob, context id, product bit), where the outcome forms list
-    Alice's words, then Bob's.
+    Returns (statistics map, flip probability per outcome, context id,
+    word draws up to the last fair coin's); the outcomes are Alice's
+    words, then Bob's (see `_stats_map`).
     """
     n, system, bob_mode = config.n, config.system, config.bob_mode
     if system.num_qubits != n:
@@ -95,32 +104,68 @@ def _compile_round(
     if bob_forms is None:
         words = [embed(o, n, "bob") for o in bob_words]
         bob_forms = blocks[key] = compile_context(tableau, words, signs, len(alice_forms))[0]
-    product_bit = 0 if context.expected_sign == +1 else 1
-    return (
-        alice_forms + bob_forms,
-        len(alice_forms),
-        shared_pos,
-        len(alice_forms) + bob_shared_pos,
-        alice_context_id,
-        product_bit,
+    split = len(alice_forms)
+    forms = alice_forms + bob_forms
+    stats = _stats_map(
+        forms, split, (shared_pos, split + bob_shared_pos), context.expected_sign, bob_mode
     )
+    p_alice, p_bob = _noise_pair(config.noise)
+    flip_p = np.repeat(np.float64([p_alice, p_bob]), [split, len(forms) - split])
+    # Coin j is bit j + 1 of a form; forced words' draws are never read.
+    coin_draws = max(max(form.bit_length() for form in forms) - 1, 0)
+    return stats, flip_p, alice_context_id, coin_draws
 
 
-def _sample(compiled: tuple, draws: np.ndarray, p_alice: float, p_bob: float, efficiency: float):
-    """Recorded outcome bits and erasure flags of a compiled round, per shot.
+def _stats_map(forms, split: int, shared: tuple[int, int], expected_sign: int, bob_mode: str):
+    """The statistics of a compiled round as one float32 matrix.
+
+    A shot's record is 1, the coin of each word (draw >= 1/2), then per
+    outcome a flip bit and an erasure bit, in the order of its draws.
+    Record @ map has one column per code bit: taken mod 2 for LOST_A
+    through FAIL_B, each a GF(2) sum of record bits, and capped at 1 for
+    the PARTIAL columns, each a count of erasures.  A context fails when
+    the XOR of its recorded outcomes differs from its expected product.
+    """
+    width = len(forms)
+    contexts = (range(split), range(split, width))
+    product = int(expected_sign == -1)
+    fails = [reduce(xor, (forms[j] for j in cols), product) for cols in contexts]
+    # In "alone" mode Bob measures no context: a constant 1 marks it partial.
+    never_full = int(bob_mode != "in_context")
+    stats = np.zeros((1 + 3 * width, 8), dtype=np.float32)
+    stats[: width + 1] = form_matrix(
+        [0, 0, forms[shared[0]], forms[shared[1]], *fails, 0, never_full], width
+    )
+    flip = 1 + width + 2 * np.arange(width)  # each erasure bit follows its flip bit
+    for j, lost_col, value_col in zip(shared, (LOST_A, LOST_B), (VALUE_A, VALUE_B)):
+        stats[flip[j], value_col] = 1
+        stats[flip[j] + 1, lost_col] = 1
+    for cols, fail_col, partial_col in zip(contexts, (FAIL_A, FAIL_B), (PARTIAL_A, PARTIAL_B)):
+        stats[flip[cols], fail_col] = 1
+        stats[flip[cols] + 1, partial_col] = 1
+    return stats
+
+
+def _codes(stats, flip_p, draws: np.ndarray, efficiency: float) -> np.ndarray:
+    """One code per shot: bit c is column c of its record times `stats`.
 
     Row i of `draws` is shot i's stream: one draw per word, then a flip
-    draw and an erasure draw per outcome, Alice's outcomes first.  The
-    layout is the same whatever the noise parameters are.
+    draw and an erasure draw per outcome, Alice's outcomes first.  A row
+    of word draws alone stands for no noise and unit efficiency: then
+    `draw < 0.0` and `draw >= 1.0` never hold, so no flip or erasure
+    draw is read, and the row may end at the last fair coin's draw.
     """
-    forms, split = compiled[0], compiled[1]
-    width = len(forms)
-    values = affine_values(forms, draws[:, :width])
-    flips = np.empty(values.shape, dtype=bool)
-    flips[:, :split] = draws[:, width : width + 2 * split : 2] < p_alice
-    flips[:, split:] = draws[:, width + 2 * split :: 2] < p_bob
-    lost = draws[:, width + 1 :: 2] >= efficiency
-    return values ^ flips, lost
+    width = len(flip_p)
+    record = np.empty((len(draws), 1 + draws.shape[1]), dtype=np.float32)
+    record[:, 0] = 1
+    np.greater_equal(draws[:, :width], 0.5, out=record[:, 1 : width + 1])
+    if draws.shape[1] > width:
+        np.less(draws[:, width::2], flip_p, out=record[:, width + 1 :: 2])
+        np.greater_equal(draws[:, width + 1 :: 2], efficiency, out=record[:, width + 2 :: 2])
+    bits = (record @ stats[: record.shape[1]]).astype(np.intp)
+    bits[:, :PARTIAL_A] &= 1
+    np.minimum(bits[:, PARTIAL_A:], 1, out=bits[:, PARTIAL_A:])
+    return bits @ _CODE_WEIGHTS
 
 
 @dataclass(frozen=True)
@@ -164,10 +209,12 @@ def default_schedule(system: ContextSystem) -> tuple[tuple[int, int], ...]:
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Run `shots` rounds cycling over the schedule, with per-shot RNG streams.
 
-    Each schedule entry the run reaches is checked and compiled once, then
-    all of its shots are sampled together in blocks of `BLOCK_SHOTS`.  The
-    summary is bit-identical for equal seeds regardless of execution order
-    because every shot derives its randomness from (seed, shot).
+    Each schedule entry the run reaches is checked and compiled once.  The
+    shots are then sampled in blocks of `BLOCK_SHOTS` consecutive shots,
+    one `shot_draws` call per block for every entry, and each shot adds
+    one to the count of its code.  The summary is bit-identical for equal
+    seeds regardless of execution order because every shot derives its
+    randomness from (seed, shot).
     """
     if config.shots < 0:
         raise ValueError(f"shots must be >= 0, got {config.shots}")
@@ -183,38 +230,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
         for ctx_id, obs_id in schedule[: min(len(schedule), config.shots)]
     ]
 
-    comparable = 0
-    equal = 0
-    context_totals: dict[int, int] = {}
-    context_passes: dict[int, int] = {}
-    shared_counts: dict[str, dict[int, int]] = {"alice": {+1: 0, -1: 0}, "bob": {+1: 0, -1: 0}}
-
-    for entry, compiled in enumerate(rounds):
-        forms, split, shared_alice, shared_bob, ctx_id, product_bit = compiled
-        contexts = [slice(0, split)]
-        if config.bob_mode == "in_context":
-            contexts.append(slice(split, len(forms)))
-        shots = range(entry, config.shots, len(schedule))
-        for start in range(0, len(shots), BLOCK_SHOTS):
-            draws = shot_draws(config.seed, shots[start : start + BLOCK_SHOTS], 3 * len(forms))
-            values, lost = _sample(compiled, draws, p_alice, p_bob, config.efficiency)
-            kept = ~lost
-            both = kept[:, shared_alice] & kept[:, shared_bob]
-            comparable += int(np.count_nonzero(both))
-            equal += int(np.count_nonzero(both & (values[:, shared_alice] == values[:, shared_bob])))
-            for side, col in (("alice", shared_alice), ("bob", shared_bob)):
-                minus = int(np.count_nonzero(kept[:, col] & (values[:, col] == 1)))
-                shared_counts[side][+1] += int(np.count_nonzero(kept[:, col])) - minus
-                shared_counts[side][-1] += minus
-            for cols in contexts:
-                full = kept[:, cols].all(axis=1)
-                total = int(np.count_nonzero(full))
-                if not total:
-                    continue
-                context_totals[ctx_id] = context_totals.get(ctx_id, 0) + total
-                parity = np.bitwise_xor.reduce(values[:, cols], axis=1)
-                passes = int(np.count_nonzero(full & (parity == product_bit)))
-                context_passes[ctx_id] = context_passes.get(ctx_id, 0) + passes
+    # Each shot draws only what its round reads: with no noise and unit
+    # efficiency no flip or erasure draw, and no draw past the last coin's.
+    exact = p_alice == p_bob == 0.0 and config.efficiency == 1.0
+    reads = [coin_draws if exact else 3 * len(flip_p) for _, flip_p, _, coin_draws in rounds]
+    counts = np.zeros((len(config.system.contexts), 256), dtype=np.int64)  # shots per code
+    period = len(schedule)
+    for start in range(0, config.shots, BLOCK_SHOTS):
+        stop = min(start + BLOCK_SHOTS, config.shots)
+        groups = [
+            (range(start + (entry - start) % period, stop, period), k)
+            for entry, k in enumerate(reads)
+        ]
+        for (stats, flip_p, ctx_id, _), draws in zip(rounds, shot_draws(config.seed, groups)):
+            codes = _codes(stats, flip_p, draws, config.efficiency)
+            counts[ctx_id] += np.bincount(codes, minlength=256)
 
     if config.shots == 0:
         return ExperimentSummary(
@@ -227,9 +257,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
             noise=(p_alice, p_bob),
             efficiency=float(config.efficiency),
         )
+    bit = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    per_code = counts.sum(axis=0)
+    kept_a, kept_b = 1 - bit[:, LOST_A], 1 - bit[:, LOST_B]
+    value_a, value_b = bit[:, VALUE_A], bit[:, VALUE_B]
+    comparable = int(per_code @ (kept_a & kept_b))
+    equal = int(per_code @ (kept_a & kept_b & (value_a == value_b)))
+    shared_counts = {
+        side: {+1: int(per_code @ (kept & (1 - value))), -1: int(per_code @ (kept & value))}
+        for side, kept, value in (("alice", kept_a, value_a), ("bob", kept_b, value_b))
+    }
+    full_a, full_b = 1 - bit[:, PARTIAL_A], 1 - bit[:, PARTIAL_B]
+    totals = counts @ (full_a + full_b)
+    passes = counts @ ((full_a & (1 - bit[:, FAIL_A])) + (full_b & (1 - bit[:, FAIL_B])))
     rates = {
-        ci: (context_passes.get(ci, 0) / total if total else None)
-        for ci, total in sorted(context_totals.items())
+        ci: int(passes[ci]) / int(totals[ci]) for ci in range(len(counts)) if totals[ci]
     }
     return ExperimentSummary(
         shots=config.shots,

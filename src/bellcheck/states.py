@@ -329,6 +329,14 @@ def compile_context(
     return tuple(forms), post, tuple(row_signs)
 
 
+def form_matrix(forms, width: int) -> np.ndarray:
+    """Affine forms over `width` coins as a uint8 matrix: bit i of form j at [i, j]."""
+    size = width // 8 + 1
+    packed = np.frombuffer(b"".join(form.to_bytes(size, "little") for form in forms), np.uint8)
+    bits = np.unpackbits(packed.reshape(len(forms), size), axis=1, count=width + 1, bitorder="little")
+    return bits.T
+
+
 def affine_values(forms, draws: np.ndarray) -> np.ndarray:
     """Evaluate affine forms on measurement draws, one row per shot.
 
@@ -339,9 +347,8 @@ def affine_values(forms, draws: np.ndarray) -> np.ndarray:
     shots, width = draws.shape
     coins = np.ones((shots, width + 1), dtype=np.uint8)
     coins[:, 1:] = draws >= 0.5
-    matrix = np.array([[form >> i & 1 for form in forms] for i in range(width + 1)], dtype=np.uint8)
     # uint8 sums wrap mod 256, which keeps their parity.
-    return (coins @ matrix) & 1
+    return (coins @ form_matrix(forms, width)) & 1
 
 
 def eigenrelation_check(n: int, op: PauliOperator) -> bool:

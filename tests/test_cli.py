@@ -1,10 +1,14 @@
 """Command surface: exit codes, report formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bellcheck
 from bellcheck import cli
 from bellcheck.constructions import Context, ContextSystem, mermin_square
 
@@ -233,6 +237,27 @@ class TestCorrelate:
         assert out == ""
         assert err == "error: seed and shot index must be non-negative and below 2**64\n"
 
+    @pytest.mark.parametrize("regime", [[], ["--noise", "0.1", "--efficiency", "0.9"]])
+    def test_never_imports_numpy_random(self, regime):
+        """Draws come from the batched Philox kernel, not NumPy's generator.
+
+        A fresh interpreter, because any earlier test may have imported it.
+        """
+        script = (
+            "import sys\n"
+            "from bellcheck import cli\n"
+            f"code = cli.main({['correlate', '--n', '3', '--shots', '300', *regime, '--format', 'json']!r})\n"
+            "print(code, 'numpy.random' in sys.modules)\n"
+        )
+        src = str(Path(bellcheck.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.stderr == ""
+        assert result.stdout.splitlines()[-1] == "0 False"
+
 
 class TestChsh:
     def test_n3(self, capsys):
@@ -304,6 +329,30 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "square", "--frob"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "sets", "--n", "4"], "argument --n: n must be odd and within 3..13, got 4"),
+            (
+                ["correlate", "--n", "3", "--shots", "5", "--seed", "1.5"],
+                "argument --seed: invalid int value: '1.5'",
+            ),
+            ([], "the following arguments are required: command"),
+            (["verify"], "the following arguments are required: target"),
+        ],
+    )
+    def test_parser_errors_are_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["correlate", "--help"])
+        assert exc.value.code == 0
+        assert "--shots" in capsys.readouterr().out
 
     def test_unexpected_error_exits_two_with_one_line(self, capsys, monkeypatch):
         def broken():

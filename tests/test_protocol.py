@@ -156,7 +156,12 @@ class TestTableauAgainstDenseOracle:
     """
 
     @pytest.mark.parametrize("mode", ["alone", "in_context"])
-    @pytest.mark.parametrize("noise,efficiency", [(0.0, 1.0), (0.1, 0.8), ((0.05, 0.2), 0.95)])
+    # (0.0, 0.9) and ((0.0, 0.1), 1.0) sit just outside the exact regime,
+    # where the sampler draws no flip or erasure numbers.
+    @pytest.mark.parametrize(
+        "noise,efficiency",
+        [(0.0, 1.0), (0.1, 0.8), ((0.05, 0.2), 0.95), (0.0, 0.9), ((0.0, 0.1), 1.0)],
+    )
     @pytest.mark.parametrize("n,shots", [(2, 60), (3, 40), (5, 24), (7, 8)])
     def test_summaries_equal(self, n, shots, noise, efficiency, mode):
         for seed in (0, 3, 2**40 + 1):
@@ -207,6 +212,16 @@ class TestTableauAgainstDenseOracle:
         whole = run_experiment(config)
         monkeypatch.setattr(protocol, "BLOCK_SHOTS", 3)
         assert run_experiment(config) == whole == reference_experiment(config)
+
+    def test_block_boundary_mid_schedule(self):
+        """More shots than one block, the boundary inside a schedule cycle."""
+        system = generalized_sets(3)
+        assert protocol.BLOCK_SHOTS % len(default_schedule(system))
+        config = ExperimentConfig(
+            n=3, system=system, shots=protocol.BLOCK_SHOTS + 45, noise=0.1,
+            efficiency=0.9, seed=13, bob_mode="in_context",
+        )
+        assert run_experiment(config) == reference_experiment(config)
 
     def test_rounds_equal(self):
         """Each round of the default schedule on its own, against both references."""
