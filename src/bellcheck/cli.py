@@ -12,13 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import chsh as chsh_mod
 from .constructions import (
     FAMILY_NS,
     generalized_sets,
@@ -30,8 +28,7 @@ from .constructions import (
 from .dsl import DslSyntaxError, parse_document
 from .parity import build_parity_system, check_assignment, check_certificate, solve
 from .pauli import PauliOperator, format_pauli, multiply
-from .protocol import ExperimentConfig, run_experiment
-from .states import eigenrelation_check, expectation, ghz_state
+from .tableau import eigenrelation_check, ghz_tableau, tableau_expectation
 
 REL_TOL = 1e-9
 
@@ -200,11 +197,11 @@ def cmd_ghz(args) -> RunReport:
         format_pauli(product),
         format_pauli(PauliOperator(3, 0, 0, 2)),
     )
-    state = ghz_state()
+    state = ghz_tableau()
     for op, indicated in observables:
         report.check(
             f"eigenvalue of {format_pauli(op)}",
-            expectation(state, op),
+            tableau_expectation(state, op),
             float(indicated),
             tolerance=1e-12,
         )
@@ -217,6 +214,9 @@ def cmd_ghz(args) -> RunReport:
 
 
 def cmd_correlate(args) -> RunReport:
+    # Imported here, like numpy in `cmd_chsh`: the other commands never load numpy.
+    from .protocol import ExperimentConfig, run_experiment
+
     system = _system_for(args.n)
     report = RunReport(
         "correlate",
@@ -257,6 +257,10 @@ def cmd_correlate(args) -> RunReport:
 
 
 def cmd_chsh(args) -> RunReport:
+    import numpy as np
+
+    from . import chsh as chsh_mod
+
     n = args.n
     if not 1 <= n <= chsh_mod.MAX_PAIRS:
         raise UsageError(f"--n must be in 1..{chsh_mod.MAX_PAIRS}, got {n}")
@@ -394,10 +398,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {type(err).__name__}: {' '.join(str(err).split())}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - started
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.to_text(wall))
+    try:
+        print(report.to_json() if args.format == "json" else report.to_text(wall))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull, so that the
+        # flush at interpreter exit does not raise again; exit 2, because
+        # exit 1 means that a verification failed.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before the report was written", file=sys.stderr)
+        return 2
     return 0 if report.passed else 1
 
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .pauli import format_pauli
 
 MAX_BRUTE_FORCE_VARIABLES = 24
@@ -133,6 +131,7 @@ def brute_force(ps: ParitySystem) -> SolveResult:
         )
     if not ps.rows:
         return SolveResult(True, assignment={name: +1 for name in ps.variables})
+    import numpy as np  # here, so that importing `parity` does not load numpy
 
     # Assignment a encodes variable j as bit (k-1-j), so increasing a is
     # lexicographic order with +1 (bit 0) first.

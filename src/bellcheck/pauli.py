@@ -19,17 +19,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _LETTERS = {0: "I", 1: "X", 2: "Z", 3: "Y"}  # index = x_bit + 2*z_bit
-
-_DENSE_LETTER = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 _PHASE_LABEL = {0: "+", 1: "i", 2: "-", 3: "-i"}
 _LABEL_PHASE = {v: k for k, v in _PHASE_LABEL.items()}
@@ -148,9 +143,17 @@ def to_dense(op: PauliOperator) -> np.ndarray:
         raise ValueError(
             f"dense export limited to {MAX_DENSE_QUBITS} qubits, got {op.num_qubits}"
         )
+    import numpy as np  # here, so that importing `pauli` does not load numpy
+
+    dense_letter = {
+        "I": np.eye(2, dtype=complex),
+        "X": np.array([[0, 1], [1, 0]], dtype=complex),
+        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    }
     m = np.eye(1, dtype=complex)
     for j in range(1, op.num_qubits + 1):
-        m = np.kron(m, _DENSE_LETTER[op.letter(j)])
+        m = np.kron(m, dense_letter[op.letter(j)])
     return (1j ** op.phase_exponent) * m
 
 

@@ -3,12 +3,12 @@
 Per round, observer A measures a full commuting context on her block of
 the Bell-product state and observer B measures one shared observable on
 his block, either by itself or inside his copy of the same context.  Both
-measure on the stabilizer tableau of the shared state (`states`).
+measure on the stabilizer tableau of the shared state (`tableau`).
 Recorded outcomes are independently flipped with probability `noise` and
 erased (inconclusive) with probability 1 - `efficiency`.
 
 A round is compiled once into GF(2) affine forms, one per outcome
-(`states.compile_context`), and from them into one linear map from a
+(`tableau.compile_context`), and from them into one linear map from a
 shot's recorded bits to the bits its statistics need.  An experiment
 then samples its shots in blocks with numpy, each shot reading its own
 stream, and counts the shots of each outcome pattern.
@@ -29,7 +29,8 @@ import numpy as np
 from .constructions import ContextSystem
 from .pauli import format_pauli
 from .rng import check_key, shot_draws
-from .states import bell_product_tableau, compile_context, embed, form_matrix
+from .states import form_matrix
+from .tableau import bell_product_tableau, compile_context, embed
 
 MODES = ("alone", "in_context")
 # Shots sampled together: memory is O(BLOCK_SHOTS x words), not O(shots).

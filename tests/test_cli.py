@@ -1,5 +1,6 @@
 """Command surface: exit codes, report formats, determinism."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -27,12 +28,43 @@ def readme_examples():
     return [line.split("#")[0].split()[1:] for line in lines if line.startswith("bellcheck ")]
 
 
+def write_readme_obs(directory: Path) -> None:
+    """`my.obs` in `directory`: the README's own `.obs` example, which `--file my.obs` reads."""
+    example = README.read_text(encoding="utf-8").split("## Observable files")[1]
+    (directory / "my.obs").write_text(example.split("```")[1], encoding="utf-8")
+
+
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this package from `src`.
+
+    A fresh interpreter, because any earlier test may have imported a module
+    that a test asserts is never imported.
+    """
+    src = str(Path(bellcheck.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def fresh_main(argv, imported: str, cwd=None) -> str:
+    """Run `cli.main(argv)` in a fresh interpreter: "<exit code> <whether `imported` loaded>"."""
+    script = (
+        "import sys\n"
+        "from bellcheck import cli\n"
+        f"code = cli.main({[*argv, '--format', 'json']!r})\n"
+        f"print(code, {imported!r} in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=fresh_env(),
+        cwd=cwd, timeout=120,
+    )
+    assert result.stderr == ""
+    return result.stdout.splitlines()[-1]
+
+
 class TestReadmeExamples:
     @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
     def test_json_is_byte_identical(self, capsys, tmp_path, monkeypatch, argv):
-        # `--file my.obs` reads the README's own `.obs` example.
-        example = README.read_text(encoding="utf-8").split("## Observable files")[1]
-        (tmp_path / "my.obs").write_text(example.split("```")[1], encoding="utf-8")
+        write_readme_obs(tmp_path)
         monkeypatch.chdir(tmp_path)
         first = run(capsys, [*argv, "--format", "json"])
         second = run(capsys, [*argv, "--format", "json"])
@@ -239,24 +271,9 @@ class TestCorrelate:
 
     @pytest.mark.parametrize("regime", [[], ["--noise", "0.1", "--efficiency", "0.9"]])
     def test_never_imports_numpy_random(self, regime):
-        """Draws come from the batched Philox kernel, not NumPy's generator.
-
-        A fresh interpreter, because any earlier test may have imported it.
-        """
-        script = (
-            "import sys\n"
-            "from bellcheck import cli\n"
-            f"code = cli.main({['correlate', '--n', '3', '--shots', '300', *regime, '--format', 'json']!r})\n"
-            "print(code, 'numpy.random' in sys.modules)\n"
-        )
-        src = str(Path(bellcheck.__file__).resolve().parents[1])
-        path = [src, os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
-        )
-        assert result.stderr == ""
-        assert result.stdout.splitlines()[-1] == "0 False"
+        """Draws come from the batched Philox kernel, not NumPy's generator."""
+        argv = ["correlate", "--n", "3", "--shots", "300", *regime]
+        assert fresh_main(argv, "numpy.random") == "0 False"
 
 
 class TestChsh:
@@ -371,3 +388,86 @@ class TestUsage:
     def test_json_report_omits_wall_time(self, capsys):
         _, out, _ = run(capsys, ["verify", "square", "--format", "json"])
         assert "wall" not in out
+
+
+class TestStartup:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "square"],
+            ["verify", "sets", "--n", "13"],
+            ["bks", "solve", "--n", "13"],
+            ["bks", "solve", "--file", "my.obs"],
+            ["eigencheck", "--n", "13"],
+            ["ghz", "--grouping", "tripartite"],
+            ["ghz", "--grouping", "bipartite"],
+        ],
+        ids=" ".join,
+    )
+    def test_verdicts_never_import_numpy(self, tmp_path, argv):
+        """These checks are integer GF(2) and Pauli algebra; numpy's import would dominate them."""
+        write_readme_obs(tmp_path)
+        assert fresh_main(argv, "numpy", cwd=tmp_path) == "0 False"
+
+    def test_closed_stdout_exits_two_without_traceback(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # so the report meets a pipe with no reader
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "bellcheck", "verify", "sets", "--n", "13", "--format", "json"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=fresh_env(), timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2
+        assert result.stderr == "error: standard output was closed before the report was written\n"
+
+
+# The package namespace before it became lazy: submodule -> names.  Each must
+# still resolve, to the very object its submodule holds.
+OLD_NAMESPACE = {
+    "chsh": "ChshReport MeasurementVectors chsh_pair_operator gap_report lhv_max "
+    "optimal_vectors pair_expectation planar_vectors quantum_value",
+    "constructions": "ConstructionError Context ContextSystem ValidationReport generalized_sets "
+    "ghz_contexts ghz_observables mermin_square product_sign validate",
+    "dsl": "DslSyntaxError parse_document serialize",
+    "parity": "ParityRow ParitySystem SolveResult brute_force build_parity_system "
+    "check_assignment check_certificate solve",
+    "pauli": "PauliOperator PauliSyntaxError commutes format_pauli identity multiply "
+    "parse_pauli relabel single to_dense",
+    "protocol": "ExperimentConfig ExperimentSummary default_schedule run_experiment",
+    "rng": "shot_draws shot_stream",
+    "states": "StabilizerTableau StateVector affine_values apply_pauli bell_product_state "
+    "bell_product_tableau compile_context dense_expectation eigenrelation_check embed "
+    "expectation ghz_state measure_context singlet_product_state tableau_expectation",
+}
+
+
+class TestPackage:
+    def test_every_name_resolves_to_its_submodule_object(self):
+        names = []
+        for module_name, listed in OLD_NAMESPACE.items():
+            module = importlib.import_module(f"bellcheck.{module_name}")
+            for name in listed.split():
+                assert getattr(bellcheck, name) is getattr(module, name), name
+                names.append(name)
+        assert sorted(names) == sorted(bellcheck.__all__)
+        assert isinstance(bellcheck.__version__, str)
+
+    def test_import_loads_no_submodule_and_dir_lists_every_name(self):
+        script = (
+            "import sys, bellcheck\n"
+            "print(sorted(m for m in sys.modules if m.startswith('bellcheck.')))\n"
+            "print(' '.join(dir(bellcheck)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=fresh_env(), timeout=120
+        )
+        loaded, listed = result.stdout.splitlines()
+        assert loaded == "[]"
+        expected = {name for names in OLD_NAMESPACE.values() for name in names.split()}
+        assert expected | {"__version__"} <= set(listed.split())
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            bellcheck.no_such_name  # noqa: B018

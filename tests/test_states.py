@@ -27,6 +27,7 @@ from bellcheck.states import (
     singlet_product_state,
     tableau_expectation,
 )
+from bellcheck.tableau import ghz_tableau
 
 INV_SQRT2 = 2.0 ** -0.5
 
@@ -339,6 +340,17 @@ class TestTableau:
         state = bell_product_state(n)
         for s in tableau.stabilizers:
             assert expectation(state, s) == pytest.approx(1.0, abs=1e-12)
+
+    def test_ghz_tableau_matches_dense_on_every_hermitian_word(self):
+        tableau = ghz_tableau()
+        self.assert_relations(tableau)
+        state = ghz_state()
+        words = [PauliOperator(3, x, z, phase) for x in range(8) for z in range(8) for phase in (0, 2)]
+        assert len(words) == 128
+        for op in words:
+            value = tableau_expectation(tableau, op)
+            assert value in (-1.0, 0.0, 1.0)
+            assert value == pytest.approx(expectation(state, op), abs=1e-12)
 
     def test_bell_tableau_is_shared(self):
         assert bell_product_tableau(4) is bell_product_tableau(4)
