@@ -8,7 +8,7 @@ its command uses: the verdict commands never load numpy.
 
 import importlib
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 # Submodule -> the public names this package re-exports from it.
 _EXPORTS = {
@@ -62,7 +62,6 @@ _EXPORTS = {
     "rng": ("shot_draws", "shot_stream"),
     "states": (
         "StateVector",
-        "affine_values",
         "apply_pauli",
         "bell_product_state",
         "dense_expectation",

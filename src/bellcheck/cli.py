@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .constructions import (
     FAMILY_NS,
@@ -25,7 +25,7 @@ from .constructions import (
     mermin_square,
     validate,
 )
-from .dsl import DslSyntaxError, parse_document
+from .dsl import parse_document
 from .parity import build_parity_system, check_assignment, check_certificate, solve
 from .pauli import PauliOperator, format_pauli, multiply
 from .tableau import eigenrelation_check, ghz_tableau, tableau_expectation
@@ -40,15 +40,6 @@ class Check:
     measured: object
     expected: object
     tolerance: float | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "measured": self.measured,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-        }
 
 
 @dataclass
@@ -79,7 +70,7 @@ class RunReport:
             "passed": self.passed,
         }
         payload.update(self.extras)
-        payload["checks"] = [c.as_dict() for c in self.checks]
+        payload["checks"] = [asdict(c) for c in self.checks]
         return json.dumps(payload, indent=2)
 
     def to_text(self, wall_time: float) -> str:
@@ -103,12 +94,13 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _system_for(n: int):
-    """The square for n = 2, the generalized family for odd n in 3..13."""
-    if n == 2:
+def _system_for(n: int, square: bool = True):
+    """The generalized family for odd n in 3..13, and the square for n = 2 if `square`."""
+    if square and n == 2:
         return mermin_square()
     if n not in FAMILY_NS:
-        raise UsageError(f"--n must be 2 (square) or odd in 3..13, got {n}")
+        allowed = "2 (square) or odd" if square else "odd"
+        raise UsageError(f"--n must be {allowed} in 3..13, got {n}")
     return generalized_sets(n)
 
 
@@ -158,7 +150,7 @@ def cmd_verify_square(args) -> RunReport:
 def cmd_verify_sets(args) -> RunReport:
     n = args.n
     report = RunReport("verify sets", {"n": n})
-    system = generalized_sets(n)
+    system = _system_for(n, square=False)
     _validation_checks(report, system)
     report.check("context count", len(system.contexts), n + 2)
     report.check("distinct observables", len(system.catalog), 3 * n + 1)
@@ -172,7 +164,7 @@ def cmd_bks_solve(args) -> RunReport:
         raise UsageError("bks solve needs exactly one of --n or --file")
     if args.n is not None:
         report = RunReport("bks solve", {"n": args.n})
-        system = generalized_sets(args.n)
+        system = _system_for(args.n, square=False)
     else:
         report = RunReport("bks solve", {"file": args.file})
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -310,13 +302,6 @@ class UsageError(ValueError):
     pass
 
 
-def _odd_n(value: str) -> int:
-    n = int(value)
-    if n not in FAMILY_NS:
-        raise argparse.ArgumentTypeError(f"n must be odd and within 3..13, got {n}")
-    return n
-
-
 class _Parser(argparse.ArgumentParser):
     """Argument errors end in one `error:` line and exit 2, like every other failure.
 
@@ -345,14 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(vs)
     vs.set_defaults(func=cmd_verify_square)
     vn = verify_sub.add_parser("sets", help="the n-qubit commuting-set family")
-    vn.add_argument("--n", type=_odd_n, required=True)
+    vn.add_argument("--n", type=int, required=True)
     add_format(vn)
     vn.set_defaults(func=cmd_verify_sets)
 
     bks = sub.add_parser("bks", help="value-assignment solver")
     bks_sub = bks.add_subparsers(dest="action", required=True)
     solve_p = bks_sub.add_parser("solve", help="solve a parity system")
-    solve_p.add_argument("--n", type=_odd_n)
+    solve_p.add_argument("--n", type=int)
     solve_p.add_argument("--file", help="path to a .obs file")
     add_format(solve_p)
     solve_p.set_defaults(func=cmd_bks_solve)
@@ -391,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report = args.func(args)
-    except (UsageError, DslSyntaxError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # exit 1 is reserved for a failed verification

@@ -13,8 +13,6 @@ product signs) is deliberately left to the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .constructions import Context, ContextSystem
 from .pauli import PauliSyntaxError, format_pauli, parse_pauli
 
@@ -28,23 +26,15 @@ class DslSyntaxError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class RawSet:
-    observables: tuple[tuple[str, int], ...]  # (token text, 1-based column)
-    sign: int
-    line: int
+def parse_document(text: str) -> ContextSystem:
+    """Parse `.obs` text into a ContextSystem (without validating it).
 
-
-@dataclass(frozen=True)
-class DslDocument:
-    declared_qubits: int
-    sets: tuple[RawSet, ...]
-
-
-def _scan(text: str) -> DslDocument:
+    One pass over the lines in order, so the first error in the text is
+    the one reported.
+    """
     declared: int | None = None
     declared_line = 0
-    sets: list[RawSet] = []
+    contexts: list[Context] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -69,15 +59,15 @@ def _scan(text: str) -> DslDocument:
             if declared is None:
                 raise DslSyntaxError("set before qubits declaration", lineno, indent + 1)
             body_col = indent + len(word) + len(sep) + 1  # 1-based column of body
-            sets.append(_scan_set(rest, lineno, body_col))
+            contexts.append(_scan_set(rest, declared, lineno, body_col))
         else:
             raise DslSyntaxError(f"unknown directive {word!r}", lineno, indent + 1)
     if declared is None:
         raise DslSyntaxError("missing qubits declaration", 1, 1)
-    return DslDocument(declared, tuple(sets))
+    return ContextSystem(declared, tuple(contexts))
 
 
-def _scan_set(body: str, lineno: int, body_col: int) -> RawSet:
+def _scan_set(body: str, num_qubits: int, lineno: int, body_col: int) -> Context:
     sign = +1
     eq = body.find("=")
     if eq >= 0:
@@ -93,29 +83,18 @@ def _scan_set(body: str, lineno: int, body_col: int) -> RawSet:
                 body_col + eq + 1,
             )
         body = body[:eq]
-    chunks: list[tuple[str, int]] = []
+    ops = []
     start = 0
     for piece in body.split(","):
+        column = body_col + start
         if not piece.strip():
-            raise DslSyntaxError("empty observable", lineno, body_col + start)
-        chunks.append((piece, body_col + start))
+            raise DslSyntaxError("empty observable", lineno, column)
+        try:
+            ops.append(parse_pauli(piece, num_qubits))
+        except PauliSyntaxError as err:
+            raise DslSyntaxError(str(err), lineno, column + err.position) from None
         start += len(piece) + 1
-    return RawSet(tuple(chunks), sign, lineno)
-
-
-def parse_document(text: str) -> ContextSystem:
-    """Parse `.obs` text into a ContextSystem (without validating it)."""
-    doc = _scan(text)
-    contexts = []
-    for raw in doc.sets:
-        ops = []
-        for chunk, column in raw.observables:
-            try:
-                ops.append(parse_pauli(chunk, doc.declared_qubits))
-            except PauliSyntaxError as err:
-                raise DslSyntaxError(str(err), raw.line, column + err.position) from None
-        contexts.append(Context(tuple(ops), raw.sign))
-    return ContextSystem(doc.declared_qubits, tuple(contexts))
+    return Context(tuple(ops), sign)
 
 
 def serialize(system: ContextSystem) -> str:

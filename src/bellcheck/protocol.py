@@ -29,7 +29,6 @@ import numpy as np
 from .constructions import ContextSystem
 from .pauli import format_pauli
 from .rng import check_key, shot_draws
-from .states import form_matrix
 from .tableau import bell_product_tableau, compile_context, embed
 
 MODES = ("alone", "in_context")
@@ -53,30 +52,31 @@ def _noise_pair(noise) -> tuple[float, float]:
     return float(p_alice), float(p_bob)
 
 
+def form_matrix(forms, width: int) -> np.ndarray:
+    """Affine forms over `width` coins as a uint8 matrix: bit i of form j at [i, j]."""
+    size = width // 8 + 1
+    packed = np.frombuffer(b"".join(form.to_bytes(size, "little") for form in forms), np.uint8)
+    bits = np.unpackbits(packed.reshape(len(forms), size), axis=1, count=width + 1, bitorder="little")
+    return bits.T
+
+
 def _compile_round(
     config: ExperimentConfig, alice_context_id: int, shared_observable_id: int, blocks: dict
 ) -> tuple:
     """Check one schedule entry and compile its round into a statistics map.
 
-    Runs every check of the entry's round (`run_experiment` has checked
-    the noise) before compiling it, so a bad entry raises before any
-    draw.  `blocks` holds the symbolic measurement of each context's
-    Alice block (and of Bob's copy of the context in "in_context" mode),
-    shared by every entry that reaches it.
+    Runs the checks of the entry itself (`run_experiment` has checked the
+    rest) before compiling it, so a bad entry raises before any draw.
+    `blocks` holds the symbolic measurement of each context's Alice block
+    (and of Bob's copy of the context in "in_context" mode), shared by
+    every entry that reaches it.
     Returns (statistics map, flip probability per outcome, context id,
     word draws up to the last fair coin's); the outcomes are Alice's
     words, then Bob's (see `_stats_map`).
     """
     n, system, bob_mode = config.n, config.system, config.bob_mode
-    if system.num_qubits != n:
-        raise ValueError(f"system acts on {system.num_qubits} qubits, expected {n}")
     if not 0 <= alice_context_id < len(system.contexts):
         raise ValueError(f"unknown context id {alice_context_id}")
-    if bob_mode not in MODES:
-        raise ValueError(f"bob_mode must be one of {MODES}, got {bob_mode!r}")
-    if not 0.0 < config.efficiency <= 1.0:
-        raise ValueError(f"efficiency must be in (0, 1], got {config.efficiency}")
-
     context = system.contexts[alice_context_id]
     catalog = system.catalog
     if not 0 <= shared_observable_id < len(catalog):
@@ -224,6 +224,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     if not schedule:
         raise ValueError("schedule is empty")
     check_key(config.seed, 0)  # a bad seed fails before any entry is checked
+    # Checked here, not per entry, so that they hold even when no shot runs.
+    if config.system.num_qubits != config.n:
+        raise ValueError(f"system acts on {config.system.num_qubits} qubits, expected {config.n}")
+    if config.bob_mode not in MODES:
+        raise ValueError(f"bob_mode must be one of {MODES}, got {config.bob_mode!r}")
+    if not 0.0 < config.efficiency <= 1.0:
+        raise ValueError(f"efficiency must be in (0, 1], got {config.efficiency}")
 
     blocks: dict = {}
     rounds = [

@@ -1,4 +1,4 @@
-"""Dense state vectors, projective measurement, and affine-form evaluation.
+"""Dense states and projective measurement: `tableau`'s test oracles, `chsh`'s singlets.
 
 Basis-index convention: qubit 1 is the most significant bit of the basis
 index, matching the dense-matrix export of the Pauli module.  Shared
@@ -20,18 +20,8 @@ import numpy as np
 
 from .pauli import PauliOperator, format_pauli
 
-# The tableau half of the package, re-exported for code that imports it from here.
-from .tableau import (  # noqa: F401
-    StabilizerTableau,
-    _check_size,
-    _checked_context,
-    _forced_form,
-    bell_product_tableau,
-    compile_context,
-    eigenrelation_check,
-    embed,
-    tableau_expectation,
-)
+# `eigenrelation_check` is also importable from here, where it used to live.
+from .tableau import _checked_context, eigenrelation_check  # noqa: F401
 
 ATOL = 1e-12
 MAX_STATE_QUBITS = 26
@@ -181,27 +171,3 @@ def measure_context(
         amp = projected / norm
         outcomes.append(outcome)
     return outcomes, StateVector(state.num_qubits, amp)
-
-
-def form_matrix(forms, width: int) -> np.ndarray:
-    """Affine forms over `width` coins as a uint8 matrix: bit i of form j at [i, j]."""
-    size = width // 8 + 1
-    packed = np.frombuffer(b"".join(form.to_bytes(size, "little") for form in forms), np.uint8)
-    bits = np.unpackbits(packed.reshape(len(forms), size), axis=1, count=width + 1, bitorder="little")
-    return bits.T
-
-
-def affine_values(forms, draws: np.ndarray) -> np.ndarray:
-    """Evaluate affine forms on measurement draws, one row per shot.
-
-    `draws[:, j]` is word j's draw; its coin comes up 1 (outcome -1) when
-    the draw is >= 1/2, as `measure_context` does with p_plus = 1/2.  A
-    forced word ignores its own draw.  Returns a uint8 array of bits.
-    """
-    shots, width = draws.shape
-    coins = np.ones((shots, width + 1), dtype=np.float32)
-    np.greater_equal(draws, 0.5, out=coins[:, 1:])
-    # float32 runs on BLAS, integer @ does not; the sums are counts of at
-    # most width + 1 ones, exact in float32 (as in `protocol._codes`).
-    sums = coins @ form_matrix(forms, width).astype(np.float32)
-    return (sums.astype(np.intp) & 1).astype(np.uint8)

@@ -4,10 +4,10 @@
 `shot_stream(seed, shot)`, and measures with a function passed in: either
 `measure_context` on the dense Bell-product state, or `tableau_measure`,
 a concrete tableau measurement that updates the signs in place and shares
-no code with `states.compile_context` beyond the input checks.  Both draw
+no code with `tableau.compile_context` beyond the input checks.  Both draw
 one number per word and two per recorded outcome, in the order the
 compiled sampler reads them.  Words go onto each observer's block with
-`pauli.relabel`, not with `states.embed`.
+`pauli.relabel`, not with `tableau.embed`.
 """
 
 from typing import NamedTuple
@@ -17,14 +17,8 @@ import numpy as np
 from bellcheck.pauli import PauliOperator, commutes, identity, multiply, relabel
 from bellcheck.protocol import MODES, ExperimentSummary, _noise_pair, default_schedule
 from bellcheck.rng import check_key, shot_stream
-from bellcheck.states import (
-    StabilizerTableau,
-    _check_size,
-    _checked_context,
-    bell_product_state,
-    bell_product_tableau,
-    measure_context,
-)
+from bellcheck.states import bell_product_state, measure_context
+from bellcheck.tableau import StabilizerTableau, _check_size, _checked_context, bell_product_tableau
 
 
 def tableau_measure(tableau, context_ops, rng):
@@ -131,6 +125,13 @@ def reference_experiment(config, backend="tableau"):
     if not schedule:
         raise ValueError("schedule is empty")
     check_key(config.seed, 0)
+    # Experiment-wide settings are checked even when no round runs.
+    if config.system.num_qubits != config.n:
+        raise ValueError(f"system acts on {config.system.num_qubits} qubits, expected {config.n}")
+    if config.bob_mode not in MODES:
+        raise ValueError(f"bob_mode must be one of {MODES}, got {config.bob_mode!r}")
+    if not 0.0 < config.efficiency <= 1.0:
+        raise ValueError(f"efficiency must be in (0, 1], got {config.efficiency}")
     comparable = equal = 0
     totals, passes = {}, {}
     shared_counts = {"alice": {+1: 0, -1: 0}, "bob": {+1: 0, -1: 0}}

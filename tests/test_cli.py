@@ -28,6 +28,12 @@ def readme_examples():
     return [line.split("#")[0].split()[1:] for line in lines if line.startswith("bellcheck ")]
 
 
+def readme_python_blocks() -> list[str]:
+    """The source of every ```python block in the README, in order."""
+    text = README.read_text(encoding="utf-8")
+    return [block.split("```")[0] for block in text.split("```python\n")[1:]]
+
+
 def write_readme_obs(directory: Path) -> None:
     """`my.obs` in `directory`: the README's own `.obs` example, which `--file my.obs` reads."""
     example = README.read_text(encoding="utf-8").split("## Observable files")[1]
@@ -72,6 +78,14 @@ class TestReadmeExamples:
         assert first == second
         assert json.loads(first[1])["passed"] is True
 
+    def test_python_blocks_run(self):
+        """The library examples run in order in one namespace, as a reader would paste them."""
+        blocks = readme_python_blocks()
+        assert len(blocks) == 2
+        namespace: dict = {}
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), namespace)
+
 
 class TestVerify:
     def test_square_passes(self, capsys):
@@ -85,9 +99,9 @@ class TestVerify:
         assert "result: PASS" in out
 
     def test_sets_rejects_even_n(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "sets", "--n", "4"])
-        assert exc.value.code == 2
+        code, out, err = run(capsys, ["verify", "sets", "--n", "4"])
+        assert code == 2
+        assert (out, err) == ("", "error: --n must be odd in 3..13, got 4\n")
 
     def test_json_reports_are_byte_identical(self, capsys):
         _, first, _ = run(capsys, ["verify", "square", "--format", "json"])
@@ -120,6 +134,11 @@ class TestBksSolve:
         # The key order is part of the report's bytes.
         assert list(payload)[4:] == ["result", "variables", "rows", "certificate", "checks"]
         assert (payload["variables"], payload["rows"]) == (16, 7)
+
+    def test_builtin_family_rejects_even_n(self, capsys):
+        code, out, err = run(capsys, ["bks", "solve", "--n", "4", "--format", "json"])
+        assert code == 2
+        assert (out, err) == ("", "error: --n must be odd in 3..13, got 4\n")
 
     def test_satisfiable_file(self, capsys, tmp_path):
         path = tmp_path / "simple.obs"
@@ -269,11 +288,22 @@ class TestCorrelate:
         assert out == ""
         assert err == "error: seed and shot index must be non-negative and below 2**64\n"
 
+    def test_zero_shots_still_checks_efficiency(self, capsys):
+        argv = ["correlate", "--n", "2", "--shots", "0", "--efficiency", "7", "--format", "json"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert (out, err) == ("", "error: efficiency must be in (0, 1], got 7.0\n")
+
     @pytest.mark.parametrize("regime", [[], ["--noise", "0.1", "--efficiency", "0.9"]])
     def test_never_imports_numpy_random(self, regime):
         """Draws come from the batched Philox kernel, not NumPy's generator."""
         argv = ["correlate", "--n", "3", "--shots", "300", *regime]
         assert fresh_main(argv, "numpy.random") == "0 False"
+
+    def test_never_imports_the_dense_states(self):
+        """The protocol measures on the tableau; the dense vectors are test oracles."""
+        argv = ["correlate", "--n", "3", "--shots", "10"]
+        assert fresh_main(argv, "bellcheck.states") == "0 False"
 
 
 class TestChsh:
@@ -350,7 +380,7 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["verify", "sets", "--n", "4"], "argument --n: n must be odd and within 3..13, got 4"),
+            (["verify", "sets", "--n", "4"], "--n must be odd in 3..13, got 4"),
             (
                 ["correlate", "--n", "3", "--shots", "5", "--seed", "1.5"],
                 "argument --seed: invalid int value: '1.5'",
@@ -360,9 +390,12 @@ class TestUsage:
         ],
     )
     def test_parser_errors_are_one_line(self, capsys, argv, message):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
+        # argparse exits from inside `main`; a command's own check returns 2.
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_help_exits_zero(self, capsys):
@@ -437,9 +470,10 @@ OLD_NAMESPACE = {
     "parse_pauli relabel single to_dense",
     "protocol": "ExperimentConfig ExperimentSummary default_schedule run_experiment",
     "rng": "shot_draws shot_stream",
-    "states": "StabilizerTableau StateVector affine_values apply_pauli bell_product_state "
-    "bell_product_tableau compile_context dense_expectation eigenrelation_check embed "
-    "expectation ghz_state measure_context singlet_product_state tableau_expectation",
+    "states": "StateVector apply_pauli bell_product_state dense_expectation expectation "
+    "ghz_state measure_context singlet_product_state",
+    "tableau": "StabilizerTableau bell_product_tableau compile_context eigenrelation_check "
+    "embed tableau_expectation",
 }
 
 

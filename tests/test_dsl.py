@@ -69,6 +69,13 @@ class TestErrors:
         with pytest.raises(DslSyntaxError, match="positive integer"):
             parse_document("qubits zero\n")
 
+    def test_first_error_in_the_text_is_reported(self):
+        # The malformed token on line 2 comes before the bad directive on line 3.
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_document("qubits 2\nset X1, Q2\nbogus\n")
+        assert (exc.value.line, exc.value.column) == (2, 9)
+        assert "malformed token 'Q2'" in str(exc.value)
+
     def test_unknown_directive(self):
         with pytest.raises(DslSyntaxError) as exc:
             parse_document("qubits 2\ncontext X1\n")

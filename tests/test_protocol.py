@@ -270,8 +270,10 @@ BAD_INPUTS = [
     (NON_HERMITIAN, 2, None, "in_context", 0.0, 1.0, 0, 5),
     # Seeds are 64-bit stream keys: 2**64 + 1 would share seed 1's streams.
     (mermin_square(), 3, None, "alone", 0.0, 1.0, 2**64 + 1, 5),
-    # The seed is checked even when no shot runs.
+    # The seed, the mode and the efficiency are checked even when no shot runs.
     (mermin_square(), 2, None, "alone", 0.0, 1.0, -5, 0),
+    (mermin_square(), 2, None, "together", 0.0, 1.0, 0, 0),
+    (mermin_square(), 2, None, "alone", 0.0, 7.0, 0, 0),
 ]
 
 
@@ -316,6 +318,8 @@ class TestBadInputs:
             n=2, system=mermin_square(), shots=1, schedule=((0, 0), (0, 99))
         )
         assert run_experiment(config) == reference_experiment(config)
-        assert run_experiment(
-            ExperimentConfig(n=2, system=mermin_square(), shots=0, bob_mode="together")
-        ).shots == 0
+        # The mode is not an entry's setting: it is checked with no entry reached.
+        with pytest.raises(ValueError, match="bob_mode"):
+            run_experiment(
+                ExperimentConfig(n=2, system=mermin_square(), shots=0, bob_mode="together")
+            )

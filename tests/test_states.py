@@ -13,21 +13,22 @@ from bellcheck.pauli import PauliOperator, commutes, parse_pauli, relabel
 from bellcheck.rng import shot_stream
 from bellcheck.states import (
     StateVector,
-    affine_values,
     apply_pauli,
     bell_product_state,
-    bell_product_tableau,
-    compile_context,
     dense_expectation,
     eigenrelation_check,
-    embed,
     expectation,
     ghz_state,
     measure_context,
     singlet_product_state,
+)
+from bellcheck.tableau import (
+    bell_product_tableau,
+    compile_context,
+    embed,
+    ghz_tableau,
     tableau_expectation,
 )
-from bellcheck.tableau import ghz_tableau
 
 INV_SQRT2 = 2.0 ** -0.5
 
@@ -157,6 +158,12 @@ class SequenceDraw:
         return float(next(self.values))
 
 
+def form_bits(forms, draws):
+    """Evaluate affine forms on one draw per word: a coin is 1 when its draw is >= 1/2."""
+    coins = 1 | sum(1 << (j + 1) for j, d in enumerate(draws) if d >= 0.5)
+    return [(form & coins).bit_count() & 1 for form in forms]
+
+
 def measure_compiled(tableau, contexts, draws):
     """Compile `contexts` one after another, then evaluate on one draw per word.
 
@@ -168,12 +175,12 @@ def measure_compiled(tableau, contexts, draws):
         step, tableau, signs = compile_context(tableau, ops, signs, len(forms))
         forms += step
     signs = signs or (0,) * tableau.num_qubits
-    bits = affine_values(forms + signs, np.asarray(draws, dtype=float)[None, :])[0]
+    bits = form_bits(forms + signs, draws)
     rows = tuple(
-        PauliOperator(s.num_qubits, s.x_mask, s.z_mask, s.phase_exponent + 2 * int(flip))
+        PauliOperator(s.num_qubits, s.x_mask, s.z_mask, s.phase_exponent + 2 * flip)
         for s, flip in zip(tableau.stabilizers, bits[len(forms):])
     )
-    return [1 - 2 * int(b) for b in bits[: len(forms)]], tableau._replace(stabilizers=rows)
+    return [1 - 2 * b for b in bits[: len(forms)]], tableau._replace(stabilizers=rows)
 
 
 def commuting_words(rng, num_qubits, count):
@@ -372,7 +379,7 @@ class TestTableau:
         assert tableau_expectation(bell_product_tableau(1), op) == 0.0
         forms, _, _ = compile_context(bell_product_tableau(1), [op])
         assert forms == (0b10,)  # the word's own coin
-        assert affine_values(forms, np.array([[0.4999], [0.5]])).tolist() == [[0], [1]]
+        assert [form_bits(forms, [draw]) for draw in (0.4999, 0.5)] == [[0], [1]]
         for draw, outcome in ((0.4999, +1), (0.5, -1)):
             assert tableau_measure(bell_product_tableau(1), [op], SequenceDraw([draw]))[0] == [outcome]
 
@@ -444,8 +451,8 @@ class TestTableau:
             for trial in range(12):
                 draws = rng.random(len(forms))
                 draws[rng.random(len(forms)) < 0.3] = 0.5
-                bits = affine_values(forms, draws[None, :])[0]
-                compiled = [1 - 2 * int(b) for b in bits]
+                bits = form_bits(forms, draws)
+                compiled = [1 - 2 * b for b in bits]
                 seq = SequenceDraw(draws)
                 first, tableau = tableau_measure(start, alice, seq)
                 second, _ = tableau_measure(tableau, bob, seq)
