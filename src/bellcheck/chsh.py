@@ -3,13 +3,16 @@
 The per-pair operator for measurement directions (a, a', b, b') is
 
     B = sigma.a (x) (sigma.b + sigma.b') + sigma.a' (x) (sigma.b - sigma.b')
+      = sum over i, j of c_ij alpha_i (x) beta_j,   alpha, beta in (X, Y, Z),
 
 and the n-pair operator is the product of one such factor per pair, each
-acting on its own (k, n+k) qubit pair of the singlet product state.  The
-singlet correlation entering the quantum value is always evaluated by
-the state simulator, never substituted analytically; the local-realist
-bound is obtained by enumerating all 16 deterministic strategies for one
-pair and raising the maximum to the n-th power.
+acting on its own (k, n+k) qubit pair of the singlet product state.  So
+every term of either operator is a Pauli word, and the singlets are a
+stabilizer state: each term's expectation is read exactly off the singlet
+tableau (`tableau`), never substituted analytically, and without numpy.
+The dense 2n-qubit state vector stays as the test oracle.  The
+local-realist bound is obtained by enumerating all 16 deterministic
+strategies for one pair and raising the maximum to the n-th power.
 """
 
 from __future__ import annotations
@@ -19,11 +22,13 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .pauli import PauliOperator, parse_pauli, to_dense
+from .tableau import singlet_product_tableau, tableau_expectation
 
-from .pauli import parse_pauli, to_dense
-from .states import dense_expectation, hermitian_overlap, singlet_product_state
+if TYPE_CHECKING:
+    import numpy as np
 
 VTOL = 1e-12
 MAX_DENSE_PAIRS = 5
@@ -32,6 +37,9 @@ MAX_DENSE_PAIRS = 5
 MAX_PAIRS = int(math.log(sys.float_info.max) / math.log(2.0 * math.sqrt(2.0)))
 
 _AXES = ("X", "Y", "Z")
+# Their masks, indexed like the rows and columns of c_ij.
+_X_BITS = (1, 1, 0)
+_Z_BITS = (0, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -71,12 +79,31 @@ def optimal_vectors() -> MeasurementVectors:
     return planar_vectors(0.0, 90.0, 225.0, 135.0)
 
 
-def _coefficients(v: MeasurementVectors) -> np.ndarray:
-    a = np.array(v.a)
-    ap = np.array(v.a_prime)
-    b = np.array(v.b)
-    bp = np.array(v.b_prime)
-    return np.outer(a, b + bp) + np.outer(ap, b - bp)
+def _coefficients(v: MeasurementVectors) -> tuple[tuple[float, float, float], ...]:
+    """c_ij = a_i (b_j + b'_j) + a'_i (b_j - b'_j), the weight of alpha_i beta_j in B."""
+    return tuple(
+        tuple(a * (b + bp) + ap * (b - bp) for b, bp in zip(v.b, v.b_prime))
+        for a, ap in zip(v.a, v.a_prime)
+    )
+
+
+def _word(axes) -> PauliOperator:
+    """alpha_i on qubit k and beta_j on qubit n+k for the k-th of n axis pairs (i, j)."""
+    n = len(axes)
+    x = z = 0
+    for k, (i, j) in enumerate(axes):
+        x |= _X_BITS[i] << k | _X_BITS[j] << (n + k)
+        z |= _Z_BITS[i] << k | _Z_BITS[j] << (n + k)
+    return PauliOperator(2 * n, x, z)
+
+
+@lru_cache(maxsize=1)
+def _pair_correlations() -> tuple[tuple[float, ...], ...]:
+    """<alpha_i beta_j> on one singlet, read off its tableau once."""
+    singlet = singlet_product_tableau(1)
+    return tuple(
+        tuple(tableau_expectation(singlet, _word([(i, j)])) for j in range(3)) for i in range(3)
+    )
 
 
 @lru_cache(maxsize=1)
@@ -94,38 +121,60 @@ def _pair_basis() -> tuple[tuple[np.ndarray, ...], ...]:
 
 
 def chsh_pair_operator(v: MeasurementVectors) -> np.ndarray:
-    """Dense 4x4 CHSH operator for one pair."""
+    """Dense 4x4 CHSH operator for one pair: the test oracle of `pair_expectation`."""
+    import numpy as np  # here, so that importing `chsh` does not load numpy
+
     coeff = _coefficients(v)
     basis = _pair_basis()
     out = np.zeros((4, 4), dtype=complex)
     for i in range(3):
         for j in range(3):
-            out += coeff[i, j] * basis[i][j]
+            out += coeff[i][j] * basis[i][j]
     if np.max(np.abs(out - out.conj().T)) > VTOL:
         raise AssertionError("CHSH pair operator is not Hermitian")
     return out
 
 
 def pair_expectation(v: MeasurementVectors) -> float:
-    """Singlet expectation of the pair operator, via the state simulator."""
-    return dense_expectation(singlet_product_state(1), chsh_pair_operator(v))
+    """Singlet expectation of the pair operator: the sum of c_ij <alpha_i beta_j>."""
+    coeff = _coefficients(v)
+    corr = _pair_correlations()
+    return sum(coeff[i][j] * corr[i][j] for i in range(3) for j in range(3))
 
 
 def quantum_value(n: int, v: MeasurementVectors, method: str = "factorized") -> float:
     """Expectation of the n-pair operator on n shared singlets.
 
-    "factorized" raises the simulated per-pair expectation to the n-th
-    power (any n >= 1); "dense" applies the pair operator to each (k, n+k)
-    qubit pair of the 2n-qubit singlet product state and takes the
-    overlap with that state (n <= 5).
+    "factorized" raises the per-pair expectation to the n-th power (any
+    n >= 1).  "tableau" expands the n-pair operator into its Pauli words,
+    up to 9^n of them (4^n for planar settings), and reads each word's
+    expectation off the 2n-qubit singlet tableau, so it does not assume
+    that the value factorizes (n <= 5).  "dense", the test oracle, applies
+    the pair operator to each (k, n+k) qubit pair of the 2n-qubit singlet
+    state vector and takes the overlap with that state (n <= 5).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if method == "factorized":
         return pair_expectation(v) ** n
+    if method == "tableau":
+        if n > MAX_DENSE_PAIRS:
+            raise ValueError(f"tableau path limited to n <= {MAX_DENSE_PAIRS}, got {n}")
+        coeff = _coefficients(v)
+        terms = [((i, j), coeff[i][j]) for i in range(3) for j in range(3) if coeff[i][j] != 0.0]
+        state = singlet_product_tableau(n)
+        total = 0.0
+        for combo in iter_product(terms, repeat=n):
+            weight = math.prod(c for _, c in combo)
+            total += weight * tableau_expectation(state, _word([axes for axes, _ in combo]))
+        return total
     if method == "dense":
         if n > MAX_DENSE_PAIRS:
             raise ValueError(f"dense path limited to n <= {MAX_DENSE_PAIRS}, got {n}")
+        import numpy as np
+
+        from .states import hermitian_overlap, singlet_product_state
+
         state = singlet_product_state(n)
         # One tensor axis per qubit, qubit 1 first; the pair operator's
         # axes are (out k, out n+k, in k, in n+k).
@@ -135,7 +184,7 @@ def quantum_value(n: int, v: MeasurementVectors, method: str = "factorized") -> 
             amp = np.tensordot(op, amp, axes=([2, 3], [k, n + k]))
             amp = np.moveaxis(amp, (0, 1), (k, n + k))
         return hermitian_overlap(state, amp.reshape(-1))
-    raise ValueError(f"method must be 'factorized' or 'dense', got {method!r}")
+    raise ValueError(f"method must be 'factorized', 'tableau' or 'dense', got {method!r}")
 
 
 def lhv_pair_values() -> list[int]:

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import random
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -206,7 +207,7 @@ def cmd_ghz(args) -> RunReport:
 
 
 def cmd_correlate(args) -> RunReport:
-    # Imported here, like numpy in `cmd_chsh`: the other commands never load numpy.
+    # Imported here: the other commands never load numpy.
     from .protocol import ExperimentConfig, run_experiment
 
     system = _system_for(args.n)
@@ -249,33 +250,34 @@ def cmd_correlate(args) -> RunReport:
 
 
 def cmd_chsh(args) -> RunReport:
-    import numpy as np
-
     from . import chsh as chsh_mod
 
     n = args.n
     if not 1 <= n <= chsh_mod.MAX_PAIRS:
         raise UsageError(f"--n must be in 1..{chsh_mod.MAX_PAIRS}, got {n}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     report = RunReport("chsh", {"n": n}, seed=args.seed)
     vectors = chsh_mod.optimal_vectors()
     target = (2.0 * math.sqrt(2.0)) ** n
     factorized = chsh_mod.quantum_value(n, vectors, method="factorized")
     report.check("quantum value (factorized)", factorized, target, tolerance=REL_TOL)
     if n <= chsh_mod.MAX_DENSE_PAIRS:
-        dense = chsh_mod.quantum_value(n, vectors, method="dense")
-        report.check("quantum value (dense)", dense, factorized, tolerance=REL_TOL)
+        tableau_value = chsh_mod.quantum_value(n, vectors, method="tableau")
+        report.check("quantum value (tableau)", tableau_value, factorized, tolerance=REL_TOL)
     bound = chsh_mod.lhv_max(n)
     report.check("local-realist bound", bound, 2.0 ** n)
     gap = chsh_mod.gap_report(n, vectors)
     report.check("ratio", gap.ratio, math.sqrt(2.0) ** n, tolerance=REL_TOL)
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     worst = 0.0
     for _ in range(200):
-        vs = rng.standard_normal((4, 3))
-        vs /= np.linalg.norm(vs, axis=1, keepdims=True)
-        value = chsh_mod.pair_expectation(
-            chsh_mod.MeasurementVectors(tuple(vs[0]), tuple(vs[1]), tuple(vs[2]), tuple(vs[3]))
-        )
+        vs = []
+        for _ in range(4):
+            g = [rng.gauss(0.0, 1.0) for _ in range(3)]
+            norm = math.sqrt(sum(x * x for x in g))
+            vs.append(tuple(x / norm for x in g))
+        value = chsh_mod.pair_expectation(chsh_mod.MeasurementVectors(*vs))
         worst = max(worst, abs(value))
     report.extras["random_sweep_max"] = worst
     report.check(
@@ -302,6 +304,25 @@ class UsageError(ValueError):
     pass
 
 
+def _to_devnull(stream) -> None:
+    """Point a stream whose reader closed the pipe at devnull, so the flush at exit cannot raise."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _error(message: str) -> None:
+    """Print the one `error:` line on stderr.
+
+    If stderr is a closed pipe the line is lost, but the exit status stays
+    2: exit 1 means that a verification failed.
+    """
+    try:
+        print(f"error: {message}", file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument errors end in one `error:` line and exit 2, like every other failure.
 
@@ -309,7 +330,7 @@ class _Parser(argparse.ArgumentParser):
     """
 
     def error(self, message: str):
-        print(f"error: {' '.join(message.split())}", file=sys.stderr)
+        _error(" ".join(message.split()))
         raise SystemExit(2)
 
 
@@ -377,21 +398,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = args.func(args)
     except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        _error(str(err))
         return 2
     except Exception as err:  # exit 1 is reserved for a failed verification
-        print(f"error: {type(err).__name__}: {' '.join(str(err).split())}", file=sys.stderr)
+        _error(f"{type(err).__name__}: {' '.join(str(err).split())}")
         return 2
     wall = time.perf_counter() - started
     try:
         print(report.to_json() if args.format == "json" else report.to_text(wall))
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader closed the pipe.  Point stdout at devnull, so that the
-        # flush at interpreter exit does not raise again; exit 2, because
-        # exit 1 means that a verification failed.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: standard output was closed before the report was written", file=sys.stderr)
+        _to_devnull(sys.stdout)
+        _error("standard output was closed before the report was written")
         return 2
     return 0 if report.passed else 1
 

@@ -218,10 +218,10 @@ def parse_pauli(text: str, num_qubits: int) -> PauliOperator:
     matches = list(re.finditer(r"\S+", text))
     if not matches:
         raise PauliSyntaxError("empty operator text", 0)
-    op = identity(num_qubits)
+    x = z = phase = 0
     start = 0
     if matches[0].group() in _LABEL_PHASE:
-        op = PauliOperator(num_qubits, 0, 0, _LABEL_PHASE[matches[0].group()])
+        phase = _LABEL_PHASE[matches[0].group()]
         start = 1
         if len(matches) == 1:
             raise PauliSyntaxError("phase prefix without operator tokens", matches[0].start())
@@ -240,5 +240,12 @@ def parse_pauli(text: str, num_qubits: int) -> PauliOperator:
             raise PauliSyntaxError(
                 f"qubit index {index} out of range 1..{num_qubits}", m.start()
             )
-        op = multiply(op, single(letter, index, num_qubits))
-    return op
+        # `multiply`'s phase rule, with the one-site word (bx, bz) as b.
+        bit = 1 << (index - 1)
+        bx = bit if letter in "XY" else 0
+        bz = bit if letter in "ZY" else 0
+        phase += (x & z).bit_count() + (bx & bz).bit_count() + 2 * (z & bx).bit_count()
+        x ^= bx
+        z ^= bz
+        phase -= (x & z).bit_count()
+    return PauliOperator(num_qubits, x, z, phase % 4)

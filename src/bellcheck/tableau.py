@@ -17,7 +17,8 @@ pass over a context serves every shot; the draws only evaluate the forms.
 Shared states use the block layout of `states`: for n pairs, the first
 observer holds qubits 1..n, the second n+1..2n, and qubit k is paired
 with n+k.  This module needs no floating-point arrays and imports no
-numpy, so `eigencheck` and `ghz`, which measure only here, never load it.
+numpy, so `eigencheck`, `ghz` and `chsh`, which measure only here, never
+load it.
 """
 
 from __future__ import annotations
@@ -66,6 +67,18 @@ def bell_product_tableau(n: int) -> StabilizerTableau:
     destabilizers = [PauliOperator(m, 0, 1 << k) for k in range(n)]
     destabilizers += [PauliOperator(m, 1 << (n + k), 0) for k in range(n)]
     return StabilizerTableau(m, tuple(stabilizers), tuple(destabilizers))
+
+
+@lru_cache(maxsize=16)
+def singlet_product_tableau(n: int) -> StabilizerTableau:
+    """The n-singlet product of `states.singlet_product_state` as a tableau.
+
+    The rows of `bell_product_tableau(n)`, with the stabilizers negated:
+    each singlet is the -1 eigenstate of X_k X_{n+k} and of Z_k Z_{n+k}.
+    """
+    bell = bell_product_tableau(n)
+    stabilizers = tuple(PauliOperator(s.num_qubits, s.x_mask, s.z_mask, 2) for s in bell.stabilizers)
+    return bell._replace(stabilizers=stabilizers)
 
 
 def ghz_tableau() -> StabilizerTableau:

@@ -26,6 +26,7 @@ TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
 Z_HAT = (0.0, 0.0, 1.0)
 X_HAT = (1.0, 0.0, 0.0)
+Y_HAT = (0.0, 1.0, 0.0)
 
 
 def singlet_correlations() -> np.ndarray:
@@ -90,11 +91,14 @@ class TestPairOperator:
 
     def test_matches_oracle_on_random_settings(self):
         rng = np.random.default_rng(13)
+        singlet = singlet_product_state(1)
         for _ in range(50):
             vs = rng.standard_normal((4, 3))
             vs /= np.linalg.norm(vs, axis=1, keepdims=True)
             v = MeasurementVectors(*(tuple(row) for row in vs))
             assert pair_expectation(v) == pytest.approx(oracle_expectation(v), abs=1e-12)
+            dense = dense_expectation(singlet, chsh_pair_operator(v))
+            assert pair_expectation(v) == pytest.approx(dense, abs=1e-12)
 
 
 class TestOptimalVectors:
@@ -139,8 +143,11 @@ class TestQuantumValue:
         aligned = MeasurementVectors(Z_HAT, Z_HAT, Z_HAT, Z_HAT)
         assert quantum_value(2, aligned) == pytest.approx(4.0, abs=1e-12)
         assert quantum_value(2, aligned, method="dense") == pytest.approx(4.0, abs=1e-10)
+        assert quantum_value(2, aligned, method="tableau") == 4.0
 
     def test_factorized_and_dense_agree_on_random_settings(self):
+        # The tableau path expands every pair into all nine Pauli terms,
+        # 9^n words, so it joins the comparison up to n = 3.
         rng = np.random.default_rng(29)
         cases = [(n, i) for n in (1, 2, 3) for i in range(16)] + [(4, 0), (4, 1)]
         for n, _ in cases:
@@ -150,6 +157,23 @@ class TestQuantumValue:
             fac = quantum_value(n, v)
             den = quantum_value(n, v, method="dense")
             assert abs(fac - den) <= 1e-9 * max(1.0, abs(fac))
+            if n <= 3:
+                tab = quantum_value(n, v, method="tableau")
+                assert abs(tab - den) <= 1e-9 * max(1.0, abs(fac))
+
+    @pytest.mark.parametrize("n", range(1, MAX_DENSE_PAIRS + 1))
+    def test_three_methods_agree_on_aligned_settings(self, n):
+        settings = [
+            optimal_vectors(),
+            MeasurementVectors(Z_HAT, X_HAT, Z_HAT, X_HAT),
+            MeasurementVectors(X_HAT, Y_HAT, Y_HAT, X_HAT),
+            planar_vectors(0.0, 90.0, 45.0, -45.0),
+        ]
+        for v in settings:
+            fac = quantum_value(n, v)
+            for method in ("tableau", "dense"):
+                value = quantum_value(n, v, method=method)
+                assert abs(value - fac) <= 1e-9 * max(1.0, abs(fac)), method
 
     def test_multiplicative_over_product_states(self):
         rng = np.random.default_rng(37)
@@ -166,6 +190,8 @@ class TestQuantumValue:
             quantum_value(0, v)
         with pytest.raises(ValueError, match="dense path"):
             quantum_value(MAX_DENSE_PAIRS + 1, v, method="dense")
+        with pytest.raises(ValueError, match="tableau path"):
+            quantum_value(MAX_DENSE_PAIRS + 1, v, method="tableau")
         with pytest.raises(ValueError, match="method"):
             quantum_value(1, v, method="exact")
 

@@ -313,7 +313,7 @@ class TestChsh:
         payload = json.loads(out)
         names = [c["name"] for c in payload["checks"]]
         assert "quantum value (factorized)" in names
-        assert "quantum value (dense)" in names
+        assert "quantum value (tableau)" in names
         assert payload["passed"] is True
 
     def test_large_n_skips_dense(self, capsys):
@@ -321,7 +321,7 @@ class TestChsh:
         assert code == 0
         payload = json.loads(out)
         names = [c["name"] for c in payload["checks"]]
-        assert "quantum value (dense)" not in names
+        assert "quantum value (tableau)" not in names
 
     @pytest.mark.parametrize("n", ["0", "683", "1100"])
     def test_out_of_range_n_exits_two(self, capsys, n):
@@ -329,6 +329,10 @@ class TestChsh:
         assert code == 2
         assert out == ""
         assert err == f"error: --n must be in 1..682, got {n}\n"
+
+    def test_negative_seed_exits_two_with_one_line(self, capsys):
+        code, out, err = run(capsys, ["chsh", "--n", "1", "--seed", "-1", "--format", "json"])
+        assert (code, out, err) == (2, "", "error: --seed must be >= 0, got -1\n")
 
     def test_largest_n_passes(self, capsys):
         code, out, _ = run(capsys, ["chsh", "--n", "682", "--format", "json"])
@@ -434,6 +438,8 @@ class TestStartup:
             ["eigencheck", "--n", "13"],
             ["ghz", "--grouping", "tripartite"],
             ["ghz", "--grouping", "bipartite"],
+            ["chsh", "--n", "5", "--seed", "7"],
+            ["chsh", "--n", "682"],
         ],
         ids=" ".join,
     )
@@ -442,18 +448,36 @@ class TestStartup:
         write_readme_obs(tmp_path)
         assert fresh_main(argv, "numpy", cwd=tmp_path) == "0 False"
 
-    def test_closed_stdout_exits_two_without_traceback(self):
+    @staticmethod
+    def run_into_closed_pipe(argv, *streams):
+        """Run the CLI with each of `streams` ("stdout", "stderr") on a pipe with no reader."""
         read_end, write_end = os.pipe()
-        os.close(read_end)  # so the report meets a pipe with no reader
+        os.close(read_end)
+        pipes = {name: write_end if name in streams else subprocess.PIPE for name in ("stdout", "stderr")}
         try:
-            result = subprocess.run(
-                [sys.executable, "-m", "bellcheck", "verify", "sets", "--n", "13", "--format", "json"],
-                stdout=write_end, stderr=subprocess.PIPE, text=True, env=fresh_env(), timeout=120,
+            return subprocess.run(
+                [sys.executable, "-m", "bellcheck", *argv],
+                **pipes, text=True, env=fresh_env(), timeout=120,
             )
         finally:
             os.close(write_end)
+
+    def test_closed_stdout_exits_two_without_traceback(self):
+        argv = ["verify", "sets", "--n", "13", "--format", "json"]
+        result = self.run_into_closed_pipe(argv, "stdout")
         assert result.returncode == 2
         assert result.stderr == "error: standard output was closed before the report was written\n"
+
+    def test_closed_stdout_and_stderr_exit_two(self):
+        # The `error:` line itself meets the closed pipe; it is lost, the exit status is not.
+        for fmt in ("json", "text"):
+            argv = ["verify", "sets", "--n", "13", "--format", fmt]
+            assert self.run_into_closed_pipe(argv, "stdout", "stderr").returncode == 2
+
+    @pytest.mark.parametrize("argv", [["verify", "sets", "--n", "4"], ["verify", "sets"]], ids=" ".join)
+    def test_usage_error_with_closed_stderr_exits_two(self, argv):
+        result = self.run_into_closed_pipe(argv, "stderr")
+        assert (result.returncode, result.stdout) == (2, "")
 
 
 # The package namespace before it became lazy: submodule -> names.  Each must

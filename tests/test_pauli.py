@@ -36,6 +36,19 @@ def pauli_pairs(draw, max_qubits=5):
 
 single_paulis = pauli_pairs().map(lambda pair: pair[0])
 
+PHASE_PREFIXES = {"": 0, "+": 0, "i": 1, "-": 2, "-i": 3}
+
+
+@st.composite
+def token_texts(draw, max_qubits=4):
+    """(n, phase prefix, tokens): LETTER+INDEX tokens, or a bare "I" with index ""."""
+    n = draw(st.integers(1, max_qubits))
+    token = st.one_of(
+        st.tuples(st.sampled_from("IXYZ"), st.integers(1, n)), st.just(("I", ""))
+    )
+    tokens = draw(st.lists(token, min_size=1, max_size=8))
+    return n, draw(st.sampled_from(sorted(PHASE_PREFIXES))), tokens
+
 
 class TestParse:
     def test_basic_tokens(self):
@@ -69,6 +82,18 @@ class TestParse:
         assert op == PauliOperator(1, 1, 1, 3)  # -i Y
         op = parse_pauli("Z1 X1", 1)
         assert op == PauliOperator(1, 1, 1, 1)  # +i Y
+
+    @given(token_texts())
+    def test_matches_left_fold_of_single_letters(self, case):
+        # The definition: the prefix's phase, times each token's one-letter
+        # word in turn; a bare "I" is the identity.
+        n, prefix, tokens = case
+        expected = PauliOperator(n, 0, 0, PHASE_PREFIXES[prefix])
+        for letter, index in tokens:
+            if index != "":
+                expected = multiply(expected, single(letter, index, n))
+        text = " ".join([prefix, *(f"{letter}{index}" for letter, index in tokens)])
+        assert parse_pauli(text, n) == expected
 
     def test_phase_prefix(self):
         assert parse_pauli("-i Y1", 1) == PauliOperator(1, 1, 1, 3)

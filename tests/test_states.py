@@ -27,6 +27,7 @@ from bellcheck.tableau import (
     compile_context,
     embed,
     ghz_tableau,
+    singlet_product_tableau,
     tableau_expectation,
 )
 
@@ -348,16 +349,32 @@ class TestTableau:
         for s in tableau.stabilizers:
             assert expectation(state, s) == pytest.approx(1.0, abs=1e-12)
 
-    def test_ghz_tableau_matches_dense_on_every_hermitian_word(self):
-        tableau = ghz_tableau()
-        self.assert_relations(tableau)
-        state = ghz_state()
-        words = [PauliOperator(3, x, z, phase) for x in range(8) for z in range(8) for phase in (0, 2)]
-        assert len(words) == 128
+    @staticmethod
+    def assert_matches_dense_on_every_hermitian_word(tableau, state):
+        m = tableau.num_qubits
+        words = [
+            PauliOperator(m, x, z, phase)
+            for x in range(1 << m)
+            for z in range(1 << m)
+            for phase in (0, 2)
+        ]
+        assert len(words) == 2 * 4**m
         for op in words:
             value = tableau_expectation(tableau, op)
             assert value in (-1.0, 0.0, 1.0)
             assert value == pytest.approx(expectation(state, op), abs=1e-12)
+
+    def test_ghz_tableau_matches_dense_on_every_hermitian_word(self):
+        tableau = ghz_tableau()
+        self.assert_relations(tableau)
+        self.assert_matches_dense_on_every_hermitian_word(tableau, ghz_state())
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_singlet_tableau_matches_dense_on_every_hermitian_word(self, n):
+        tableau = singlet_product_tableau(n)
+        assert tableau is singlet_product_tableau(n)
+        self.assert_relations(tableau)
+        self.assert_matches_dense_on_every_hermitian_word(tableau, singlet_product_state(n))
 
     def test_bell_tableau_is_shared(self):
         assert bell_product_tableau(4) is bell_product_tableau(4)
