@@ -157,9 +157,9 @@ def quantum_value(n: int, v: MeasurementVectors, method: str = "factorized") -> 
         raise ValueError(f"n must be >= 1, got {n}")
     if method == "factorized":
         return pair_expectation(v) ** n
+    if method in ("tableau", "dense") and n > MAX_DENSE_PAIRS:
+        raise ValueError(f"{method} path limited to n <= {MAX_DENSE_PAIRS}, got {n}")
     if method == "tableau":
-        if n > MAX_DENSE_PAIRS:
-            raise ValueError(f"tableau path limited to n <= {MAX_DENSE_PAIRS}, got {n}")
         coeff = _coefficients(v)
         terms = [((i, j), coeff[i][j]) for i in range(3) for j in range(3) if coeff[i][j] != 0.0]
         state = singlet_product_tableau(n)
@@ -169,8 +169,6 @@ def quantum_value(n: int, v: MeasurementVectors, method: str = "factorized") -> 
             total += weight * tableau_expectation(state, _word([axes for axes, _ in combo]))
         return total
     if method == "dense":
-        if n > MAX_DENSE_PAIRS:
-            raise ValueError(f"dense path limited to n <= {MAX_DENSE_PAIRS}, got {n}")
         import numpy as np
 
         from .states import hermitian_overlap, singlet_product_state

@@ -9,12 +9,12 @@ self-validates its structural properties before returning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 from .parity import ParityRow, ParitySystem
-from .pauli import PauliOperator, commutes, format_pauli, identity, multiply, parse_pauli, single
+from .pauli import PauliOperator, commutes, format_pauli, parse_pauli, product, single
 
 
 # The n for which `generalized_sets` builds a family: odd, 3..13.
@@ -73,9 +73,7 @@ def product_sign(context: Context) -> int:
     Raises ConstructionError if the product is not +-identity (which can
     only happen for a malformed context).
     """
-    acc = identity(context.observables[0].num_qubits)
-    for obs in context.observables:
-        acc = multiply(acc, obs)
+    acc = product(context.observables)
     if not acc.is_identity_word or acc.phase_exponent not in (0, 2):
         raise ConstructionError(
             f"context product is not +-identity: {format_pauli(acc)}"
@@ -133,9 +131,7 @@ class ContextCheck:
 @dataclass(frozen=True)
 class ValidationReport:
     checks: tuple[ContextCheck, ...]
-    catalog_labels: tuple[str, ...]
-    occurrence_counts: tuple[int, ...]
-    failures: tuple[int, ...] = field(default=())
+    failures: tuple[int, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -145,8 +141,7 @@ class ValidationReport:
 def validate(system: ContextSystem) -> ValidationReport:
     """Check Hermiticity, pairwise commutation and product sign of every context.
 
-    The report carries a per-context verdict plus catalog occurrence
-    counts; it never raises on a mismatch.
+    The report carries a per-context verdict; it never raises on a mismatch.
     """
     checks = []
     failures = []
@@ -162,12 +157,7 @@ def validate(system: ContextSystem) -> ValidationReport:
         checks.append(check)
         if not check.ok:
             failures.append(idx)
-    return ValidationReport(
-        checks=tuple(checks),
-        catalog_labels=tuple(format_pauli(o) for o in system.catalog),
-        occurrence_counts=system.occurrence_counts,
-        failures=tuple(failures),
-    )
+    return ValidationReport(checks=tuple(checks), failures=tuple(failures))
 
 
 def _validated(system: ContextSystem, what: str) -> ContextSystem:
@@ -215,26 +205,16 @@ def generalized_sets(n: int) -> ContextSystem:
     def wrap(i: int) -> int:
         return (i - 1) % n + 1
 
-    triples = []
-    for i in range(1, n + 1):
-        t = single("X", i, n)
-        t = multiply(t, single("Z", wrap(i + 1), n))
-        t = multiply(t, single("X", wrap(i + 2), n))
-        triples.append(t)
-    all_z = identity(n)
-    for i in range(1, n + 1):
-        all_z = multiply(all_z, single("Z", i, n))
-
-    contexts = [Context(tuple(triples) + (all_z,), -1)]
-    for i in range(1, n + 1):
-        members = (
-            single("X", i, n),
-            single("Z", wrap(i + 1), n),
-            single("X", wrap(i + 2), n),
-            triples[i - 1],
-        )
-        contexts.append(Context(members, +1))
+    factors = [
+        (single("X", i, n), single("Z", wrap(i + 1), n), single("X", wrap(i + 2), n))
+        for i in range(1, n + 1)
+    ]
+    triples = tuple(product(f) for f in factors)
     singles_z = tuple(single("Z", i, n) for i in range(1, n + 1))
+    all_z = product(singles_z)
+
+    contexts = [Context(triples + (all_z,), -1)]
+    contexts.extend(Context(f + (t,), +1) for f, t in zip(factors, triples))
     contexts.append(Context(singles_z + (all_z,), +1))
 
     system = _validated(ContextSystem(n, tuple(contexts)), f"generalized_sets({n})")

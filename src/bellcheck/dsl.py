@@ -2,7 +2,7 @@
 
 Grammar, one directive per line:
 
-    qubits N                          # register size, required, once
+    qubits N                          # register size 1..4096, required, once
     set OBS, OBS, ... [= +1|-1]       # one context; sign defaults to +1
 
 Each OBS is a whitespace-separated Pauli token list ("X1 Z2"), `#`
@@ -15,6 +15,10 @@ from __future__ import annotations
 
 from .constructions import Context, ContextSystem
 from .pauli import PauliSyntaxError, format_pauli, parse_pauli
+
+# The largest register a file may declare, checked before any word is
+# built: it caps each word's two masks at 1 KiB.
+MAX_QUBITS = 4096
 
 
 class DslSyntaxError(ValueError):
@@ -49,9 +53,14 @@ def parse_document(text: str) -> ContextSystem:
                     indent + 1,
                 )
             arg = rest.strip()
-            if not arg.isdigit() or int(arg) < 1:
+            if not (arg.isascii() and arg.isdigit()) or not arg.strip("0"):
                 raise DslSyntaxError(
                     f"qubits needs a positive integer, got {arg!r}", lineno, indent + 1
+                )
+            # Length first: int() refuses a text of more than 4300 digits.
+            if len(arg.lstrip("0")) > len(str(MAX_QUBITS)) or int(arg) > MAX_QUBITS:
+                raise DslSyntaxError(
+                    f"qubits must be at most {MAX_QUBITS}, got {arg}", lineno, indent + 1
                 )
             declared = int(arg)
             declared_line = lineno

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -126,6 +127,11 @@ def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
         + 2 * (a.z_mask & b.x_mask).bit_count()
     )
     return PauliOperator(a.num_qubits, x, z, phase % 4)
+
+
+def product(words) -> PauliOperator:
+    """The left-to-right product of one or more words."""
+    return reduce(multiply, words)
 
 
 def commutes(a: PauliOperator, b: PauliOperator) -> bool:

@@ -20,7 +20,7 @@ exactly; the summary statistics quantify how both degrade otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import xor
 
@@ -191,9 +191,9 @@ class ExperimentSummary:
     bob_mode: str
     noise: tuple[float, float]
     efficiency: float
-    equal_rounds: int = 0
-    comparable_rounds: int = 0
-    shared_counts: dict[str, dict[int, int]] = field(default_factory=dict)
+    equal_rounds: int
+    comparable_rounds: int
+    shared_counts: dict[str, dict[int, int]]
 
 
 def default_schedule(system: ContextSystem) -> tuple[tuple[int, int], ...]:
@@ -254,17 +254,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
             codes = _codes(stats, flip_p, draws, config.efficiency)
             counts[ctx_id] += np.bincount(codes, minlength=256)
 
-    if config.shots == 0:
-        return ExperimentSummary(
-            shots=0,
-            equality_rate=None,
-            product_pass_rates={},
-            conclusive_fraction=None,
-            seed=config.seed,
-            bob_mode=config.bob_mode,
-            noise=(p_alice, p_bob),
-            efficiency=float(config.efficiency),
-        )
     bit = (np.arange(256)[:, None] >> np.arange(8)) & 1
     per_code = counts.sum(axis=0)
     kept_a, kept_b = 1 - bit[:, LOST_A], 1 - bit[:, LOST_B]
@@ -285,7 +274,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
         shots=config.shots,
         equality_rate=(equal / comparable) if comparable else None,
         product_pass_rates=rates,
-        conclusive_fraction=comparable / config.shots,
+        conclusive_fraction=comparable / config.shots if config.shots else None,
         seed=config.seed,
         bob_mode=config.bob_mode,
         noise=(p_alice, p_bob),

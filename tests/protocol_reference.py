@@ -157,23 +157,16 @@ def reference_experiment(config, backend="tableau"):
             totals[ctx_id] = totals.get(ctx_id, 0) + 1
             if int(np.prod(outcomes)) == config.system.contexts[ctx_id].expected_sign:
                 passes[ctx_id] = passes.get(ctx_id, 0) + 1
-    common = dict(
-        seed=config.seed,
-        bob_mode=config.bob_mode,
-        noise=(p_alice, p_bob),
-        efficiency=float(config.efficiency),
-    )
-    if config.shots == 0:
-        return ExperimentSummary(
-            shots=0, equality_rate=None, product_pass_rates={}, conclusive_fraction=None, **common
-        )
     return ExperimentSummary(
         shots=config.shots,
         equality_rate=equal / comparable if comparable else None,
         product_pass_rates={ci: passes.get(ci, 0) / t for ci, t in sorted(totals.items())},
-        conclusive_fraction=comparable / config.shots,
+        conclusive_fraction=comparable / config.shots if config.shots else None,
+        seed=config.seed,
+        bob_mode=config.bob_mode,
+        noise=(p_alice, p_bob),
+        efficiency=float(config.efficiency),
         equal_rounds=equal,
         comparable_rounds=comparable,
         shared_counts=shared_counts,
-        **common,
     )

@@ -184,6 +184,28 @@ class TestBksSolve:
         assert out == ""
         assert err == f"error: {path}: {problem}\n"
 
+    @pytest.mark.parametrize(
+        "qubits,message",
+        [
+            ("4097", "qubits must be at most 4096, got 4097"),
+            ("1000000000000000000", "qubits must be at most 4096, got 1000000000000000000"),
+            ("\u00b2", "qubits needs a positive integer, got '\u00b2'"),
+            ("\u0663", "qubits needs a positive integer, got '\u0663'"),
+        ],
+    )
+    def test_refused_register_exits_two_with_one_line(self, capsys, tmp_path, qubits, message):
+        path = tmp_path / "big.obs"
+        path.write_text(f"qubits {qubits}\nset Z1, Z2, Z1 Z2\n", encoding="utf-8")
+        code, out, err = run(capsys, ["bks", "solve", "--file", str(path), "--format", "json"])
+        assert (code, out, err) == (2, "", f"error: line 1, column 1: {message}\n")
+
+    def test_largest_register_solves(self, capsys, tmp_path):
+        path = tmp_path / "wide.obs"
+        path.write_text("qubits 4096\nset Z4096, Z1, Z1 Z4096\n")
+        code, out, _ = run(capsys, ["bks", "solve", "--file", str(path), "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["result"] == "SAT"
+
     def test_malformed_file_exits_two(self, capsys, tmp_path):
         path = tmp_path / "bad.obs"
         path.write_text("qubits 2\nset X9\n")

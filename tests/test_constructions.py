@@ -80,10 +80,9 @@ class TestGeneralizedSets:
 
     def test_validation_n7(self):
         system = generalized_sets(7)
-        report = validate(system)
-        assert report.ok
-        assert len(report.catalog_labels) == 22
-        assert set(report.occurrence_counts) == {2}
+        assert validate(system).ok
+        assert len(system.catalog) == 22
+        assert set(system.occurrence_counts) == {2}
 
     @pytest.mark.parametrize("n", [5, 7])
     def test_all_context_products_against_dense_oracle(self, n):

@@ -3,7 +3,7 @@
 import pytest
 
 from bellcheck.constructions import Context, ContextSystem, generalized_sets, mermin_square
-from bellcheck.dsl import DslSyntaxError, parse_document, serialize
+from bellcheck.dsl import MAX_QUBITS, DslSyntaxError, parse_document, serialize
 from bellcheck.pauli import PauliOperator
 
 
@@ -68,6 +68,22 @@ class TestErrors:
     def test_bad_qubits_argument(self):
         with pytest.raises(DslSyntaxError, match="positive integer"):
             parse_document("qubits zero\n")
+
+    @pytest.mark.parametrize("arg", ["\u00b2", "\u0663", "0", "000", "-3", "+3", "3.0"])
+    def test_qubits_takes_ascii_digits_only(self, arg):
+        with pytest.raises(DslSyntaxError, match="positive integer") as exc:
+            parse_document(f"qubits {arg}\n")
+        assert (exc.value.line, exc.value.column) == (1, 1)
+
+    @pytest.mark.parametrize("arg", [str(MAX_QUBITS + 1), "1" + "0" * 18, "9" * 5000])
+    def test_qubits_above_the_limit(self, arg):
+        # 5000 digits is past int()'s 4300-digit limit: still a positioned error.
+        with pytest.raises(DslSyntaxError, match=f"at most {MAX_QUBITS}") as exc:
+            parse_document(f"# header\n  qubits {arg}\n")
+        assert (exc.value.line, exc.value.column) == (2, 3)
+
+    def test_qubits_at_the_limit(self):
+        assert parse_document(f"qubits 0{MAX_QUBITS}\n").num_qubits == MAX_QUBITS
 
     def test_first_error_in_the_text_is_reported(self):
         # The malformed token on line 2 comes before the bad directive on line 3.

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from conftest import dense_oracle, random_pauli
 from bellcheck.pauli import (
@@ -13,6 +13,7 @@ from bellcheck.pauli import (
     identity,
     multiply,
     parse_pauli,
+    product,
     relabel,
     single,
     to_dense,
@@ -146,6 +147,46 @@ class TestMultiply:
         squared = multiply(op, op)
         assert squared.x_mask == 0 and squared.z_mask == 0
         assert squared.phase_exponent in (0, 2)
+
+
+@st.composite
+def anticommuting_words(draw, max_qubits=4):
+    """2..5 words on one register with an odd number of anticommuting pairs.
+
+    Reversing such a list negates its product, so the order of the fold shows.
+    """
+    n = draw(st.integers(1, max_qubits))
+    word = st.builds(
+        PauliOperator,
+        st.just(n),
+        st.integers(0, (1 << n) - 1),
+        st.integers(0, (1 << n) - 1),
+        st.integers(0, 3),
+    )
+    words = draw(st.lists(word, min_size=2, max_size=5))
+    pairs = [(a, b) for i, a in enumerate(words) for b in words[i + 1 :]]
+    assume(sum(not commutes(a, b) for a, b in pairs) % 2 == 1)
+    return words
+
+
+class TestProduct:
+    def test_single_word_and_order(self):
+        x, z = single("X", 1, 1), single("Z", 1, 1)
+        assert product([x]) == x
+        assert product([x, z]) == PauliOperator(1, 1, 1, 3)  # XZ = -iY
+        assert product([z, x]) == PauliOperator(1, 1, 1, 1)  # ZX = iY
+
+    @given(anticommuting_words())
+    def test_is_the_left_fold_of_multiply(self, words):
+        acc = words[0]
+        for word in words[1:]:
+            acc = multiply(acc, word)
+        assert product(words) == acc
+        assert product(words) != product(words[::-1])
+        matrix = dense_oracle(words[0])
+        for word in words[1:]:
+            matrix = matrix @ dense_oracle(word)
+        assert np.array_equal(dense_oracle(product(words)), matrix)
 
 
 class TestCommutes:

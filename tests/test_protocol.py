@@ -117,11 +117,16 @@ class TestRunExperiment:
         assert a != b
 
     def test_zero_shots_reports_undefined_markers(self):
-        summary = run_experiment(ExperimentConfig(n=2, system=mermin_square(), shots=0))
-        assert summary.shots == 0
-        assert summary.equality_rate is None
-        assert summary.conclusive_fraction is None
-        assert summary.product_pass_rates == {}
+        for mode in ("alone", "in_context"):
+            config = ExperimentConfig(n=2, system=mermin_square(), shots=0, bob_mode=mode)
+            summary = run_experiment(config)
+            assert summary.shots == 0
+            assert summary.equality_rate is None
+            assert summary.conclusive_fraction is None
+            assert summary.product_pass_rates == {}
+            assert summary.equal_rounds == summary.comparable_rounds == 0
+            assert summary.shared_counts == {"alice": {1: 0, -1: 0}, "bob": {1: 0, -1: 0}}
+            assert summary == reference_experiment(config)
 
     def test_default_schedule_covers_all_pairs(self):
         system = mermin_square()
