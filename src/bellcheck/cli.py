@@ -204,7 +204,8 @@ def cmd_ghz(args) -> RunReport:
 
 
 def cmd_correlate(args) -> RunReport:
-    # Imported here: the other commands never load numpy.
+    # Imported here, so the other commands never load the sampler.  It
+    # imports numpy only for runs above its draw budget (`protocol`).
     from .protocol import ExperimentConfig, run_experiment
 
     system = _system_for(args.n)

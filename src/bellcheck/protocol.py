@@ -8,10 +8,15 @@ Recorded outcomes are independently flipped with probability `noise` and
 erased (inconclusive) with probability 1 - `efficiency`.
 
 A round is compiled once into GF(2) affine forms, one per outcome
-(`tableau.compile_context`), and from them into one linear map from a
-shot's recorded bits to the bits its statistics need.  An experiment
-then samples its shots in blocks with numpy, each shot reading its own
-stream, and counts the shots of each outcome pattern.
+(`tableau.compile_context`), and from them into the record bits that
+each of its eight statistics combines.  An experiment then reads each
+shot's own stream and evaluates the statistics bit-sliced: for each
+schedule entry, record bit r of all its shots is one Python int (a
+bit-plane), so a statistic is a few int XORs or ORs and the summary is
+popcounts.  A run that reads at most `_PURE_BLOCKS` Philox blocks takes
+its words from `rng.shot_words` in plain Python and never imports numpy;
+a larger run draws blocks of shots with the numpy kernel
+`rng.shot_draws` and packs the same planes with `np.packbits`.
 
 With no noise and unit efficiency the shared outcomes agree on every
 round and every fully-recorded context satisfies its product constraint
@@ -22,23 +27,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import xor
-
-import numpy as np
+from operator import or_, xor
 
 from .constructions import ContextSystem
 from .pauli import format_pauli
-from .rng import check_key, shot_draws
+from .rng import check_key, shot_draws, shot_words
 from .tableau import bell_product_tableau, compile_context, embed
 
 MODES = ("alone", "in_context")
 # Shots sampled together: memory is O(BLOCK_SHOTS x words), not O(shots).
 BLOCK_SHOTS = 4096
-# The bits of a shot's code, one per column of a round's statistics map:
-# Alice's and Bob's shared outcome erased, their recorded values, and
-# Alice's and Bob's context failing its product and erased in part.
-LOST_A, LOST_B, VALUE_A, VALUE_B, FAIL_A, FAIL_B, PARTIAL_A, PARTIAL_B = range(8)
-_CODE_WEIGHTS = 1 << np.arange(8)
+# Runs that read at most this many Philox blocks compute them in plain
+# Python (`rng.shot_words`) and never import numpy.  On a 2-core Xeon VM
+# that path costs 9-16 us per block all in (the Philox alone about 8),
+# against 83-131 ms for `import numpy` (234 ms on a slower host), so the
+# two break even near 8,000 blocks: a `correlate --n 2 --shots 8000`
+# child, 8,000 blocks per run, took 379 ms plain and 388 ms with numpy.
+_PURE_BLOCKS = 8192
+# Byte 0 or 1 to the digit "0" or "1", for `_plane`.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _noise_pair(noise) -> tuple[float, float]:
@@ -52,27 +59,19 @@ def _noise_pair(noise) -> tuple[float, float]:
     return float(p_alice), float(p_bob)
 
 
-def form_matrix(forms, width: int) -> np.ndarray:
-    """Affine forms over `width` coins as a uint8 matrix: bit i of form j at [i, j]."""
-    size = width // 8 + 1
-    packed = np.frombuffer(b"".join(form.to_bytes(size, "little") for form in forms), np.uint8)
-    bits = np.unpackbits(packed.reshape(len(forms), size), axis=1, count=width + 1, bitorder="little")
-    return bits.T
-
-
 def _compile_round(
     config: ExperimentConfig, alice_context_id: int, shared_observable_id: int, blocks: dict
 ) -> tuple:
-    """Check one schedule entry and compile its round into a statistics map.
+    """Check one schedule entry and compile its round into statistics columns.
 
     Runs the checks of the entry itself (`run_experiment` has checked the
     rest) before compiling it, so a bad entry raises before any draw.
     `blocks` holds the symbolic measurement of each context's Alice block
     (and of Bob's copy of the context in "in_context" mode), shared by
     every entry that reaches it.
-    Returns (statistics map, flip probability per outcome, context id,
+    Returns (statistics columns, flip probability per outcome, context id,
     word draws up to the last fair coin's); the outcomes are Alice's
-    words, then Bob's (see `_stats_map`).
+    words, then Bob's (see `_columns`).
     """
     n, system, bob_mode = config.n, config.system, config.bob_mode
     if not 0 <= alice_context_id < len(system.contexts):
@@ -107,66 +106,117 @@ def _compile_round(
         bob_forms = blocks[key] = compile_context(tableau, words, signs, len(alice_forms))[0]
     split = len(alice_forms)
     forms = alice_forms + bob_forms
-    stats = _stats_map(
+    columns = _columns(
         forms, split, (shared_pos, split + bob_shared_pos), context.expected_sign, bob_mode
     )
     p_alice, p_bob = _noise_pair(config.noise)
-    flip_p = np.repeat(np.float64([p_alice, p_bob]), [split, len(forms) - split])
+    flip_p = (p_alice,) * split + (p_bob,) * (len(forms) - split)
     # Coin j is bit j + 1 of a form; forced words' draws are never read.
     coin_draws = max(max(form.bit_length() for form in forms) - 1, 0)
-    return stats, flip_p, alice_context_id, coin_draws
+    return columns, flip_p, alice_context_id, coin_draws
 
 
-def _stats_map(forms, split: int, shared: tuple[int, int], expected_sign: int, bob_mode: str):
-    """The statistics of a compiled round as one float32 matrix.
+def _columns(forms, split: int, shared: tuple[int, int], expected_sign: int, bob_mode: str):
+    """The statistics of a compiled round, each as the record bits it combines.
 
     A shot's record is 1, the coin of each word (draw >= 1/2), then per
-    outcome a flip bit and an erasure bit, in the order of its draws.
-    Record @ map has one column per code bit: taken mod 2 for LOST_A
-    through FAIL_B, each a GF(2) sum of record bits, and capped at 1 for
-    the PARTIAL columns, each a count of erasures.  A context fails when
-    the XOR of its recorded outcomes differs from its expected product.
+    outcome a flip bit and an erasure bit, in the order of its draws, so
+    bit r of a form is record bit r.  Returns eight tuples of record bit
+    indices: Alice's and Bob's shared outcome erased, their recorded
+    values, and their contexts failing the product, each the XOR of its
+    bits; then their contexts erased in part, each the OR of its bits.  A
+    context fails when the XOR of its recorded outcomes differs from its
+    expected product.
     """
     width = len(forms)
     contexts = (range(split), range(split, width))
     product = int(expected_sign == -1)
     fails = [reduce(xor, (forms[j] for j in cols), product) for cols in contexts]
-    # In "alone" mode Bob measures no context: a constant 1 marks it partial.
-    never_full = int(bob_mode != "in_context")
-    stats = np.zeros((1 + 3 * width, 8), dtype=np.float32)
-    stats[: width + 1] = form_matrix(
-        [0, 0, forms[shared[0]], forms[shared[1]], *fails, 0, never_full], width
-    )
-    flip = 1 + width + 2 * np.arange(width)  # each erasure bit follows its flip bit
-    for j, lost_col, value_col in zip(shared, (LOST_A, LOST_B), (VALUE_A, VALUE_B)):
-        stats[flip[j], value_col] = 1
-        stats[flip[j] + 1, lost_col] = 1
-    for cols, fail_col, partial_col in zip(contexts, (FAIL_A, FAIL_B), (PARTIAL_A, PARTIAL_B)):
-        stats[flip[cols], fail_col] = 1
-        stats[flip[cols] + 1, partial_col] = 1
-    return stats
+    flip = [1 + width + 2 * j for j in range(width)]  # each erasure bit follows its flip bit
+    lost = [(flip[j] + 1,) for j in shared]
+    values = [(*_bits(forms[j]), flip[j]) for j in shared]
+    failing = [(*_bits(form), *(flip[j] for j in cols)) for form, cols in zip(fails, contexts)]
+    partial = [tuple(flip[j] + 1 for j in cols) for cols in contexts]
+    if bob_mode != "in_context":
+        partial[1] = (0, *partial[1])  # Bob measures no context: the constant 1 marks it partial
+    return (*lost, *values, *failing, *partial)
 
 
-def _codes(stats, flip_p, draws: np.ndarray, efficiency: float) -> np.ndarray:
-    """One code per shot: bit c is column c of its record times `stats`.
+def _bits(form: int) -> tuple[int, ...]:
+    """The set bits of an affine form, which are its record bits."""
+    return tuple(r for r in range(form.bit_length()) if form >> r & 1)
 
-    Row i of `draws` is shot i's stream: one draw per word, then a flip
-    draw and an erasure draw per outcome, Alice's outcomes first.  A row
-    of word draws alone stands for no noise and unit efficiency: then
-    `draw < 0.0` and `draw >= 1.0` never hold, so no flip or erasure
-    draw is read, and the row may end at the last fair coin's draw.
+
+def _word_planes(seed: int, shots: range, k: int, flip_p: tuple, efficiency: float) -> list[int]:
+    """The record planes of `shots`, each reading the first k words of its stream.
+
+    Bit i of plane r is record bit r of shot shots[i].  A shot's words are
+    one per outcome, then a flip word and an erasure word per outcome,
+    Alice's outcomes first; word x is the draw (x >> 11) * 2**-53, so a
+    coin is x >> 63.  With k at most the number of outcomes (no noise,
+    unit efficiency) only coins are recorded, and the planes stop there.
     """
     width = len(flip_p)
-    record = np.empty((len(draws), 1 + draws.shape[1]), dtype=np.float32)
-    record[:, 0] = 1
-    np.greater_equal(draws[:, :width], 0.5, out=record[:, 1 : width + 1])
-    if draws.shape[1] > width:
-        np.less(draws[:, width::2], flip_p, out=record[:, width + 1 :: 2])
-        np.greater_equal(draws[:, width + 1 :: 2], efficiency, out=record[:, width + 2 :: 2])
-    bits = (record @ stats[: record.shape[1]]).astype(np.intp)
-    bits[:, :PARTIAL_A] &= 1
-    np.minimum(bits[:, PARTIAL_A:], 1, out=bits[:, PARTIAL_A:])
-    return bits @ _CODE_WEIGHTS
+    columns = list(zip(*shot_words(seed, shots, k)))  # column j: word j of every shot
+    planes = [(1 << len(shots)) - 1]
+    planes += [_plane([x >> 63 for x in column]) for column in columns[:width]]
+    for p, flips, erasures in zip(flip_p, columns[width::2], columns[width + 1 :: 2]):
+        planes.append(_plane([(x >> 11) * 2.0**-53 < p for x in flips]))
+        planes.append(_plane([(x >> 11) * 2.0**-53 >= efficiency for x in erasures]))
+    return planes
+
+
+def _plane(bits: list) -> int:
+    """The int whose bit i is bits[i], each 0 or 1."""
+    return int(bytes(bits[::-1]).translate(_DIGITS), 2)
+
+
+def _packed_planes(draws, flip_p: tuple, efficiency: float) -> list[int]:
+    """The record planes of a block's rows of draws (`rng.shot_draws`), packed by numpy.
+
+    The same planes as `_word_planes`, from row i of `draws` for shot i.
+    """
+    import numpy as np
+
+    width = len(flip_p)
+    rows, k = draws.shape
+    record = np.empty((1 + k, rows), dtype=bool)
+    record[0] = True
+    np.greater_equal(draws[:, :width].T, 0.5, out=record[1 : 1 + min(k, width)])
+    if k > width:
+        np.less(draws[:, width::2].T, np.array(flip_p)[:, None], out=record[1 + width :: 2])
+        np.greater_equal(draws[:, width + 1 :: 2].T, efficiency, out=record[2 + width :: 2])
+    packed = np.packbits(record, axis=1, bitorder="little")
+    data, size = packed.tobytes(), packed.shape[1]
+    from_bytes = int.from_bytes  # looked up once, not once per plane
+    return [from_bytes(data[r * size : (r + 1) * size], "little") for r in range(len(packed))]
+
+
+def _counts(columns, planes: list[int]) -> list[int]:
+    """The summary counts of one entry's shots, from their record planes.
+
+    Plane 0 is all ones, one bit per shot.  Returns the comparable and
+    the equal shots, Alice's shared +1 and -1 counts, Bob's, and the
+    number of fully recorded contexts and of those meeting their product.
+    """
+    ones = planes[0]
+    lost_a, lost_b, value_a, value_b, fail_a, fail_b = (
+        reduce(xor, [planes[r] for r in bits], 0) for bits in columns[:6]
+    )
+    partial_a, partial_b = (reduce(or_, [planes[r] for r in bits], 0) for bits in columns[6:])
+    kept_a, kept_b = ones & ~lost_a, ones & ~lost_b
+    full_a, full_b = ones & ~partial_a, ones & ~partial_b
+    comparable = kept_a & kept_b
+    return [
+        comparable.bit_count(),
+        (comparable & ~(value_a ^ value_b)).bit_count(),
+        (kept_a & ~value_a).bit_count(),
+        (kept_a & value_a).bit_count(),
+        (kept_b & ~value_b).bit_count(),
+        (kept_b & value_b).bit_count(),
+        full_a.bit_count() + full_b.bit_count(),
+        (full_a & ~fail_a).bit_count() + (full_b & ~fail_b).bit_count(),
+    ]
 
 
 @dataclass(frozen=True)
@@ -212,10 +262,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
 
     Each schedule entry the run reaches is checked and compiled once.  The
     shots are then sampled in blocks of `BLOCK_SHOTS` consecutive shots,
-    one `shot_draws` call per block for every entry, and each shot adds
-    one to the count of its code.  The summary is bit-identical for equal
-    seeds regardless of execution order because every shot derives its
-    randomness from (seed, shot).
+    each entry's shots of a block as one set of record planes, and the
+    counts of every block are summed.  The summary is bit-identical for
+    equal seeds regardless of execution order or of the source of the
+    words, because every shot derives its randomness from (seed, shot).
     """
     if config.shots < 0:
         raise ValueError(f"shots must be >= 0, got {config.shots}")
@@ -242,38 +292,42 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     # efficiency no flip or erasure draw, and no draw past the last coin's.
     exact = p_alice == p_bob == 0.0 and config.efficiency == 1.0
     reads = [coin_draws if exact else 3 * len(flip_p) for _, flip_p, _, coin_draws in rounds]
-    counts = np.zeros((len(config.system.contexts), 256), dtype=np.int64)  # shots per code
     period = len(schedule)
+    philox_blocks = sum(
+        len(range(entry, config.shots, period)) * -(-k // 4) for entry, k in enumerate(reads)
+    )
+    seed, efficiency = config.seed, config.efficiency
+    counts = [0] * 6  # comparable, equal, Alice's +1 and -1, Bob's +1 and -1
+    totals = [0] * len(config.system.contexts)
+    passes = [0] * len(config.system.contexts)
     for start in range(0, config.shots, BLOCK_SHOTS):
         stop = min(start + BLOCK_SHOTS, config.shots)
         groups = [
             (range(start + (entry - start) % period, stop, period), k)
             for entry, k in enumerate(reads)
         ]
-        for (stats, flip_p, ctx_id, _), draws in zip(rounds, shot_draws(config.seed, groups)):
-            codes = _codes(stats, flip_p, draws, config.efficiency)
-            counts[ctx_id] += np.bincount(codes, minlength=256)
+        if philox_blocks <= _PURE_BLOCKS:
+            planes = [
+                _word_planes(seed, shots, k, flip_p, efficiency)
+                for (shots, k), (_, flip_p, _, _) in zip(groups, rounds)
+            ]
+        else:
+            planes = [
+                _packed_planes(draws, flip_p, efficiency)
+                for draws, (_, flip_p, _, _) in zip(shot_draws(seed, groups), rounds)
+            ]
+        for (columns, flip_p, ctx_id, _), entry in zip(rounds, planes):
+            entry += [0] * (1 + 3 * len(flip_p) - len(entry))  # no shot, or no noise draws
+            *shared, total, passed = _counts(columns, entry)
+            counts = [a + b for a, b in zip(counts, shared)]
+            totals[ctx_id] += total
+            passes[ctx_id] += passed
 
-    bit = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    per_code = counts.sum(axis=0)
-    kept_a, kept_b = 1 - bit[:, LOST_A], 1 - bit[:, LOST_B]
-    value_a, value_b = bit[:, VALUE_A], bit[:, VALUE_B]
-    comparable = int(per_code @ (kept_a & kept_b))
-    equal = int(per_code @ (kept_a & kept_b & (value_a == value_b)))
-    shared_counts = {
-        side: {+1: int(per_code @ (kept & (1 - value))), -1: int(per_code @ (kept & value))}
-        for side, kept, value in (("alice", kept_a, value_a), ("bob", kept_b, value_b))
-    }
-    full_a, full_b = 1 - bit[:, PARTIAL_A], 1 - bit[:, PARTIAL_B]
-    totals = counts @ (full_a + full_b)
-    passes = counts @ ((full_a & (1 - bit[:, FAIL_A])) + (full_b & (1 - bit[:, FAIL_B])))
-    rates = {
-        ci: int(passes[ci]) / int(totals[ci]) for ci in range(len(counts)) if totals[ci]
-    }
+    comparable, equal, alice_plus, alice_minus, bob_plus, bob_minus = counts
     return ExperimentSummary(
         shots=config.shots,
         equality_rate=(equal / comparable) if comparable else None,
-        product_pass_rates=rates,
+        product_pass_rates={ci: passes[ci] / t for ci, t in enumerate(totals) if t},
         conclusive_fraction=comparable / config.shots if config.shots else None,
         seed=config.seed,
         bob_mode=config.bob_mode,
@@ -281,5 +335,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
         efficiency=float(config.efficiency),
         equal_rounds=equal,
         comparable_rounds=comparable,
-        shared_counts=shared_counts,
+        shared_counts={
+            "alice": {+1: alice_plus, -1: alice_minus},
+            "bob": {+1: bob_plus, -1: bob_minus},
+        },
     )

@@ -4,30 +4,34 @@ Each simulation shot gets its own Philox4x64-10 stream keyed by
 (seed, shot), so results are reproducible for a fixed seed and
 independent of how shots are scheduled or partitioned across workers.
 
-`shot_stream` is that stream as a NumPy generator.  `shot_draws` computes
-the same numbers for many shots at once, in plain numpy arithmetic:
 Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 3", SC'11) maps a four-word counter and a two-word key to four 64-bit
-words in ten rounds of multiply-and-xor, so every (shot, counter) pair is
-an independent lane and one pass of array operations runs thousands of
-them.  NumPy's `Philox(key=[seed, shot])` steps its counter before each
-block of four words, so a shot's stream is the blocks of counters
-(1, 0, 0, 0), (2, 0, 0, 0), ..., and `Generator.random` turns word x into
-the double (x >> 11) * 2**-53.  The kernel follows both conventions, so
-its draws equal the generator's bit for bit, and it never imports
-`numpy.random`.
+words in ten rounds of multiply-and-xor.  NumPy's `Philox(key=[seed,
+shot])` steps its counter before each block of four words, so a shot's
+stream is the blocks of counters (1, 0, 0, 0), (2, 0, 0, 0), ..., and
+`Generator.random` turns word x into the double (x >> 11) * 2**-53.
+
+The stream is computed three ways, all equal bit for bit:
+
+- `shot_words` in plain Python ints, shot by shot: the raw words, with
+  no numpy import, which small runs use;
+- `shot_draws` in numpy arithmetic for many shots at once: every
+  (shot, counter) pair is an independent lane, and one pass of array
+  operations runs thousands of them, without importing `numpy.random`;
+- `shot_stream`, NumPy's own generator, the oracle of both.
+
+Importing this module does not import numpy: only `shot_stream`,
+`shot_draws` and the kernel behind it do.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 # Round multipliers and per-round key increments of Philox4x64.
 _MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_WEYL = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
-_M = np.array([[m] for m in _MULTIPLIERS], dtype=np.uint64)
-_LOW, _U32, _U11 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
-_M_LOW, _M_HIGH = _M & _LOW, _M >> _U32
+_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_MASK = (1 << 64) - 1
+# What rounds 2..10 add to the key (mod 2^64), for `shot_words`.
+_KEY_STEPS = [(r * _WEYL[0], r * _WEYL[1]) for r in range(1, 10)]
 # Lanes per in-place pass: a pass keeps fourteen 64-bit words per lane
 # live, 0.9 MiB at this size, which fits a typical per-core L2 cache.
 LANES = 8192
@@ -45,9 +49,41 @@ def check_key(seed: int, shot: int) -> None:
 
 def shot_stream(seed: int, shot: int) -> np.random.Generator:
     """Independent generator for one shot of a seeded experiment."""
+    import numpy as np
+
     check_key(seed, shot)
     key = np.array([seed, shot], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def shot_words(seed: int, shots: range, k: int) -> list[list[int]]:
+    """The first k 64-bit words of each shot's stream, in plain Python ints.
+
+    Row i holds the words of shot shots[i]; word x is the draw
+    (x >> 11) * 2**-53 of `shot_stream(seed, shots[i])`.  Each shot
+    computes only the ceil(k / 4) blocks its words come from.
+    """
+    check_key(seed, 0)
+    if k < 0:
+        raise ValueError(f"draw count must be >= 0, got {k}")
+    for shot in (shots[0], shots[-1]) if shots else ():
+        check_key(seed, shot)
+    m0, m1 = _MULTIPLIERS
+    seed_keys = [(seed + a) & _MASK for a, _ in _KEY_STEPS]
+    rows = []
+    for shot in shots:
+        keys = list(zip(seed_keys, [(shot + b) & _MASK for _, b in _KEY_STEPS]))
+        words = []
+        for counter in range(1, -(-k // 4) + 1):
+            # Round 1 with counter (c, 0, 0, 0) gives (k0, 0, hi(M0 c) ^ k1, lo(M0 c)).
+            p = m0 * counter
+            x0, x1, x2, x3 = seed, 0, (p >> 64) ^ shot, p & _MASK
+            for k0, k1 in keys:
+                p0, p1 = m0 * x0, m1 * x2
+                x0, x1, x2, x3 = (p1 >> 64) ^ x1 ^ k0, p1 & _MASK, (p0 >> 64) ^ x3 ^ k1, p0 & _MASK
+            words += (x0, x1, x2, x3)
+        rows.append(words[:k])
+    return rows
 
 
 def shot_draws(seed: int, groups: list[tuple[range, int]]) -> list[np.ndarray]:
@@ -59,6 +95,8 @@ def shot_draws(seed: int, groups: list[tuple[range, int]]) -> list[np.ndarray]:
     run through one kernel, so many small groups cost about as much as
     one large group of the same total size.
     """
+    import numpy as np
+
     check_key(seed, 0)
     for shots, k in groups:
         if k < 0:
@@ -88,6 +126,10 @@ def _philox(seed, firsts, steps, starts, ends, blocks, out) -> None:
     `starts[g] + i * blocks[g] + j` is block j of shot firsts[g] + i *
     steps[g] (mod 2^64), counter (j + 1, 0, 0, 0).
     """
+    import numpy as np
+
+    weyl = np.array([[w] for w in _WEYL], dtype=np.uint64)
+    multipliers = np.array([[m] for m in _MULTIPLIERS], dtype=np.uint64)
     width = min(LANES, len(out))
     state = np.empty((4, width), dtype=np.uint64)
     key, high, t0, t1, t2 = (np.empty((2, width), dtype=np.uint64) for _ in range(5))
@@ -98,9 +140,9 @@ def _philox(seed, firsts, steps, starts, ends, blocks, out) -> None:
     first_low = np.array([lo for _, lo in products], dtype=np.uint64)
     for begin in range(0, len(out), LANES):
         lane = np.arange(begin, min(begin + LANES, len(out)))
-        m = len(lane)
-        if m < width:
-            state, key, high, t0, t1, t2 = (a[:, :m] for a in (state, key, high, t0, t1, t2))
+        size = len(lane)
+        if size < width:
+            state, key, high, t0, t1, t2 = (a[:, :size] for a in (state, key, high, t0, t1, t2))
         group = np.searchsorted(ends, lane, side="right")
         row, block = np.divmod(lane - starts[group], blocks[group])
         key[0] = seed
@@ -116,33 +158,37 @@ def _philox(seed, firsts, steps, starts, ends, blocks, out) -> None:
         for _ in range(9):
             # (x0, x1, x2, x3) -> (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0),
             # where (hi0, lo0) = M0 x0 and (hi1, lo1) = M1 x2.
-            np.add(key, _WEYL, out=key)
-            _mulhi(x, high, t0, t1, t2)
+            np.add(key, weyl, out=key)
+            _mulhi(x, multipliers, high, t0, t1, t2)
             np.bitwise_xor(high, y[::-1], out=high)
-            np.multiply(x, _M, out=y[::-1])
+            np.multiply(x, multipliers, out=y[::-1])
             np.bitwise_xor(high[::-1], key, out=x)
         # (x >> 11) < 2**53 converts exactly, and faster from int64.
-        np.right_shift(state, _U11, out=state)
-        np.multiply(state.T.view(np.int64), 2.0**-53, out=out[begin : begin + m])
+        np.right_shift(state, np.uint64(11), out=state)
+        np.multiply(state.T.view(np.int64), 2.0**-53, out=out[begin : begin + size])
 
 
-def _mulhi(x, high, t0, t1, t2) -> None:
-    """high = the top 64 bits of the 128-bit products x * _M, row by row.
+def _mulhi(x, m, high, t0, t1, t2) -> None:
+    """high = the top 64 bits of the 128-bit products x * m, row by row.
 
     Schoolbook multiplication on 32-bit halves; the middle column is at
     most (2^32 - 1)^2 + 2 (2^32 - 1) = 2^64 - 1, so no sum overflows.
     """
-    np.bitwise_and(x, _LOW, out=t0)
-    np.right_shift(x, _U32, out=t1)
-    np.multiply(t1, _M_HIGH, out=high)
-    np.multiply(t1, _M_LOW, out=t1)
-    np.multiply(t0, _M_LOW, out=t2)
-    np.right_shift(t2, _U32, out=t2)
-    np.multiply(t0, _M_HIGH, out=t0)
+    import numpy as np
+
+    low, u32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+    m_low, m_high = m & low, m >> u32
+    np.bitwise_and(x, low, out=t0)
+    np.right_shift(x, u32, out=t1)
+    np.multiply(t1, m_high, out=high)
+    np.multiply(t1, m_low, out=t1)
+    np.multiply(t0, m_low, out=t2)
+    np.right_shift(t2, u32, out=t2)
+    np.multiply(t0, m_high, out=t0)
     np.add(t0, t2, out=t0)
-    np.bitwise_and(t1, _LOW, out=t2)
+    np.bitwise_and(t1, low, out=t2)
     np.add(t0, t2, out=t0)
-    np.right_shift(t1, _U32, out=t1)
+    np.right_shift(t1, u32, out=t1)
     np.add(high, t1, out=high)
-    np.right_shift(t0, _U32, out=t0)
+    np.right_shift(t0, u32, out=t0)
     np.add(high, t0, out=high)

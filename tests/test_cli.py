@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bellcheck
-from bellcheck import cli
+from bellcheck import cli, protocol
 from bellcheck.constructions import Context, ContextSystem, mermin_square
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -318,9 +318,40 @@ class TestCorrelate:
 
     @pytest.mark.parametrize("regime", [[], ["--noise", "0.1", "--efficiency", "0.9"]])
     def test_never_imports_numpy_random(self, regime):
-        """Draws come from the batched Philox kernel, not NumPy's generator."""
+        """Draws come from the Philox in `rng`, never from NumPy's generator.
+
+        This run is within the draw budget, so its words are plain ints; the
+        test below covers a run that uses the numpy kernel.
+        """
         argv = ["correlate", "--n", "3", "--shots", "300", *regime]
         assert fresh_main(argv, "numpy.random") == "0 False"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                ["correlate", "--n", str(n), "--shots", str(shots), *regime]
+                for n, shots in ((2, 300), (3, 250), (5, 200), (7, 50), (9, 3))
+                for regime in ([], ["--noise", "0.05", "--efficiency", "0.9"])
+            ),
+            ["correlate", "--n", "13", "--shots", "200"],
+            ["correlate", "--n", "3", "--shots", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_small_runs_never_import_numpy(self, argv):
+        """Runs within the draw budget read plain-int words; numpy's import would dominate them."""
+        assert fresh_main(argv, "numpy") == "0 False"
+
+    def test_run_above_the_draw_budget_uses_numpy_and_reports_the_same(self, capsys, monkeypatch):
+        argv = ["correlate", "--n", "13", "--shots", "2000", "--noise", "0.05", "--efficiency", "0.9"]
+        assert fresh_main(argv, "numpy") == "0 True"
+        assert fresh_main(argv, "numpy.random") == "0 False"
+        kernel = run(capsys, [*argv, "--format", "json"])
+        assert kernel[0] == 0
+        monkeypatch.setattr(protocol, "_PURE_BLOCKS", 2**63)
+        monkeypatch.setattr(protocol, "shot_draws", lambda *args: pytest.fail("drew with numpy"))
+        assert run(capsys, [*argv, "--format", "json"]) == kernel
 
     def test_never_imports_the_dense_states(self):
         """The protocol measures on the tableau; the dense vectors are test oracles."""

@@ -7,12 +7,34 @@ import pytest
 from bellcheck import protocol
 from bellcheck.constructions import Context, ContextSystem, generalized_sets, mermin_square
 from bellcheck.pauli import PauliOperator, parse_pauli
-from bellcheck.protocol import ExperimentConfig, default_schedule, run_experiment
+from bellcheck.protocol import MODES, ExperimentConfig, default_schedule, run_experiment
+from bellcheck.rng import shot_words
 from protocol_reference import reference_experiment, reference_round
 
 
 def binomial_4sigma(p, shots):
     return 4.0 * math.sqrt(p * (1.0 - p) / shots)
+
+
+def drew_first(*args):
+    pytest.fail("drew first")
+
+
+def on_both_sources(monkeypatch, config):
+    """`run_experiment(config)` on the plain-int words and on the numpy kernel.
+
+    The draw budget is set above the run, then below it, and the source
+    not chosen refuses to draw, so each summary comes from one source.
+    Both summaries must be equal; the one returned is compared further.
+    """
+    summaries = []
+    for budget, unused in ((2**63, "shot_draws"), (0, "shot_words")):
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "_PURE_BLOCKS", budget)
+            patch.setattr(protocol, unused, drew_first)
+            summaries.append(run_experiment(config))
+    assert summaries[0] == summaries[1]
+    return summaries[0]
 
 
 def one_entry(ctx_id, obs_id, mode="alone", noise=0.0, efficiency=1.0, shots=100, seed=0):
@@ -116,10 +138,10 @@ class TestRunExperiment:
         b = run_experiment(ExperimentConfig(seed=2, **base))
         assert a != b
 
-    def test_zero_shots_reports_undefined_markers(self):
+    def test_zero_shots_reports_undefined_markers(self, monkeypatch):
         for mode in ("alone", "in_context"):
             config = ExperimentConfig(n=2, system=mermin_square(), shots=0, bob_mode=mode)
-            summary = run_experiment(config)
+            summary = on_both_sources(monkeypatch, config)
             assert summary.shots == 0
             assert summary.equality_rate is None
             assert summary.conclusive_fraction is None
@@ -157,7 +179,8 @@ class TestTableauAgainstDenseOracle:
 
     The reference measures each round on its own stream, either on dense
     state vectors (`measure_context`) or on a concrete tableau, so every
-    draw is read in the same place and the summaries must be equal.
+    draw is read in the same place and the summaries must be equal.  The
+    sampler runs on both of its sources (`on_both_sources`).
     """
 
     @pytest.mark.parametrize("mode", ["alone", "in_context"])
@@ -168,37 +191,37 @@ class TestTableauAgainstDenseOracle:
         [(0.0, 1.0), (0.1, 0.8), ((0.05, 0.2), 0.95), (0.0, 0.9), ((0.0, 0.1), 1.0)],
     )
     @pytest.mark.parametrize("n,shots", [(2, 60), (3, 40), (5, 24), (7, 8)])
-    def test_summaries_equal(self, n, shots, noise, efficiency, mode):
+    def test_summaries_equal(self, monkeypatch, n, shots, noise, efficiency, mode):
         for seed in (0, 3, 2**40 + 1):
             config = ExperimentConfig(
                 n=n, system=system_for(n), shots=shots, noise=noise,
                 efficiency=efficiency, seed=seed, bob_mode=mode,
             )
-            compiled = run_experiment(config)
+            compiled = on_both_sources(monkeypatch, config)
             assert compiled == reference_experiment(config, "dense")
             assert compiled == reference_experiment(config, "tableau")
 
     @pytest.mark.parametrize("mode", ["alone", "in_context"])
     @pytest.mark.parametrize("n,shots", [(9, 40), (11, 30), (13, 30)])
-    def test_large_n_equals_tableau_reference(self, n, shots, mode):
+    def test_large_n_equals_tableau_reference(self, monkeypatch, n, shots, mode):
         config = ExperimentConfig(
             n=n, system=system_for(n), shots=shots, noise=0.1,
             efficiency=0.8, seed=n, bob_mode=mode,
         )
-        assert run_experiment(config) == reference_experiment(config)
+        assert on_both_sources(monkeypatch, config) == reference_experiment(config)
 
     @pytest.mark.parametrize("mode", ["alone", "in_context"])
     @pytest.mark.parametrize("shots", [0, 1, 7])
-    def test_few_shots(self, shots, mode):
+    def test_few_shots(self, monkeypatch, shots, mode):
         # Fewer shots than the 18 schedule entries: only the first few run.
         config = ExperimentConfig(
             n=2, system=mermin_square(), shots=shots, noise=0.2, efficiency=0.7,
             seed=5, bob_mode=mode,
         )
-        assert run_experiment(config) == reference_experiment(config)
+        assert on_both_sources(monkeypatch, config) == reference_experiment(config)
 
     @pytest.mark.parametrize("mode", ["alone", "in_context"])
-    def test_custom_schedule(self, mode):
+    def test_custom_schedule(self, monkeypatch, mode):
         system = generalized_sets(3)
         schedule = tuple(
             (ci, system.catalog.index(system.contexts[ci].observables[k]))
@@ -208,7 +231,7 @@ class TestTableauAgainstDenseOracle:
             n=3, system=system, shots=23, schedule=schedule, noise=0.1,
             efficiency=0.9, seed=11, bob_mode=mode,
         )
-        assert run_experiment(config) == reference_experiment(config)
+        assert on_both_sources(monkeypatch, config) == reference_experiment(config)
 
     def test_blocks_do_not_change_the_summary(self, monkeypatch):
         config = ExperimentConfig(
@@ -216,9 +239,9 @@ class TestTableauAgainstDenseOracle:
         )
         whole = run_experiment(config)
         monkeypatch.setattr(protocol, "BLOCK_SHOTS", 3)
-        assert run_experiment(config) == whole == reference_experiment(config)
+        assert on_both_sources(monkeypatch, config) == whole == reference_experiment(config)
 
-    def test_block_boundary_mid_schedule(self):
+    def test_block_boundary_mid_schedule(self, monkeypatch):
         """More shots than one block, the boundary inside a schedule cycle."""
         system = generalized_sets(3)
         assert protocol.BLOCK_SHOTS % len(default_schedule(system))
@@ -226,9 +249,9 @@ class TestTableauAgainstDenseOracle:
             n=3, system=system, shots=protocol.BLOCK_SHOTS + 45, noise=0.1,
             efficiency=0.9, seed=13, bob_mode="in_context",
         )
-        assert run_experiment(config) == reference_experiment(config)
+        assert on_both_sources(monkeypatch, config) == reference_experiment(config)
 
-    def test_rounds_equal(self):
+    def test_rounds_equal(self, monkeypatch):
         """Each round of the default schedule on its own, against both references."""
         system = generalized_sets(3)
         for entry in default_schedule(system):
@@ -237,9 +260,30 @@ class TestTableauAgainstDenseOracle:
                     n=3, system=system, shots=6, schedule=(entry,), noise=0.2,
                     efficiency=0.9, seed=8, bob_mode=mode,
                 )
-                fast = run_experiment(config)
+                fast = on_both_sources(monkeypatch, config)
                 for backend in ("dense", "tableau"):
                     assert fast == reference_experiment(config, backend)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ties_at_a_drawn_value(self, monkeypatch, mode):
+        """`noise`, then `efficiency`, equal to a draw that shot 0 reads.
+
+        A flip is `draw < noise` and an erasure `draw >= efficiency`, so at
+        a tie the flip is not made and the erasure is: every source and
+        the reference must read the tie the same way.
+        """
+        system = mermin_square()
+        ctx_id, _ = default_schedule(system)[0]  # its shared word is outcome 0
+        alice = len(system.contexts[ctx_id].observables)
+        outcomes = alice + (1 if mode == "alone" else alice)
+        (words,) = shot_words(5, range(1), 3 * outcomes)
+        flip, erasure = ((words[j] >> 11) * 2.0**-53 for j in (outcomes, outcomes + 1))
+        for noise, efficiency in ((flip, 0.95), (0.05, erasure)):
+            config = ExperimentConfig(
+                n=2, system=system, shots=40, noise=noise, efficiency=efficiency,
+                seed=5, bob_mode=mode,
+            )
+            assert on_both_sources(monkeypatch, config) == reference_experiment(config)
 
 
 class CountingDraw:
@@ -298,7 +342,8 @@ class TestBadInputs:
         )
         expected = self.error(reference_experiment, config)
         with monkeypatch.context() as patch:
-            patch.setattr(protocol, "shot_draws", lambda *args: pytest.fail("drew first"))
+            patch.setattr(protocol, "shot_draws", drew_first)
+            patch.setattr(protocol, "shot_words", drew_first)
             assert self.error(run_experiment, config) == expected
 
     @pytest.mark.parametrize("case", [i for i, c in enumerate(BAD_INPUTS) if c[6] in range(2**64)])
@@ -315,14 +360,15 @@ class TestBadInputs:
             efficiency=efficiency, seed=seed, bob_mode=mode,
         )
         with monkeypatch.context() as patch:
-            patch.setattr(protocol, "shot_draws", lambda *args: pytest.fail("drew first"))
+            patch.setattr(protocol, "shot_draws", drew_first)
+            patch.setattr(protocol, "shot_words", drew_first)
             assert self.error(run_experiment, config) == expected
 
-    def test_unreached_entries_are_not_checked(self):
+    def test_unreached_entries_are_not_checked(self, monkeypatch):
         config = ExperimentConfig(
             n=2, system=mermin_square(), shots=1, schedule=((0, 0), (0, 99))
         )
-        assert run_experiment(config) == reference_experiment(config)
+        assert on_both_sources(monkeypatch, config) == reference_experiment(config)
         # The mode is not an entry's setting: it is checked with no entry reached.
         with pytest.raises(ValueError, match="bob_mode"):
             run_experiment(

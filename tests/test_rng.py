@@ -1,16 +1,17 @@
-"""Per-shot random streams and the batched Philox kernel behind their draws.
+"""Per-shot random streams: the plain-int Philox and the batched numpy kernel.
 
 NumPy's own `Philox` generator (`shot_stream`) is the oracle: every row
-the kernel computes must equal that shot's generator draws bit for bit.
+either implementation computes must equal that shot's generator draws
+bit for bit.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellcheck import rng
-from bellcheck.rng import shot_draws, shot_stream
+from bellcheck.rng import shot_draws, shot_stream, shot_words
 
 SEEDS = [0, 7, 2**32 - 1, 2**32, 2**40 + 1, 2**64 - 1]
 
@@ -89,6 +90,35 @@ def test_property_one_shot(seed, shot, k):
     assert_rows_equal_streams(seed, [(range(shot, shot + 1), k)])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    shot=st.integers(0, 2**64 - 1),
+    k=st.integers(0, 48),
+)
+@example(seed=2**64 - 1, shot=2**64 - 1, k=48)
+@example(seed=0, shot=0, k=0)
+def test_property_plain_words(seed, shot, k):
+    """`shot_words` against NumPy's raw Philox words, its generator and the numpy kernel."""
+    (words,) = shot_words(seed, range(shot, shot + 1), k)
+    key = np.array([seed, shot], dtype=np.uint64)
+    assert words == np.random.Philox(key=key).random_raw(k).tolist()
+    draws = [(x >> 11) * 2.0**-53 for x in words]
+    assert draws == shot_stream(seed, shot).random(k).tolist()
+    assert draws == shot_draws(seed, [(range(shot, shot + 1), k)])[0][0].tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_plain_words_of_strided_shots(seed):
+    """Rows of a strided range, as one schedule entry of a block reads them, and an empty range."""
+    shots = range(2**64 - 40, 2**64, 7)
+    rows = shot_words(seed, shots, 13)
+    assert len(rows) == len(shots)
+    for row, draws in zip(rows, shot_draws(seed, [(shots, 13)])[0]):
+        assert [(x >> 11) * 2.0**-53 for x in row] == draws.tolist()
+    assert shot_words(seed, range(5, 5), 13) == []
+
+
 def test_empty_range():
     assert shot_draws(1, [(range(0), 4)])[0].shape == (0, 4)
     assert shot_draws(1, []) == []
@@ -103,6 +133,12 @@ def test_negative_keys_rejected():
         shot_stream(0, -1)
     with pytest.raises(ValueError, match="draw count"):
         shot_draws(1, [(range(2), -1)])
+    with pytest.raises(ValueError, match="non-negative"):
+        shot_words(-1, range(2), 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        shot_words(1, range(-2, 2), 3)
+    with pytest.raises(ValueError, match="draw count"):
+        shot_words(1, range(2), -1)
 
 
 def test_keys_beyond_64_bits_rejected():
@@ -113,3 +149,10 @@ def test_keys_beyond_64_bits_rejected():
         shot_draws(1, [(range(2**64 - 1, 2**64 + 1), 3)])
     with pytest.raises(ValueError, match="below 2"):
         shot_stream(2**64, 0)
+    with pytest.raises(ValueError, match="below 2"):
+        shot_words(2**64 + 1, range(2), 3)
+    with pytest.raises(ValueError, match="below 2"):
+        shot_words(1, range(2**64 - 1, 2**64 + 1), 3)
+    # A bad seed is refused even when no shot is drawn, as `shot_draws` does.
+    with pytest.raises(ValueError, match="below 2"):
+        shot_words(2**64, range(0), 3)
