@@ -8,7 +8,7 @@ its command uses: the verdict commands never load numpy.
 
 import importlib
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 # Submodule -> the public names this package re-exports from it.
 _EXPORTS = {

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .pauli import PauliOperator, parse_pauli, to_dense
 from .tableau import singlet_product_tableau, tableau_expectation
@@ -42,21 +42,23 @@ _X_BITS = (1, 1, 0)
 _Z_BITS = (0, 1, 1)
 
 
-@dataclass(frozen=True)
-class MeasurementVectors:
-    a: tuple[float, float, float]
-    a_prime: tuple[float, float, float]
-    b: tuple[float, float, float]
-    b_prime: tuple[float, float, float]
+class MeasurementVectors(namedtuple("MeasurementVectors", "a a_prime b b_prime")):
+    """Four unit 3-vectors, each stored as a tuple of floats."""
 
-    def __post_init__(self):
-        for name in ("a", "a_prime", "b", "b_prime"):
-            v = tuple(float(x) for x in getattr(self, name))
+    __slots__ = ()
+
+    def __new__(cls, a, a_prime, b, b_prime):
+        vectors = []
+        for name, vector in zip(cls._fields, (a, a_prime, b, b_prime)):
+            v = tuple(float(x) for x in vector)
             if len(v) != 3:
                 raise ValueError(f"{name} must be a 3-vector")
             if abs(math.sqrt(sum(x * x for x in v)) - 1.0) > VTOL:
                 raise ValueError(f"{name} is not a unit vector: {v}")
-            object.__setattr__(self, name, v)
+            vectors.append(v)
+        return tuple.__new__(cls, vectors)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def planar_vectors(a_deg, a_prime_deg, b_deg, b_prime_deg) -> MeasurementVectors:
@@ -201,8 +203,7 @@ def lhv_max(n: int) -> float:
     return float(per_pair) ** n
 
 
-@dataclass(frozen=True)
-class ChshReport:
+class ChshReport(NamedTuple):
     n: int
     quantum_value: float
     lhv_bound: float

@@ -16,7 +16,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from .constructions import (
     FAMILY_NS,
@@ -26,16 +26,13 @@ from .constructions import (
     mermin_square,
     validate,
 )
-from .dsl import parse_document
 from .parity import build_parity_system, check_assignment, check_certificate, solve
 from .pauli import PauliOperator, format_pauli, product
-from .tableau import eigenrelation_check, ghz_tableau, tableau_expectation
 
 REL_TOL = 1e-9
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     measured: object
@@ -43,13 +40,13 @@ class Check:
     tolerance: float | None = None
 
 
-@dataclass
 class RunReport:
-    command: str
-    parameters: dict
-    seed: int | None = None
-    checks: list[Check] = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+    def __init__(self, command: str, parameters: dict, seed: int | None = None):
+        self.command = command
+        self.parameters = parameters
+        self.seed = seed
+        self.checks: list[Check] = []
+        self.extras: dict = {}
 
     def check(self, name, measured, expected, tolerance: float | None = None) -> None:
         if tolerance:
@@ -71,7 +68,7 @@ class RunReport:
             "passed": self.passed,
         }
         payload.update(self.extras)
-        payload["checks"] = [asdict(c) for c in self.checks]
+        payload["checks"] = [c._asdict() for c in self.checks]
         return json.dumps(payload, indent=2)
 
     def to_text(self, wall_time: float) -> str:
@@ -167,6 +164,8 @@ def cmd_bks_solve(args) -> RunReport:
         report = RunReport("bks solve", {"n": args.n})
         system = _system_for(args.n, square=False)
     else:
+        from .dsl import parse_document  # only `--file` reads `.obs` text
+
         report = RunReport("bks solve", {"file": args.file})
         with open(args.file, "r", encoding="utf-8") as fh:
             system = parse_document(fh.read())
@@ -180,6 +179,8 @@ def cmd_bks_solve(args) -> RunReport:
 
 
 def cmd_ghz(args) -> RunReport:
+    from .tableau import ghz_tableau, tableau_expectation
+
     report = RunReport("ghz", {"grouping": args.grouping})
     observables = ghz_observables()
     report.check(
@@ -285,6 +286,8 @@ def cmd_chsh(args) -> RunReport:
 
 
 def cmd_eigencheck(args) -> RunReport:
+    from .tableau import eigenrelation_check
+
     system = _system_for(args.n)
     report = RunReport("eigencheck", {"n": args.n})
     for op in system.catalog:

@@ -9,9 +9,10 @@ self-validates its structural properties before returning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .parity import ParityRow, ParitySystem
 from .pauli import PauliOperator, commutes, format_pauli, parse_pauli, product, single
@@ -25,22 +26,21 @@ class ConstructionError(RuntimeError):
     """A built-in construction failed its own validation (internal bug)."""
 
 
-@dataclass(frozen=True)
-class Context:
-    observables: tuple[PauliOperator, ...]
-    expected_sign: int
+class Context(namedtuple("Context", "observables expected_sign")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.expected_sign not in (+1, -1):
-            raise ValueError(f"expected_sign must be +1 or -1, got {self.expected_sign}")
-        if not self.observables:
+    def __new__(cls, observables: tuple[PauliOperator, ...], expected_sign: int):
+        if expected_sign not in (+1, -1):
+            raise ValueError(f"expected_sign must be +1 or -1, got {expected_sign}")
+        if not observables:
             raise ValueError("context needs at least one observable")
+        return tuple.__new__(cls, (observables, expected_sign))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class ContextSystem:
-    num_qubits: int
-    contexts: tuple[Context, ...]
+class ContextSystem(namedtuple("ContextSystem", "num_qubits contexts")):
+    # No `__slots__`: the instance `__dict__` holds the cached catalog.
 
     @property
     def catalog(self) -> tuple[PauliOperator, ...]:
@@ -102,8 +102,7 @@ def fault_message(non_hermitian: str | None, failing_pair: tuple[str, str] | Non
     return None
 
 
-@dataclass(frozen=True)
-class ContextCheck:
+class ContextCheck(NamedTuple):
     context_index: int
     commuting: bool
     failing_pair: tuple[str, str] | None
@@ -128,8 +127,7 @@ class ContextCheck:
         return self.problem is None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: tuple[ContextCheck, ...]
     failures: tuple[int, ...] = ()
 

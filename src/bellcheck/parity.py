@@ -14,36 +14,38 @@ independently of the solver (`check_certificate`, `check_assignment`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections import namedtuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .pauli import format_pauli
 
 MAX_BRUTE_FORCE_VARIABLES = 24
 
 
-@dataclass(frozen=True)
-class ParityRow:
-    variables: tuple[int, ...]
-    rhs: int
+class ParityRow(namedtuple("ParityRow", "variables rhs")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rhs not in (0, 1):
-            raise ValueError(f"rhs must be 0 or 1, got {self.rhs}")
-        if not self.variables:
+    def __new__(cls, variables: tuple[int, ...], rhs: int):
+        if rhs not in (0, 1):
+            raise ValueError(f"rhs must be 0 or 1, got {rhs}")
+        if not variables:
             raise ValueError("parity row needs at least one variable")
+        return tuple.__new__(cls, (variables, rhs))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class ParitySystem:
-    variables: tuple[str, ...]
-    rows: tuple[ParityRow, ...]
+class ParitySystem(namedtuple("ParitySystem", "variables rows")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for row in self.rows:
+    def __new__(cls, variables: tuple[str, ...], rows: tuple[ParityRow, ...]):
+        for row in rows:
             for v in row.variables:
-                if not 0 <= v < len(self.variables):
+                if not 0 <= v < len(variables):
                     raise ValueError(f"row variable index {v} out of range")
+        return tuple.__new__(cls, (variables, rows))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def row_mask(self, index: int) -> int:
         """Row's variable set as an int bitset (bit j = variable j), with
@@ -54,8 +56,7 @@ class ParitySystem:
         return mask
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     satisfiable: bool
     assignment: dict[str, int] | None = None
     certificate: tuple[int, ...] | None = None

@@ -18,7 +18,7 @@ surface and for embedding words into larger operators.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from typing import TYPE_CHECKING
 
@@ -43,25 +43,22 @@ class PauliSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class PauliOperator:
+class PauliOperator(namedtuple("PauliOperator", "num_qubits x_mask z_mask phase_exponent")):
     """Immutable phased Pauli word; see module docstring for the encoding."""
 
-    num_qubits: int
-    x_mask: int
-    z_mask: int
-    phase_exponent: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
-        full = (1 << self.num_qubits) - 1
-        if not 0 <= self.x_mask <= full or not 0 <= self.z_mask <= full:
+    def __new__(cls, num_qubits: int, x_mask: int, z_mask: int, phase_exponent: int = 0):
+        if num_qubits < 1:
+            raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
+        full = (1 << num_qubits) - 1
+        if not 0 <= x_mask <= full or not 0 <= z_mask <= full:
             raise ValueError(
-                f"mask out of range for {self.num_qubits} qubits: "
-                f"x={self.x_mask:#x} z={self.z_mask:#x}"
+                f"mask out of range for {num_qubits} qubits: x={x_mask:#x} z={z_mask:#x}"
             )
-        object.__setattr__(self, "phase_exponent", self.phase_exponent % 4)
+        return tuple.__new__(cls, (num_qubits, x_mask, z_mask, phase_exponent % 4))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def is_hermitian(self) -> bool:

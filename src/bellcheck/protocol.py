@@ -25,9 +25,9 @@ exactly; the summary statistics quantify how both degrade otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_, xor
+from typing import NamedTuple
 
 from .constructions import ContextSystem
 from .pauli import format_pauli
@@ -219,8 +219,7 @@ def _counts(columns, planes: list[int]) -> list[int]:
     ]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     n: int
     system: ContextSystem
     shots: int
@@ -231,8 +230,7 @@ class ExperimentConfig:
     bob_mode: str = "alone"
 
 
-@dataclass(frozen=True)
-class ExperimentSummary:
+class ExperimentSummary(NamedTuple):
     shots: int
     equality_rate: float | None
     product_pass_rates: dict[int, float | None]
@@ -273,7 +271,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     schedule = config.schedule or default_schedule(config.system)
     if not schedule:
         raise ValueError("schedule is empty")
-    check_key(config.seed, 0)  # a bad seed fails before any entry is checked
+    # A bad seed, or a shot the key cannot address, fails before any entry is checked.
+    check_key(config.seed, max(config.shots - 1, 0))
     # Checked here, not per entry, so that they hold even when no shot runs.
     if config.system.num_qubits != config.n:
         raise ValueError(f"system acts on {config.system.num_qubits} qubits, expected {config.n}")

@@ -14,7 +14,7 @@ commands use those, and the dense states here are their test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -30,24 +30,24 @@ MAX_PAIRS = 13
 _PHASES = (1, 1j, -1, -1j)
 
 
-@dataclass(frozen=True)
-class StateVector:
-    num_qubits: int
-    amplitudes: np.ndarray
+class StateVector(namedtuple("StateVector", "num_qubits amplitudes")):
+    """A normalized state; `amplitudes` is a read-only copy of the input."""
 
-    def __post_init__(self):
-        if not 1 <= self.num_qubits <= MAX_STATE_QUBITS:
+    __slots__ = ()
+
+    def __new__(cls, num_qubits: int, amplitudes: np.ndarray):
+        if not 1 <= num_qubits <= MAX_STATE_QUBITS:
             raise ValueError(f"num_qubits must be in 1..{MAX_STATE_QUBITS}")
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (1 << self.num_qubits,):
-            raise ValueError(
-                f"expected {1 << self.num_qubits} amplitudes, got {amp.shape}"
-            )
+        amp = np.asarray(amplitudes, dtype=complex)
+        if amp.shape != (1 << num_qubits,):
+            raise ValueError(f"expected {1 << num_qubits} amplitudes, got {amp.shape}")
         if abs(np.vdot(amp, amp).real - 1.0) > ATOL:
             raise ValueError("state is not normalized")
         amp = amp.copy()
         amp.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amp)
+        return tuple.__new__(cls, (num_qubits, amp))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def norm(self) -> float:

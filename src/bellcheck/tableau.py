@@ -31,8 +31,10 @@ from .pauli import PauliOperator, commutes, identity, multiply
 
 
 class StabilizerTableau(NamedTuple):
-    # A NamedTuple, not a frozen dataclass: as immutable, and cheaper to
+    # Every record of the package is a named tuple: immutable, and cheap to
     # define at import, which every CLI run pays.
+    # A record with checks subclasses one and runs them in `__new__`, which
+    # its `_make`, and so `_replace`, also goes through.
     num_qubits: int
     stabilizers: tuple[PauliOperator, ...]
     destabilizers: tuple[PauliOperator, ...]

@@ -248,7 +248,7 @@ class TestGapReport:
         assert report.sub_classical
         assert report.ratio <= 1.0
 
-    def test_report_is_frozen_dataclass(self):
+    def test_report_is_immutable(self):
         report = gap_report(2)
         assert isinstance(report, ChshReport)
         with pytest.raises(AttributeError):

@@ -67,6 +67,30 @@ def fresh_main(argv, imported: str, cwd=None) -> str:
     return result.stdout.splitlines()[-1]
 
 
+# Commands that must run without numpy: the verdicts, and `correlate` runs
+# within the draw budget.
+VERDICTS = [
+    ["verify", "square"],
+    ["verify", "sets", "--n", "13"],
+    ["bks", "solve", "--n", "13"],
+    ["bks", "solve", "--file", "my.obs"],
+    ["eigencheck", "--n", "13"],
+    ["ghz", "--grouping", "tripartite"],
+    ["ghz", "--grouping", "bipartite"],
+    ["chsh", "--n", "5", "--seed", "7"],
+    ["chsh", "--n", "682"],
+]
+SMALL_RUNS = [
+    *(
+        ["correlate", "--n", str(n), "--shots", str(shots), *regime]
+        for n, shots in ((2, 300), (3, 250), (5, 200), (7, 50), (9, 3))
+        for regime in ([], ["--noise", "0.05", "--efficiency", "0.9"])
+    ),
+    ["correlate", "--n", "13", "--shots", "200"],
+    ["correlate", "--n", "3", "--shots", "0"],
+]
+
+
 class TestReadmeExamples:
     @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
     def test_json_is_byte_identical(self, capsys, tmp_path, monkeypatch, argv):
@@ -310,6 +334,14 @@ class TestCorrelate:
         assert out == ""
         assert err == "error: seed and shot index must be non-negative and below 2**64\n"
 
+    @pytest.mark.parametrize("shots", ["18446744073709551617", "100000000000000000000"])
+    def test_shots_past_the_key_range_exit_two_at_once(self, capsys, shots):
+        """Shot 2**64 has no stream key; the run is refused before any shot is sampled."""
+        argv = ["correlate", "--n", "3", "--shots", shots, "--format", "json"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: seed and shot index must be non-negative and below 2**64\n"
+
     def test_zero_shots_still_checks_efficiency(self, capsys):
         argv = ["correlate", "--n", "2", "--shots", "0", "--efficiency", "7", "--format", "json"]
         code, out, err = run(capsys, argv)
@@ -326,19 +358,7 @@ class TestCorrelate:
         argv = ["correlate", "--n", "3", "--shots", "300", *regime]
         assert fresh_main(argv, "numpy.random") == "0 False"
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            *(
-                ["correlate", "--n", str(n), "--shots", str(shots), *regime]
-                for n, shots in ((2, 300), (3, 250), (5, 200), (7, 50), (9, 3))
-                for regime in ([], ["--noise", "0.05", "--efficiency", "0.9"])
-            ),
-            ["correlate", "--n", "13", "--shots", "200"],
-            ["correlate", "--n", "3", "--shots", "0"],
-        ],
-        ids=" ".join,
-    )
+    @pytest.mark.parametrize("argv", SMALL_RUNS, ids=" ".join)
     def test_small_runs_never_import_numpy(self, argv):
         """Runs within the draw budget read plain-int words; numpy's import would dominate them."""
         assert fresh_main(argv, "numpy") == "0 False"
@@ -481,25 +501,37 @@ class TestUsage:
 
 
 class TestStartup:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "square"],
-            ["verify", "sets", "--n", "13"],
-            ["bks", "solve", "--n", "13"],
-            ["bks", "solve", "--file", "my.obs"],
-            ["eigencheck", "--n", "13"],
-            ["ghz", "--grouping", "tripartite"],
-            ["ghz", "--grouping", "bipartite"],
-            ["chsh", "--n", "5", "--seed", "7"],
-            ["chsh", "--n", "682"],
-        ],
-        ids=" ".join,
-    )
+    @pytest.mark.parametrize("argv", VERDICTS, ids=" ".join)
     def test_verdicts_never_import_numpy(self, tmp_path, argv):
         """These checks are integer GF(2) and Pauli algebra; numpy's import would dominate them."""
         write_readme_obs(tmp_path)
         assert fresh_main(argv, "numpy", cwd=tmp_path) == "0 False"
+
+    def test_no_command_loads_dataclasses_or_inspect(self, tmp_path):
+        """Records are named tuples: `dataclasses`, with its `inspect`, costs a child about 14 ms.
+
+        Every command runs in one fresh interpreter, and after each one it
+        prints what has newly loaded since before `bellcheck.cli`, so a
+        host whose `site` loads these modules does not fail the test.
+        """
+        write_readme_obs(tmp_path)
+        runs = [[*argv, "--format", "json"] for argv in VERDICTS + SMALL_RUNS]
+        script = (
+            "import io, sys\n"
+            "before = set(sys.modules)\n"
+            "from bellcheck import cli\n"
+            f"for argv in {runs!r}:\n"
+            "    sys.stdout, out = io.StringIO(), sys.stdout\n"
+            "    code = cli.main(argv)\n"
+            "    sys.stdout = out\n"
+            "    print(code, *argv, sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=fresh_env(),
+            cwd=tmp_path, timeout=300,
+        )
+        assert result.stderr == ""
+        assert result.stdout.splitlines() == [f"0 {' '.join(argv)} []" for argv in runs]
 
     @staticmethod
     def run_into_closed_pipe(argv, *streams):

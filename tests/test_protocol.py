@@ -364,6 +364,16 @@ class TestBadInputs:
             patch.setattr(protocol, "shot_words", drew_first)
             assert self.error(run_experiment, config) == expected
 
+    @pytest.mark.parametrize("shots", [2**64 + 1, 10**20])
+    def test_shots_past_the_key_range_raise_before_any_entry(self, monkeypatch, shots):
+        """Shot 2**64 has no stream key, so the run is refused at once, not when it gets there."""
+        config = ExperimentConfig(n=2, system=mermin_square(), shots=shots)
+        with monkeypatch.context() as patch:
+            for name in ("_compile_round", "shot_draws", "shot_words"):
+                patch.setattr(protocol, name, drew_first)
+            message = self.error(run_experiment, config)
+        assert message == "seed and shot index must be non-negative and below 2**64"
+
     def test_unreached_entries_are_not_checked(self, monkeypatch):
         config = ExperimentConfig(
             n=2, system=mermin_square(), shots=1, schedule=((0, 0), (0, 99))
