@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .parity import ParityRow, ParitySystem
-from .pauli import PauliOperator, commutes, format_pauli, parse_pauli, product, single
+from .pauli import PauliOperator, format_pauli, parse_pauli, product, single
 
 
 # The n for which `generalized_sets` builds a family: odd, 3..13.
@@ -52,8 +52,15 @@ class ContextSystem(namedtuple("ContextSystem", "num_qubits contexts")):
         """Number of contexts containing each catalog entry, catalog order."""
         return self._catalog_counts[1]
 
+    @property
+    def catalog_index(self) -> dict[PauliOperator, int]:
+        """Position of each catalog entry in `catalog`; shared, so read it only."""
+        return self._catalog_counts[2]
+
     @cached_property
-    def _catalog_counts(self) -> tuple[tuple[PauliOperator, ...], tuple[int, ...]]:
+    def _catalog_counts(
+        self,
+    ) -> tuple[tuple[PauliOperator, ...], tuple[int, ...], dict[PauliOperator, int]]:
         # Built once per system: the contexts are immutable.
         seen: dict[PauliOperator, int] = {}
         counts: list[int] = []
@@ -64,7 +71,7 @@ class ContextSystem(namedtuple("ContextSystem", "num_qubits contexts")):
                 else:
                     seen[obs] = len(counts)
                     counts.append(1)
-        return tuple(seen), tuple(counts)
+        return tuple(seen), tuple(counts), seen
 
 
 def product_sign(context: Context) -> int:
@@ -85,12 +92,19 @@ def context_faults(observables) -> tuple[str | None, tuple[str, str] | None]:
     """The first non-Hermitian member and the first non-commuting pair, as text.
 
     Pairs are tried in `combinations` order; either part is None when the
-    context has no such fault.
+    context has no such fault.  Members on different registers raise
+    ValueError.
     """
+    for o in observables:
+        if o.num_qubits != observables[0].num_qubits:
+            raise ValueError(f"qubit-count mismatch: {observables[0].num_qubits} vs {o.num_qubits}")
     non_hermitian = next((format_pauli(o) for o in observables if not o.is_hermitian), None)
-    pairs = combinations(observables, 2)
-    failing = next(((format_pauli(a), format_pauli(b)) for a, b in pairs if not commutes(a, b)), None)
-    return non_hermitian, failing
+    # `commutes`'s symplectic test, on the masks.
+    rows = [(o.x_mask, o.z_mask, o) for o in observables]
+    for (ax, az, a), (bx, bz, b) in combinations(rows, 2):
+        if ((ax & bz) ^ (az & bx)).bit_count() & 1:
+            return non_hermitian, (format_pauli(a), format_pauli(b))
+    return non_hermitian, None
 
 
 def fault_message(non_hermitian: str | None, failing_pair: tuple[str, str] | None) -> str | None:

@@ -14,7 +14,7 @@ product signs) is deliberately left to the caller.
 from __future__ import annotations
 
 from .constructions import Context, ContextSystem
-from .pauli import PauliSyntaxError, format_pauli, parse_pauli
+from .pauli import PauliOperator, PauliSyntaxError, format_pauli, parse_pauli
 
 # The largest register a file may declare, checked before any word is
 # built: it caps each word's two masks at 1 KiB.
@@ -39,6 +39,9 @@ def parse_document(text: str) -> ContextSystem:
     declared: int | None = None
     declared_line = 0
     contexts: list[Context] = []
+    # Every observable of a parity proof sits in at least two contexts, so
+    # each word's text is parsed once and its record shared.
+    words: dict[str, PauliOperator] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -58,17 +61,18 @@ def parse_document(text: str) -> ContextSystem:
                     f"qubits needs a positive integer, got {arg!r}", lineno, indent + 1
                 )
             # Length first: int() refuses a text of more than 4300 digits.
-            if len(arg.lstrip("0")) > len(str(MAX_QUBITS)) or int(arg) > MAX_QUBITS:
+            digits = arg.lstrip("0")
+            if len(digits) > len(str(MAX_QUBITS)) or int(digits) > MAX_QUBITS:
                 raise DslSyntaxError(
                     f"qubits must be at most {MAX_QUBITS}, got {arg}", lineno, indent + 1
                 )
-            declared = int(arg)
+            declared = int(digits)
             declared_line = lineno
         elif word == "set":
             if declared is None:
                 raise DslSyntaxError("set before qubits declaration", lineno, indent + 1)
             body_col = indent + len(word) + len(sep) + 1  # 1-based column of body
-            contexts.append(_scan_set(rest, declared, lineno, body_col))
+            contexts.append(_scan_set(rest, declared, lineno, body_col, words))
         else:
             raise DslSyntaxError(f"unknown directive {word!r}", lineno, indent + 1)
     if declared is None:
@@ -76,7 +80,9 @@ def parse_document(text: str) -> ContextSystem:
     return ContextSystem(declared, tuple(contexts))
 
 
-def _scan_set(body: str, num_qubits: int, lineno: int, body_col: int) -> Context:
+def _scan_set(
+    body: str, num_qubits: int, lineno: int, body_col: int, words: dict[str, PauliOperator]
+) -> Context:
     sign = +1
     eq = body.find("=")
     if eq >= 0:
@@ -95,13 +101,17 @@ def _scan_set(body: str, num_qubits: int, lineno: int, body_col: int) -> Context
     ops = []
     start = 0
     for piece in body.split(","):
-        column = body_col + start
-        if not piece.strip():
-            raise DslSyntaxError("empty observable", lineno, column)
-        try:
-            ops.append(parse_pauli(piece, num_qubits))
-        except PauliSyntaxError as err:
-            raise DslSyntaxError(str(err), lineno, column + err.position) from None
+        key = piece.strip()
+        op = words.get(key)
+        if op is None:
+            column = body_col + start
+            if not key:
+                raise DslSyntaxError("empty observable", lineno, column)
+            try:
+                op = words[key] = parse_pauli(piece, num_qubits)
+            except PauliSyntaxError as err:
+                raise DslSyntaxError(str(err), lineno, column + err.position) from None
+        ops.append(op)
         start += len(piece) + 1
     return Context(tuple(ops), sign)
 

@@ -64,8 +64,7 @@ class SolveResult(NamedTuple):
 
 def build_parity_system(system) -> ParitySystem:
     """One XOR row per context of a ContextSystem; rhs 1 iff expected sign -1."""
-    catalog = system.catalog
-    index = {obs: i for i, obs in enumerate(catalog)}
+    index = system.catalog_index
     rows = tuple(
         ParityRow(
             tuple(index[obs] for obs in ctx.observables),
@@ -73,7 +72,7 @@ def build_parity_system(system) -> ParitySystem:
         )
         for ctx in system.contexts
     )
-    return ParitySystem(tuple(format_pauli(o) for o in catalog), rows)
+    return ParitySystem(tuple(format_pauli(o) for o in system.catalog), rows)
 
 
 def solve(ps: ParitySystem) -> SolveResult:

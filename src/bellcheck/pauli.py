@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from functools import reduce
+from itertools import islice
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -30,7 +30,8 @@ _LETTERS = {0: "I", 1: "X", 2: "Z", 3: "Y"}  # index = x_bit + 2*z_bit
 _PHASE_LABEL = {0: "+", 1: "i", 2: "-", 3: "-i"}
 _LABEL_PHASE = {v: k for k, v in _PHASE_LABEL.items()}
 
-_TOKEN_RE = re.compile(r"([IXYZ])([0-9]*)\Z")
+# Each letter's (x, z) bits on its site.
+_SITE_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
 MAX_DENSE_QUBITS = 14
 
@@ -100,35 +101,46 @@ def single(letter: str, index: int, num_qubits: int) -> PauliOperator:
 
 
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    """Exact product a*b in canonical form.
+    """Exact product a*b in canonical form: `product` of the two words."""
+    return product((a, b))
+
+
+def product(words) -> PauliOperator:
+    """The left-to-right product of one or more words.
+
+    The fold runs on plain ints (`product_masks`); one record is built,
+    for the result.
+    """
+    words = list(words)
+    if not words:
+        raise ValueError("product needs at least one word")
+    n = words[0].num_qubits
+    for word in words:
+        if word.num_qubits != n:
+            raise ValueError(f"qubit-count mismatch: {n} vs {word.num_qubits}")
+    return PauliOperator(n, *product_masks(word[1:] for word in words))  # (x, z, phase)
+
+
+def product_masks(rows) -> tuple[int, int, int]:
+    """`product` on plain (x_mask, z_mask, phase_exponent) rows; (0, 0, 0) for none.
 
     Phase bookkeeping: with U(x,z) = tensor of X^x Z^z per site and
     y = |{sites with both bits}|, the canonical letters satisfy
     letters = i^y * U(x,z).  Commuting the Z block of `a` past the X
-    block of `b` costs (-1)^{|a.z & b.x|}, which gives
+    block of `b` costs (-1)^{|a.z & b.x|}, so one product takes
 
         phase = a.phase + b.phase + y_a + y_b - y_ab + 2*|a.z & b.x|  (mod 4).
+
+    Summed over the fold, the Y counts of the partial products cancel but
+    the last.  So each row adds its phase, its own Y count and
+    2|acc.z & row.x|, and the result's Y count comes off once at the end.
     """
-    if a.num_qubits != b.num_qubits:
-        raise ValueError(
-            f"qubit-count mismatch: {a.num_qubits} vs {b.num_qubits}"
-        )
-    x = a.x_mask ^ b.x_mask
-    z = a.z_mask ^ b.z_mask
-    phase = (
-        a.phase_exponent
-        + b.phase_exponent
-        + (a.x_mask & a.z_mask).bit_count()
-        + (b.x_mask & b.z_mask).bit_count()
-        - (x & z).bit_count()
-        + 2 * (a.z_mask & b.x_mask).bit_count()
-    )
-    return PauliOperator(a.num_qubits, x, z, phase % 4)
-
-
-def product(words) -> PauliOperator:
-    """The left-to-right product of one or more words."""
-    return reduce(multiply, words)
+    x = z = phase = 0
+    for row_x, row_z, row_phase in rows:
+        phase += row_phase + (row_x & row_z).bit_count() + 2 * (z & row_x).bit_count()
+        x ^= row_x
+        z ^= row_z
+    return x, z, (phase - (x & z).bit_count()) % 4
 
 
 def commutes(a: PauliOperator, b: PauliOperator) -> bool:
@@ -215,40 +227,57 @@ def parse_pauli(text: str, num_qubits: int) -> PauliOperator:
     Indices are 1-based; repeated indices multiply left to right.  An
     optional leading phase token (+, -, i, -i) and a bare "I" identity
     word are accepted, matching format_pauli's output.
+
+    One pass: a token on a site that is still I is OR'd into the masks,
+    which needs no phase work; only a repeated site runs the exact phase
+    rule (`product_masks`).  A token's position is found only when it is
+    rejected.
     """
     if num_qubits < 1:
         raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
-    matches = list(re.finditer(r"\S+", text))
-    if not matches:
+    tokens = text.split()
+    if not tokens:
         raise PauliSyntaxError("empty operator text", 0)
-    x = z = phase = 0
-    start = 0
-    if matches[0].group() in _LABEL_PHASE:
-        phase = _LABEL_PHASE[matches[0].group()]
-        start = 1
-        if len(matches) == 1:
-            raise PauliSyntaxError("phase prefix without operator tokens", matches[0].start())
-    for m in matches[start:]:
-        token = m.group()
-        parsed = _TOKEN_RE.match(token)
-        if parsed is None:
-            raise PauliSyntaxError(f"malformed token {token!r}", m.start())
-        letter, digits = parsed.groups()
-        if digits == "":
-            if letter != "I":
-                raise PauliSyntaxError(f"token {token!r} is missing a qubit index", m.start())
+    phase = _LABEL_PHASE.get(tokens[0])
+    if phase is None:
+        phase = first = 0
+    elif len(tokens) == 1:
+        raise _token_error(text, 0, "phase prefix without operator tokens")
+    else:
+        first = 1
+    width = len(str(num_qubits))
+    x = z = 0
+    for k in range(first, len(tokens)):
+        token = tokens[k]
+        site = _SITE_BITS.get(token[0])
+        digits = token[1:]
+        if site is None or not (digits.isdigit() and digits.isascii()):
+            if site is None or digits:
+                raise _token_error(text, k, f"malformed token {token!r}")
+            if token != "I":
+                raise _token_error(text, k, f"token {token!r} is missing a qubit index")
             continue
+        if len(digits) > width:
+            # Leading zeros are allowed.  A longer index is out of range, and
+            # never reaches int(), which refuses more than 4300 digits.
+            digits = digits.lstrip("0") or "0"
+            if len(digits) > width:
+                raise _token_error(text, k, f"qubit index {digits} out of range 1..{num_qubits}")
         index = int(digits)
-        if index < 1 or index > num_qubits:
-            raise PauliSyntaxError(
-                f"qubit index {index} out of range 1..{num_qubits}", m.start()
-            )
-        # `multiply`'s phase rule, with the one-site word (bx, bz) as b.
-        bit = 1 << (index - 1)
-        bx = bit if letter in "XY" else 0
-        bz = bit if letter in "ZY" else 0
-        phase += (x & z).bit_count() + (bx & bz).bit_count() + 2 * (z & bx).bit_count()
-        x ^= bx
-        z ^= bz
-        phase -= (x & z).bit_count()
+        if not 0 < index <= num_qubits:
+            raise _token_error(text, k, f"qubit index {index} out of range 1..{num_qubits}")
+        shift = index - 1
+        bx = site[0] << shift
+        bz = site[1] << shift
+        if (x | z) >> shift & 1:
+            x, z, phase = product_masks(((x, z, phase), (bx, bz, 0)))
+        else:
+            x |= bx
+            z |= bz
     return PauliOperator(num_qubits, x, z, phase % 4)
+
+
+def _token_error(text: str, k: int, message: str) -> PauliSyntaxError:
+    """`message` at the start of the k-th whitespace-separated token of `text`."""
+    match = next(islice(re.finditer(r"\S+", text), k, None))
+    return PauliSyntaxError(message, match.start())

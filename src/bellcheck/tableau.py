@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .constructions import context_faults, fault_message
-from .pauli import PauliOperator, commutes, identity, multiply
+from .pauli import PauliOperator, format_pauli, multiply, product_masks
 
 
 class StabilizerTableau(NamedTuple):
@@ -101,23 +101,35 @@ def _checked_context(context_ops) -> list[PauliOperator]:
     return ops
 
 
-def _forced_form(stabilizers, destabilizers, signs, op: PauliOperator) -> int:
-    """Outcome of `op`, a word commuting with every stabilizer, as an affine form.
+def _rows(records) -> list[tuple[int, int, int]]:
+    """Tableau rows as plain (x_mask, z_mask, phase_exponent) ints."""
+    return [record[1:] for record in records]
+
+
+def _records(num_qubits: int, old, rows) -> tuple[PauliOperator, ...]:
+    """Rows back as records, keeping each old record whose row did not change."""
+    return tuple(
+        record if record[1:] == row else PauliOperator(num_qubits, *row)
+        for record, row in zip(old, rows)
+    )
+
+
+def _forced_form(stabilizers, destabilizers, signs, x: int, z: int, phase: int) -> int:
+    """Outcome of the word (x, z, phase), which commutes with every stabilizer, as an affine form.
 
     Such a word is +-(product of the stabilizers whose destabilizer it
     anticommutes with).  Stabilizer i is its row times (-1)^signs[i], so
     the outcome bit is the XOR of those rows' sign forms, plus 1 in bit 0
-    when the exact product of the rows is -op.
+    when the exact product of the rows is -word.  Rows are plain ints.
     """
-    acc = identity(op.num_qubits)
-    form = 0
-    for stabilizer, destabilizer, sign in zip(stabilizers, destabilizers, signs):
-        if not commutes(destabilizer, op):
-            acc = multiply(acc, stabilizer)
-            form ^= sign
-    if acc.x_mask != op.x_mask or acc.z_mask != op.z_mask:
+    named = [i for i, (dx, dz, _) in enumerate(destabilizers) if ((x & dz) ^ (z & dx)).bit_count() & 1]
+    acc_x, acc_z, acc_phase = product_masks(stabilizers[i] for i in named)
+    if acc_x != x or acc_z != z:
         raise RuntimeError("tableau does not generate the measured word (tableau bug)")
-    return form ^ (acc.phase_exponent != op.phase_exponent)
+    form = int(acc_phase != phase)
+    for i in named:
+        form ^= signs[i]
+    return form
 
 
 def _check_size(op: PauliOperator, tableau: StabilizerTableau) -> None:
@@ -128,10 +140,23 @@ def _check_size(op: PauliOperator, tableau: StabilizerTableau) -> None:
 
 
 def tableau_expectation(tableau: StabilizerTableau, op: PauliOperator) -> float:
-    """<state| op |state> for a Hermitian Pauli word: 0 or exactly +-1."""
-    (form,), _, _ = compile_context(tableau, (op,))
-    # A form above 1 holds the word's own coin: the outcome is a fair coin.
-    return 0.0 if form > 1 else 1.0 - 2.0 * form
+    """<state| op |state> for a Hermitian Pauli word: 0 or exactly +-1.
+
+    Read off the tableau without measuring (Aaronson and Gottesman, Sec. III):
+    0 when the word anticommutes with a stabilizer, otherwise the sign by
+    which the stabilizers named by its anticommuting destabilizers
+    multiply to the word.  No row is rewritten.
+    """
+    if not op.is_hermitian:
+        raise ValueError(fault_message(format_pauli(op), None))
+    _check_size(op, tableau)
+    _, x, z, phase = op
+    for _, sx, sz, _ in tableau.stabilizers:
+        if ((x & sz) ^ (z & sx)).bit_count() & 1:
+            return 0.0
+    signs = (0,) * tableau.num_qubits
+    form = _forced_form(_rows(tableau.stabilizers), _rows(tableau.destabilizers), signs, x, z, phase)
+    return 1.0 - 2.0 * form
 
 
 def compile_context(
@@ -152,37 +177,46 @@ def compile_context(
     Stabilizer i of the returned tableau is its row times (-1)^(post sign
     form i); `signs` gives those forms for the input tableau (all 0 when
     None), so a later context continues from this one's result.  Returns
-    (outcome forms, post-measurement rows, post sign forms).
+    (outcome forms, post-measurement rows, post sign forms).  The pass
+    runs on plain-int rows; records are built only for the rows it changed.
     """
     ops = _checked_context(context_ops)
     for op in ops:
         _check_size(op, tableau)
-    stabilizers = list(tableau.stabilizers)
-    destabilizers = list(tableau.destabilizers)
+    stabilizers = _rows(tableau.stabilizers)
+    destabilizers = _rows(tableau.destabilizers)
     row_signs = list(signs) if signs is not None else [0] * tableau.num_qubits
     forms = []
-    for j, op in enumerate(ops, first):
-        pivot = next((i for i, s in enumerate(stabilizers) if not commutes(s, op)), None)
+    for j, (_, x, z, phase) in enumerate(ops, first):
+        pivot = next(
+            (i for i, (sx, sz, _) in enumerate(stabilizers) if ((x & sz) ^ (z & sx)).bit_count() & 1),
+            None,
+        )
         if pivot is None:
-            forms.append(_forced_form(stabilizers, destabilizers, row_signs, op))
+            forms.append(_forced_form(stabilizers, destabilizers, row_signs, x, z, phase))
             continue
         coin = 1 << (j + 1)
         forms.append(coin)
-        # Every other row anticommuting with op absorbs the pivot row, so
-        # only the pivot anticommutes; it becomes a destabilizer and the
-        # measured word, signed by the coin, takes its place.
+        # Every other row anticommuting with the word absorbs the pivot row,
+        # so only the pivot anticommutes; it becomes a destabilizer and the
+        # measured word, signed by the coin, takes its place.  The rows
+        # before the pivot commute with the word.
         row, row_sign = stabilizers[pivot], row_signs[pivot]
-        for i, other in enumerate(stabilizers):
-            if i != pivot and not commutes(other, op):
-                stabilizers[i] = multiply(other, row)
+        for i in range(pivot + 1, len(stabilizers)):
+            sx, sz, _ = stabilizers[i]
+            if ((x & sz) ^ (z & sx)).bit_count() & 1:
+                stabilizers[i] = product_masks((stabilizers[i], row))
                 row_signs[i] ^= row_sign
-        for i, other in enumerate(destabilizers):
-            if i != pivot and not commutes(other, op):
-                destabilizers[i] = multiply(other, row)
+        for i, (dx, dz, _) in enumerate(destabilizers):
+            if i != pivot and ((x & dz) ^ (z & dx)).bit_count() & 1:
+                destabilizers[i] = product_masks((destabilizers[i], row))
         destabilizers[pivot] = row
-        stabilizers[pivot] = op
+        stabilizers[pivot] = (x, z, phase)
         row_signs[pivot] = coin
-    post = StabilizerTableau(tableau.num_qubits, tuple(stabilizers), tuple(destabilizers))
+    m = tableau.num_qubits
+    post = StabilizerTableau(
+        m, _records(m, tableau.stabilizers, stabilizers), _records(m, tableau.destabilizers, destabilizers)
+    )
     return tuple(forms), post, tuple(row_signs)
 
 

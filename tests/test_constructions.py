@@ -1,12 +1,15 @@
 """Structural checks of the built-in observable families."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from conftest import dense_oracle
+from conftest import dense_oracle, random_pauli
 from bellcheck.constructions import (
     Context,
     ContextSystem,
+    context_faults,
     generalized_sets,
     ghz_contexts,
     ghz_observables,
@@ -157,6 +160,21 @@ class TestValidateFaultInjection:
         assert report.failures == (0,)
         assert report.checks[0].problem == "observable i X1 is not Hermitian"
 
+    def test_first_failing_pair_matches_commutes_in_combinations_order(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(1, 4))
+            words = [random_pauli(rng, n) for _ in range(int(rng.integers(1, 6)))]
+            expected = next(
+                ((format_pauli(a), format_pauli(b)) for a, b in combinations(words, 2) if not commutes(a, b)),
+                None,
+            )
+            assert context_faults(words)[1] == expected
+
+    def test_members_on_different_registers_raise(self):
+        with pytest.raises(ValueError, match="mismatch: 2 vs 3"):
+            validate(ContextSystem(2, (Context((parse_pauli("Z1", 2), parse_pauli("Z1", 3)), +1),)))
+
     def test_problem_names_wrong_and_missing_signs(self):
         system = ContextSystem(
             1,
@@ -176,6 +194,12 @@ class TestCatalogCache:
         system = generalized_sets(5)
         assert system.catalog is system.catalog
         assert system.occurrence_counts is system.occurrence_counts
+
+    def test_index_gives_catalog_positions(self):
+        system = generalized_sets(7)
+        assert list(system.catalog_index) == list(system.catalog)
+        assert all(system.catalog[i] == obs for obs, i in system.catalog_index.items())
+        assert system.catalog_index is system.catalog_index
 
     def test_cache_does_not_affect_equality(self):
         a, b = mermin_square(), mermin_square()

@@ -4,7 +4,7 @@ import pytest
 
 from bellcheck.constructions import Context, ContextSystem, generalized_sets, mermin_square
 from bellcheck.dsl import MAX_QUBITS, DslSyntaxError, parse_document, serialize
-from bellcheck.pauli import PauliOperator
+from bellcheck.pauli import PauliOperator, parse_pauli
 
 
 class TestParse:
@@ -85,6 +85,19 @@ class TestErrors:
     def test_qubits_at_the_limit(self):
         assert parse_document(f"qubits 0{MAX_QUBITS}\n").num_qubits == MAX_QUBITS
 
+    def test_qubits_with_leading_zeros_past_the_int_digit_limit(self):
+        assert parse_document("qubits " + "0" * 5000 + "3\n").num_qubits == 3
+
+    def test_index_past_the_int_digit_limit(self):
+        # int() refuses more than 4300 digits; the error keeps its line and column.
+        digits = "1" * 5000
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_document(f"qubits 3\nset X1, Z{digits}\n")
+        assert (exc.value.line, exc.value.column) == (2, 9)
+        assert str(exc.value) == (
+            f"line 2, column 9: qubit index {digits} out of range 1..3 (at position 2)"
+        )
+
     def test_first_error_in_the_text_is_reported(self):
         # The malformed token on line 2 comes before the bad directive on line 3.
         with pytest.raises(DslSyntaxError) as exc:
@@ -111,6 +124,42 @@ class TestErrors:
             parse_document("qubits 2\nset X1, Q7\n")
         assert exc.value.line == 2
         assert exc.value.column == 9
+
+
+class TestWordMemo:
+    TEXT = (
+        "qubits 3\n"
+        "set X1 Z2, Z1 X2, Y1 Y2 = -1\n"
+        "set  Z2 X1 ,X1 Z2,   X1 Z2  , - Y3\n"
+        "set Y1 Y2, - Y3 Y3 Y3, X3 X3 Z1, - Y3\n"
+    )
+
+    def test_matches_per_word_parsing(self):
+        system = parse_document(self.TEXT)
+        lines = self.TEXT.splitlines()[1:]
+        assert len(system.contexts) == len(lines)
+        for ctx, line in zip(system.contexts, lines):
+            body = line.removeprefix("set").partition("=")[0]
+            assert ctx.observables == tuple(parse_pauli(piece, 3) for piece in body.split(","))
+
+    def test_repeated_text_shares_one_record(self):
+        first, second, third = parse_document(self.TEXT).contexts
+        # " X1 Z2" and "   X1 Z2  " strip to one text, so one record.
+        assert second.observables[1] is first.observables[0]
+        assert second.observables[2] is first.observables[0]
+        assert third.observables[3] is second.observables[3]
+
+    @pytest.mark.parametrize("line", ["set X12, X1 2", "set X1 Z2, X1Z2"])
+    def test_memo_never_hides_an_error(self, line):
+        with pytest.raises(DslSyntaxError, match="malformed token"):
+            parse_document(f"qubits 12\n{line}\n")
+
+    def test_two_texts_for_one_word(self):
+        first, second, third = parse_document(self.TEXT).contexts
+        # "Z2 X1" and "X1 Z2" are two texts of one word: equal records.
+        assert second.observables[0] == first.observables[0]
+        assert third.observables[1] == second.observables[3] == PauliOperator(3, 0b100, 0b100, 2)
+        assert third.observables[2] == PauliOperator(3, 0b000, 0b001)
 
 
 class TestRoundTrip:

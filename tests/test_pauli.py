@@ -14,6 +14,7 @@ from bellcheck.pauli import (
     multiply,
     parse_pauli,
     product,
+    product_masks,
     relabel,
     single,
     to_dense,
@@ -51,6 +52,68 @@ def token_texts(draw, max_qubits=4):
     return n, draw(st.sampled_from(sorted(PHASE_PREFIXES))), tokens
 
 
+@st.composite
+def wide_token_texts(draw, max_qubits=4096):
+    """As `token_texts`, on registers up to 4096 qubits.
+
+    Indices come mostly from a few sites, so that tokens repeat them, and
+    some carry leading zeros.
+    """
+    n = draw(st.integers(1, max_qubits))
+    sites = draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
+    index = st.one_of(st.sampled_from(sites), st.integers(1, n))
+    token = st.one_of(
+        st.tuples(st.sampled_from("IXYZ"), index, st.integers(0, 2)),
+        st.just(("I", "", 0)),
+    )
+    tokens = draw(st.lists(token, min_size=1, max_size=12))
+    return n, draw(st.sampled_from(sorted(PHASE_PREFIXES))), tokens
+
+
+def left_fold(n, prefix, tokens):
+    """The definition: the prefix's phase, times each token's one-letter
+    word in turn; a bare "I" is the identity."""
+    expected = PauliOperator(n, 0, 0, PHASE_PREFIXES[prefix])
+    for letter, index, *_ in tokens:
+        if index != "":
+            expected = multiply(expected, single(letter, index, n))
+    return expected
+
+
+# Malformed words, with the message and the 0-based position each is
+# reported at.
+MALFORMED = [
+    ("", 2, "empty operator text", 0),
+    ("\t\n", 2, "empty operator text", 0),
+    ("-", 2, "phase prefix without operator tokens", 0),
+    ("  -i  ", 2, "phase prefix without operator tokens", 2),
+    ("i", 3, "phase prefix without operator tokens", 0),
+    ("x1", 2, "malformed token 'x1'", 0),
+    ("X1 Q2", 2, "malformed token 'Q2'", 3),
+    ("X1,", 2, "malformed token 'X1,'", 0),
+    ("X-1", 2, "malformed token 'X-1'", 0),
+    ("X+1", 2, "malformed token 'X+1'", 0),
+    ("X1_0", 20, "malformed token 'X1_0'", 0),
+    ("X\u00b2", 2, "malformed token 'X\u00b2'", 0),
+    ("Z\u0661", 2, "malformed token 'Z\u0661'", 0),
+    ("-- X1", 2, "malformed token '--'", 0),
+    ("- - X1", 2, "malformed token '-'", 2),
+    ("-i -i X1", 2, "malformed token '-i'", 3),
+    ("XX1", 2, "malformed token 'XX1'", 0),
+    ("1X", 2, "malformed token '1X'", 0),
+    ("  X1\u00a0Q2", 2, "malformed token 'Q2'", 5),
+    ("X1  Y", 2, "token 'Y' is missing a qubit index", 4),
+    ("X1 Z", 2, "token 'Z' is missing a qubit index", 3),
+    ("X0", 2, "qubit index 0 out of range 1..2", 0),
+    ("X00", 2, "qubit index 0 out of range 1..2", 0),
+    ("I0", 1, "qubit index 0 out of range 1..1", 0),
+    ("I5", 3, "qubit index 5 out of range 1..3", 0),
+    ("Y010", 9, "qubit index 10 out of range 1..9", 0),
+    ("X1 Y2 Z99", 13, "qubit index 99 out of range 1..13", 6),
+    ("X1\u3000Z7", 2, "qubit index 7 out of range 1..2", 3),
+]
+
+
 class TestParse:
     def test_basic_tokens(self):
         op = parse_pauli("X1 Z2 X3", 3)
@@ -86,15 +149,35 @@ class TestParse:
 
     @given(token_texts())
     def test_matches_left_fold_of_single_letters(self, case):
-        # The definition: the prefix's phase, times each token's one-letter
-        # word in turn; a bare "I" is the identity.
         n, prefix, tokens = case
-        expected = PauliOperator(n, 0, 0, PHASE_PREFIXES[prefix])
-        for letter, index in tokens:
-            if index != "":
-                expected = multiply(expected, single(letter, index, n))
         text = " ".join([prefix, *(f"{letter}{index}" for letter, index in tokens)])
-        assert parse_pauli(text, n) == expected
+        assert parse_pauli(text, n) == left_fold(n, prefix, tokens)
+
+    @given(wide_token_texts())
+    def test_matches_left_fold_on_wide_registers(self, case):
+        n, prefix, tokens = case
+        text = " ".join(
+            [prefix, *(f"{letter}{'0' * zeros}{index}" for letter, index, zeros in tokens)]
+        )
+        assert parse_pauli(text, n) == left_fold(n, prefix, tokens)
+
+    @pytest.mark.parametrize("text,n,message,position", MALFORMED)
+    def test_error_text_and_position(self, text, n, message, position):
+        with pytest.raises(PauliSyntaxError) as exc:
+            parse_pauli(text, n)
+        assert str(exc.value) == f"{message} (at position {position + 1})"
+        assert exc.value.position == position
+
+    def test_index_past_the_int_digit_limit(self):
+        # int() refuses more than 4300 digits; the index is still out of range.
+        digits = "1" * 5000
+        with pytest.raises(PauliSyntaxError) as exc:
+            parse_pauli(f"X1 Y{digits}", 3)
+        assert str(exc.value) == f"qubit index {digits} out of range 1..3 (at position 4)"
+        assert exc.value.position == 3
+
+    def test_leading_zeros_past_the_int_digit_limit(self):
+        assert parse_pauli("Z" + "0" * 5000 + "2", 3) == PauliOperator(3, 0, 0b010)
 
     def test_phase_prefix(self):
         assert parse_pauli("-i Y1", 1) == PauliOperator(1, 1, 1, 3)
@@ -175,6 +258,13 @@ class TestProduct:
         assert product([x]) == x
         assert product([x, z]) == PauliOperator(1, 1, 1, 3)  # XZ = -iY
         assert product([z, x]) == PauliOperator(1, 1, 1, 1)  # ZX = iY
+
+    def test_rejects_no_words_and_mixed_registers(self):
+        with pytest.raises(ValueError, match="at least one word"):
+            product([])
+        with pytest.raises(ValueError, match="mismatch: 2 vs 3"):
+            product([identity(2), identity(2), identity(3)])
+        assert product_masks([]) == (0, 0, 0)  # the int fold starts at the identity
 
     @given(anticommuting_words())
     def test_is_the_left_fold_of_multiply(self, words):

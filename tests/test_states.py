@@ -389,6 +389,51 @@ class TestTableau:
             dense = expectation(bell_product_state(n), op)
             assert tableau_expectation(bell_product_tableau(n), op) == pytest.approx(dense, abs=1e-12)
 
+    @staticmethod
+    def form_expectation(tableau, op):
+        """`compile_context`'s reading: a form above 1 holds the word's own coin."""
+        (form,), _, _ = compile_context(tableau, (op,))
+        return 0.0 if form > 1 else 1.0 - 2.0 * form
+
+    @staticmethod
+    def probe_words(rng, tableau, count):
+        """Random Hermitian words, and as many signed stabilizer products (forced)."""
+        m = tableau.num_qubits
+        for _ in range(count):
+            yield hermitian_pauli(rng, m)
+            picked = [s for s in tableau.stabilizers if rng.random() < 0.5] or [tableau.stabilizers[0]]
+            word = picked[0]
+            for s in picked[1:]:
+                word = word * s
+            yield PauliOperator(m, word.x_mask, word.z_mask, word.phase_exponent + 2 * int(rng.integers(0, 2)))
+
+    def assert_expectations_agree(self, rng, tableau, state, count):
+        for op in self.probe_words(rng, tableau, count):
+            value = tableau_expectation(tableau, op)
+            assert value == self.form_expectation(tableau, op)
+            assert value == pytest.approx(expectation(state, op), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_expectation_without_collapse_after_random_contexts(self, n):
+        """Tableaux reached by measuring random contexts, up to 12 qubits dense."""
+        rng = np.random.default_rng(300 + n)
+        for trial in range(8):
+            state, contexts, draws = bell_product_state(n), [], []
+            for step in range(2):
+                ops = commuting_words(rng, 2 * n, 3)
+                step_draws = rng.random(len(ops))
+                _, state = measure_context(state, ops, SequenceDraw(step_draws))
+                contexts.append(ops)
+                draws.extend(step_draws)
+            _, tableau = measure_compiled(bell_product_tableau(n), contexts, draws)
+            self.assert_expectations_agree(rng, tableau, state, 25)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_expectation_without_collapse_on_singlets_and_ghz(self, n):
+        rng = np.random.default_rng(400 + n)
+        self.assert_expectations_agree(rng, singlet_product_tableau(n), singlet_product_state(n), 40)
+        self.assert_expectations_agree(rng, ghz_tableau(), ghz_state(), 40)
+
     def test_random_outcome_has_p_plus_one_half(self):
         # Z1 anticommutes with the stabilizer X1 X2 of one Bell pair.
         op = parse_pauli("Z1", 2)
