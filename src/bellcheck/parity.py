@@ -15,6 +15,7 @@ independently of the solver (`check_certificate`, `check_assignment`).
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from typing import Iterable, Mapping, NamedTuple
 
 from .pauli import format_pauli
@@ -38,7 +39,7 @@ class ParityRow(namedtuple("ParityRow", "variables rhs")):
 class ParitySystem(namedtuple("ParitySystem", "variables rows")):
     __slots__ = ()
 
-    def __new__(cls, variables: tuple[str, ...], rows: tuple[ParityRow, ...]):
+    def __new__(cls, variables: Sequence[str], rows: tuple[ParityRow, ...]):
         for row in rows:
             for v in row.variables:
                 if not 0 <= v < len(variables):
@@ -62,8 +63,50 @@ class SolveResult(NamedTuple):
     certificate: tuple[int, ...] | None = None
 
 
+class _CatalogNames(Sequence):
+    """The variable names of a catalog, `format_pauli` of each word, formatted on first read.
+
+    Reading the count formats nothing, so an UNSAT verdict, which reports
+    only the count and the certificate rows, formats no name.  Compares
+    and hashes as the tuple of names.
+    """
+
+    __slots__ = ("_catalog", "_names")
+
+    def __init__(self, catalog):
+        self._catalog, self._names = catalog, None
+
+    def __len__(self) -> int:
+        return len(self._catalog)
+
+    def __getitem__(self, index):
+        return self._formatted()[index]
+
+    def __iter__(self):
+        return iter(self._formatted())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _CatalogNames):
+            other = other._formatted()
+        return self._formatted() == other
+
+    def __hash__(self) -> int:
+        return hash(self._formatted())
+
+    def __repr__(self) -> str:
+        return repr(self._formatted())
+
+    def _formatted(self) -> tuple[str, ...]:
+        if self._names is None:
+            self._names = tuple(format_pauli(o) for o in self._catalog)
+        return self._names
+
+
 def build_parity_system(system) -> ParitySystem:
-    """One XOR row per context of a ContextSystem; rhs 1 iff expected sign -1."""
+    """One XOR row per context of a ContextSystem; rhs 1 iff expected sign -1.
+
+    The variables are the catalog words, named lazily by `_CatalogNames`.
+    """
     index = system.catalog_index
     rows = tuple(
         ParityRow(
@@ -72,7 +115,7 @@ def build_parity_system(system) -> ParitySystem:
         )
         for ctx in system.contexts
     )
-    return ParitySystem(tuple(format_pauli(o) for o in system.catalog), rows)
+    return ParitySystem(_CatalogNames(system.catalog), rows)
 
 
 def solve(ps: ParitySystem) -> SolveResult:

@@ -14,9 +14,12 @@ shot's own stream and evaluates the statistics bit-sliced: for each
 schedule entry, record bit r of all its shots is one Python int (a
 bit-plane), so a statistic is a few int XORs or ORs and the summary is
 popcounts.  A run that reads at most `_PURE_BLOCKS` Philox blocks takes
-its words from `rng.shot_words` in plain Python and never imports numpy;
-a larger run draws blocks of shots with the numpy kernel
-`rng.shot_draws` and packs the same planes with `np.packbits`.
+the words of every entry of a block of shots from one call of
+`rng.packed_words`, in plain Python, and never imports numpy; it cuts
+the planes straight from the packed words' bytes, with exact integer
+thresholds in place of the draws' float comparisons.  A larger run
+draws blocks of shots with the numpy kernel `rng.shot_draws` and packs
+the same planes with `np.packbits`.
 
 With no noise and unit efficiency the shared outcomes agree on every
 round and every fully-recorded context satisfies its product constraint
@@ -26,26 +29,33 @@ exactly; the summary statistics quantify how both degrade otherwise.
 from __future__ import annotations
 
 from functools import reduce
+from math import ceil, ldexp
 from operator import or_, xor
 from typing import NamedTuple
 
 from .constructions import ContextSystem
 from .pauli import format_pauli
-from .rng import check_key, shot_draws, shot_words
+from .rng import check_key, packed_words, shot_draws
 from .tableau import bell_product_tableau, compile_context, embed
 
 MODES = ("alone", "in_context")
 # Shots sampled together: memory is O(BLOCK_SHOTS x words), not O(shots).
 BLOCK_SHOTS = 4096
 # Runs that read at most this many Philox blocks compute them in plain
-# Python (`rng.shot_words`) and never import numpy.  On a 2-core Xeon VM
-# that path costs 9-16 us per block all in (the Philox alone about 8),
-# against 83-131 ms for `import numpy` (234 ms on a slower host), so the
-# two break even near 8,000 blocks: a `correlate --n 2 --shots 8000`
-# child, 8,000 blocks per run, took 379 ms plain and 388 ms with numpy.
-_PURE_BLOCKS = 8192
-# Byte 0 or 1 to the digit "0" or "1", for `_plane`.
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
+# Python (`rng.packed_words`) and never import numpy.  On a 2-core Xeon VM
+# the lane-packed Philox costs 0.8-1.2 us per block, and the two sources
+# break even near 70,000 blocks per run (children, median of 7 alternating
+# pairs, both runs of a command on one source): `correlate --n 13 --noise
+# 0.05 --efficiency 0.9` with 47,600 and 78,750 blocks (7,000 shots) took
+# 364 ms either way, and `correlate --n 2` with 80,000 blocks per run
+# took 422 ms plain and 458 ms with numpy, 100,000 blocks 527 and 448 ms.
+# Plain runs peaked at 21.8 MiB RSS or less, numpy runs at 29.5-32.1 MiB.
+_PURE_BLOCKS = 65536
+# Bytes to binary digits, for `_word_planes`: a byte's top bit (a coin),
+# a carry byte 1, and a carry byte 0.
+_COINS = bytes.maketrans(bytes(range(256)), b"0" * 128 + b"1" * 128)
+_CARRY = bytes.maketrans(b"\0\1", b"01")
+_NO_CARRY = bytes.maketrans(b"\0\1", b"10")
 
 
 def _noise_pair(noise) -> tuple[float, float]:
@@ -147,28 +157,43 @@ def _bits(form: int) -> tuple[int, ...]:
     return tuple(r for r in range(form.bit_length()) if form >> r & 1)
 
 
-def _word_planes(seed: int, shots: range, k: int, flip_p: tuple, efficiency: float) -> list[int]:
-    """The record planes of `shots`, each reading the first k words of its stream.
+def _word_planes(rows: int, words: list[bytes], flip_p: tuple, efficiency: float) -> list[int]:
+    """The record planes of `rows` shots, from their words (`rng.packed_words`).
 
-    Bit i of plane r is record bit r of shot shots[i].  A shot's words are
-    one per outcome, then a flip word and an erasure word per outcome,
-    Alice's outcomes first; word x is the draw (x >> 11) * 2**-53, so a
-    coin is x >> 63.  With k at most the number of outcomes (no noise,
-    unit efficiency) only coins are recorded, and the planes stop there.
+    Bit i of plane r is record bit r of shot i.  A shot's words are one
+    per outcome, then a flip word and an erasure word per outcome,
+    Alice's outcomes first; with no noise and unit efficiency only coins
+    are drawn, and the planes stop there.  Word x of shot i sits in the
+    low half of the 16-byte slot i, so its coin x >> 63 is the top bit of
+    the slot's byte 7.  Its flip, the draw (x >> 11) * 2**-53 below p, is
+    x < t for t = ceil(p 2**53) << 11 exactly, since x >> 11 is an integer
+    below the real p 2**53 iff it is below its ceiling.  Adding 2**64 - t
+    to every slot carries into bit 64, byte 8 of the slot, iff x >= t: a
+    flip is the absence of that carry and an erasure, with t from the
+    efficiency, is the carry itself.
     """
+    if not rows:
+        return [0]
     width = len(flip_p)
-    columns = list(zip(*shot_words(seed, shots, k)))  # column j: word j of every shot
-    planes = [(1 << len(shots)) - 1]
-    planes += [_plane([x >> 63 for x in column]) for column in columns[:width]]
-    for p, flips, erasures in zip(flip_p, columns[width::2], columns[width + 1 :: 2]):
-        planes.append(_plane([(x >> 11) * 2.0**-53 < p for x in flips]))
-        planes.append(_plane([(x >> 11) * 2.0**-53 >= efficiency for x in erasures]))
+    planes = [(1 << rows) - 1]
+    planes += [int(word[-9::-16].translate(_COINS), 2) for word in words[:width]]
+    if len(words) > width:
+        # One sum over every flip and erasure word, last word first, so
+        # that the carries read backwards come word by word in order.
+        erase = _addend(efficiency) * rows
+        addend = b"".join([erase + _addend(p) * rows for p in reversed(flip_p)])
+        total = int.from_bytes(b"".join(reversed(words[width:])), "little")
+        total += int.from_bytes(addend, "little")
+        carries = total.to_bytes(len(addend), "little")[-8::-16]
+        for start in range(0, len(carries), 2 * rows):
+            planes.append(int(carries[start : start + rows].translate(_NO_CARRY), 2))
+            planes.append(int(carries[start + rows : start + 2 * rows].translate(_CARRY), 2))
     return planes
 
 
-def _plane(bits: list) -> int:
-    """The int whose bit i is bits[i], each 0 or 1."""
-    return int(bytes(bits[::-1]).translate(_DIGITS), 2)
+def _addend(p: float) -> bytes:
+    """The slot of 2**64 - t for t = ceil(p 2**53) << 11: a word x carries past 64 bits iff x >= t."""
+    return ((1 << 64) - (ceil(ldexp(p, 53)) << 11)).to_bytes(16, "little")
 
 
 def _packed_planes(draws, flip_p: tuple, efficiency: float) -> list[int]:
@@ -307,8 +332,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
         ]
         if philox_blocks <= _PURE_BLOCKS:
             planes = [
-                _word_planes(seed, shots, k, flip_p, efficiency)
-                for (shots, k), (_, flip_p, _, _) in zip(groups, rounds)
+                _word_planes(len(shots), words, flip_p, efficiency)
+                for (shots, _), words, (_, flip_p, _, _) in zip(
+                    groups, packed_words(seed, groups), rounds
+                )
             ]
         else:
             planes = [

@@ -88,6 +88,8 @@ SMALL_RUNS = [
     ),
     ["correlate", "--n", "13", "--shots", "200"],
     ["correlate", "--n", "3", "--shots", "0"],
+    # Just within the draw budget: 39,440 and 65,250 Philox blocks.
+    ["correlate", "--n", "13", "--shots", "5800", "--noise", "0.05", "--efficiency", "0.9"],
 ]
 
 
@@ -364,7 +366,8 @@ class TestCorrelate:
         assert fresh_main(argv, "numpy") == "0 False"
 
     def test_run_above_the_draw_budget_uses_numpy_and_reports_the_same(self, capsys, monkeypatch):
-        argv = ["correlate", "--n", "13", "--shots", "2000", "--noise", "0.05", "--efficiency", "0.9"]
+        # Both runs are above the draw budget: 68,000 and 112,500 Philox blocks.
+        argv = ["correlate", "--n", "13", "--shots", "10000", "--noise", "0.05", "--efficiency", "0.9"]
         assert fresh_main(argv, "numpy") == "0 True"
         assert fresh_main(argv, "numpy.random") == "0 False"
         kernel = run(capsys, [*argv, "--format", "json"])

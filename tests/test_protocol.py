@@ -1,6 +1,7 @@
 """Two-observer protocol: perfect-correlation regime, noise, inefficiency."""
 
 import math
+import random
 
 import pytest
 
@@ -8,7 +9,7 @@ from bellcheck import protocol
 from bellcheck.constructions import Context, ContextSystem, generalized_sets, mermin_square
 from bellcheck.pauli import PauliOperator, parse_pauli
 from bellcheck.protocol import MODES, ExperimentConfig, default_schedule, run_experiment
-from bellcheck.rng import shot_words
+from bellcheck.rng import shot_stream
 from protocol_reference import reference_experiment, reference_round
 
 
@@ -28,7 +29,7 @@ def on_both_sources(monkeypatch, config):
     Both summaries must be equal; the one returned is compared further.
     """
     summaries = []
-    for budget, unused in ((2**63, "shot_draws"), (0, "shot_words")):
+    for budget, unused in ((2**63, "shot_draws"), (0, "packed_words")):
         with monkeypatch.context() as patch:
             patch.setattr(protocol, "_PURE_BLOCKS", budget)
             patch.setattr(protocol, unused, drew_first)
@@ -276,14 +277,48 @@ class TestTableauAgainstDenseOracle:
         ctx_id, _ = default_schedule(system)[0]  # its shared word is outcome 0
         alice = len(system.contexts[ctx_id].observables)
         outcomes = alice + (1 if mode == "alone" else alice)
-        (words,) = shot_words(5, range(1), 3 * outcomes)
-        flip, erasure = ((words[j] >> 11) * 2.0**-53 for j in (outcomes, outcomes + 1))
+        draws = shot_stream(5, 0).random(3 * outcomes).tolist()
+        flip, erasure = draws[outcomes], draws[outcomes + 1]
         for noise, efficiency in ((flip, 0.95), (0.05, erasure)):
             config = ExperimentConfig(
                 n=2, system=system, shots=40, noise=noise, efficiency=efficiency,
                 seed=5, bob_mode=mode,
             )
             assert on_both_sources(monkeypatch, config) == reference_experiment(config)
+
+
+# Flip probabilities and efficiencies at the edges of the 53-bit draw grid.
+THRESHOLDS = [0.0, 5e-324, 2**-53, 0.05, 0.5, 0.9, 1 - 2**-52, 1 - 2**-53, 1.0]
+
+
+@pytest.mark.parametrize("p", THRESHOLDS)
+def test_integer_thresholds_equal_the_float_comparison(p):
+    """`_word_planes` reads coins, flips and erasures off packed words as the draws' float tests do.
+
+    A flip is `(x >> 11) * 2**-53 < p` and an erasure `>= efficiency`;
+    the planes test x against an integer threshold by a carry instead.
+    The words sit at that threshold, a grid step either side, at both
+    ends of the 64-bit range and at random.
+    """
+    rng = random.Random(p)
+    t = math.ceil(math.ldexp(p, 53)) << 11
+    near = {t + d for d in (-(2**11) - 1, -(2**11), -1, 0, 1, 2**11 - 1, 2**11)}
+    words = sorted({0, 1, 2**11 - 1, 2**11, 2**63, 2**64 - 1, *(rng.getrandbits(64) for _ in range(40))})
+    words += sorted(x for x in near if 0 <= x < 2**64)
+    packed = b"".join(x.to_bytes(8, "little") + bytes(8) for x in words)
+    for noise, efficiency in ((p, 1.0), (0.05, p), (p, p)):
+        planes = protocol._word_planes(len(words), [packed] * 3, (noise,), efficiency)
+        expected = [
+            [1] * len(words),
+            [x >> 63 for x in words],
+            [(x >> 11) * 2.0**-53 < noise for x in words],
+            [(x >> 11) * 2.0**-53 >= efficiency for x in words],
+        ]
+        assert planes == [sum(bit << i for i, bit in enumerate(bits)) for bits in expected]
+
+
+def test_planes_of_no_shots():
+    assert protocol._word_planes(0, [b""] * 6, (0.1, 0.2), 0.9) == [0]
 
 
 class CountingDraw:
@@ -343,7 +378,7 @@ class TestBadInputs:
         expected = self.error(reference_experiment, config)
         with monkeypatch.context() as patch:
             patch.setattr(protocol, "shot_draws", drew_first)
-            patch.setattr(protocol, "shot_words", drew_first)
+            patch.setattr(protocol, "packed_words", drew_first)
             assert self.error(run_experiment, config) == expected
 
     @pytest.mark.parametrize("case", [i for i, c in enumerate(BAD_INPUTS) if c[6] in range(2**64)])
@@ -361,7 +396,7 @@ class TestBadInputs:
         )
         with monkeypatch.context() as patch:
             patch.setattr(protocol, "shot_draws", drew_first)
-            patch.setattr(protocol, "shot_words", drew_first)
+            patch.setattr(protocol, "packed_words", drew_first)
             assert self.error(run_experiment, config) == expected
 
     @pytest.mark.parametrize("shots", [2**64 + 1, 10**20])
@@ -369,7 +404,7 @@ class TestBadInputs:
         """Shot 2**64 has no stream key, so the run is refused at once, not when it gets there."""
         config = ExperimentConfig(n=2, system=mermin_square(), shots=shots)
         with monkeypatch.context() as patch:
-            for name in ("_compile_round", "shot_draws", "shot_words"):
+            for name in ("_compile_round", "shot_draws", "packed_words"):
                 patch.setattr(protocol, name, drew_first)
             message = self.error(run_experiment, config)
         assert message == "seed and shot index must be non-negative and below 2**64"

@@ -1,8 +1,8 @@
-"""Per-shot random streams: the plain-int Philox and the batched numpy kernel.
+"""Per-shot random streams: the lane-packed plain-int Philox and the batched numpy kernel.
 
 NumPy's own `Philox` generator (`shot_stream`) is the oracle: every row
 either implementation computes must equal that shot's generator draws
-bit for bit.
+bit for bit, and the plain-int words must equal its raw words.
 """
 
 import numpy as np
@@ -11,9 +11,47 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellcheck import rng
-from bellcheck.rng import shot_draws, shot_stream, shot_words
+from bellcheck.rng import packed_words, shot_draws, shot_stream
 
 SEEDS = [0, 7, 2**32 - 1, 2**32, 2**40 + 1, 2**64 - 1]
+
+
+def packed_rows(seed, groups):
+    """`packed_words(seed, groups)` read back as rows: row i of a group is shot shots[i]'s k words."""
+    groups_words = packed_words(seed, groups)
+    assert len(groups_words) == len(groups)
+    out = []
+    for (shots, k), words in zip(groups, groups_words):
+        assert len(words) == k
+        for word in words:
+            assert len(word) == 16 * len(shots)
+            assert all(word[i + 8 : i + 16] == bytes(8) for i in range(0, len(word), 16))
+        columns = [[int.from_bytes(w[i : i + 8], "little") for i in range(0, len(w), 16)] for w in words]
+        out.append([[column[i] for column in columns] for i in range(len(shots))])
+    return out
+
+
+def raw_words(seed, shot, k):
+    """The first k raw 64-bit words of NumPy's `Philox(key=[seed, shot])`."""
+    return np.random.Philox(key=np.array([seed, shot], dtype=np.uint64)).random_raw(k).tolist()
+
+
+def assert_packed_rows_equal_numpy(seed, groups):
+    """Every packed word equals NumPy's raw Philox word, and its draw the numpy kernel's."""
+    for (shots, k), rows, draws in zip(groups, packed_rows(seed, groups), shot_draws(seed, groups)):
+        assert rows == [raw_words(seed, shot, k) for shot in shots]
+        assert [[(x >> 11) * 2.0**-53 for x in row] for row in rows] == draws.tolist()
+
+
+@st.composite
+def shot_ranges(draw):
+    """A range of valid shot keys: any step, either direction, often at the top of the key range."""
+    step = draw(st.one_of(st.integers(1, 9), st.integers(-9, -1), st.integers(-(2**64), 2**64).filter(bool)))
+    length = draw(st.integers(0, min(6, (2**64 - 1) // abs(step) + 1)))
+    span = abs(step) * max(length - 1, 0)
+    low = draw(st.one_of(st.just(0), st.just(2**64 - 1 - span), st.integers(0, 2**64 - 1 - span)))
+    first = low if step > 0 else low + span
+    return range(first, first + step * length, step)
 
 
 def assert_rows_equal_streams(seed, groups):
@@ -99,24 +137,44 @@ def test_property_one_shot(seed, shot, k):
 @example(seed=2**64 - 1, shot=2**64 - 1, k=48)
 @example(seed=0, shot=0, k=0)
 def test_property_plain_words(seed, shot, k):
-    """`shot_words` against NumPy's raw Philox words, its generator and the numpy kernel."""
-    (words,) = shot_words(seed, range(shot, shot + 1), k)
-    key = np.array([seed, shot], dtype=np.uint64)
-    assert words == np.random.Philox(key=key).random_raw(k).tolist()
+    """One shot's packed words against NumPy's raw Philox words, its generator and the numpy kernel."""
+    ((words,),) = packed_rows(seed, [(range(shot, shot + 1), k)])
+    assert words == raw_words(seed, shot, k)
     draws = [(x >> 11) * 2.0**-53 for x in words]
     assert draws == shot_stream(seed, shot).random(k).tolist()
     assert draws == shot_draws(seed, [(range(shot, shot + 1), k)])[0][0].tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 4, 2**64 - 1)),
+    groups=st.lists(st.tuples(shot_ranges(), st.integers(0, 13)), max_size=12),
+)
+@example(seed=2**64 - 1, groups=[(range(2**64 - 1, 2**64 - 8, -3), 7), (range(0), 5), (range(4), 0)])
+def test_property_packed_groups(seed, groups):
+    """Groups of any ranges and widths, as one call: each row is that shot's own stream."""
+    assert_packed_rows_equal_numpy(seed, groups)
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_plain_words_of_strided_shots(seed):
     """Rows of a strided range, as one schedule entry of a block reads them, and an empty range."""
     shots = range(2**64 - 40, 2**64, 7)
-    rows = shot_words(seed, shots, 13)
-    assert len(rows) == len(shots)
-    for row, draws in zip(rows, shot_draws(seed, [(shots, 13)])[0]):
-        assert [(x >> 11) * 2.0**-53 for x in row] == draws.tolist()
-    assert shot_words(seed, range(5, 5), 13) == []
+    assert_packed_rows_equal_numpy(seed, [(shots, 13)])
+    assert packed_words(seed, [(range(5, 5), 13)]) == [[b""] * 13]
+    assert packed_words(seed, []) == []
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 5, 4096])
+def test_packed_passes_cut_anywhere(monkeypatch, lanes):
+    """Many groups, as `run_experiment` draws a block of n = 13 in context; any pass size."""
+    monkeypatch.setattr(rng, "PACKED_LANES", lanes)
+    period, start, stop = 80, 4100, 4400
+    groups = [
+        (range(start + (entry - start) % period, stop, period), 3 * (entry % 29))
+        for entry in range(period)
+    ]
+    assert_packed_rows_equal_numpy(2**64 - 1, groups)
 
 
 def test_empty_range():
@@ -134,11 +192,11 @@ def test_negative_keys_rejected():
     with pytest.raises(ValueError, match="draw count"):
         shot_draws(1, [(range(2), -1)])
     with pytest.raises(ValueError, match="non-negative"):
-        shot_words(-1, range(2), 3)
+        packed_words(-1, [(range(2), 3)])
     with pytest.raises(ValueError, match="non-negative"):
-        shot_words(1, range(-2, 2), 3)
+        packed_words(1, [(range(-2, 2), 3)])
     with pytest.raises(ValueError, match="draw count"):
-        shot_words(1, range(2), -1)
+        packed_words(1, [(range(2), 3), (range(2), -1)])
 
 
 def test_keys_beyond_64_bits_rejected():
@@ -150,9 +208,11 @@ def test_keys_beyond_64_bits_rejected():
     with pytest.raises(ValueError, match="below 2"):
         shot_stream(2**64, 0)
     with pytest.raises(ValueError, match="below 2"):
-        shot_words(2**64 + 1, range(2), 3)
+        packed_words(2**64 + 1, [(range(2), 3)])
     with pytest.raises(ValueError, match="below 2"):
-        shot_words(1, range(2**64 - 1, 2**64 + 1), 3)
+        packed_words(1, [(range(2**64 - 1, 2**64 + 1), 3)])
     # A bad seed is refused even when no shot is drawn, as `shot_draws` does.
     with pytest.raises(ValueError, match="below 2"):
-        shot_words(2**64, range(0), 3)
+        packed_words(2**64, [(range(0), 3)])
+    with pytest.raises(ValueError, match="below 2"):
+        packed_words(2**64, [])
