@@ -3,7 +3,8 @@ shared-Bell-state correlation protocols, and CHSH amplification bounds.
 
 The names below are loaded from their submodules on first access (PEP 562),
 so `python -m bellcheck`, which always runs this file, imports only what
-its command uses: the verdict commands never load numpy.
+its command uses (see `cli`): only a `correlate` run above the draw
+budget loads numpy, with `numpy_draws`.
 """
 
 import importlib
@@ -58,8 +59,9 @@ _EXPORTS = {
         "single",
         "to_dense",
     ),
+    "numpy_draws": ("shot_draws",),
     "protocol": ("ExperimentConfig", "ExperimentSummary", "default_schedule", "run_experiment"),
-    "rng": ("shot_draws", "shot_stream"),
+    "rng": ("shot_stream",),
     "states": (
         "StateVector",
         "apply_pauli",

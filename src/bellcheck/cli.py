@@ -5,6 +5,9 @@ passed (or the solver ran), 1 means a verification failed, 2 means a
 usage or input error.  JSON reports are byte-identical for identical
 invocations and seeds, so they diff cleanly in CI; wall time is shown
 only in text output for that reason.
+
+Each command imports the bellcheck modules it runs, and this module only
+the stdlib, so a child loads (and compiles) no module it does not run.
 """
 
 from __future__ import annotations
@@ -13,21 +16,9 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 import time
 from typing import NamedTuple
-
-from .constructions import (
-    FAMILY_NS,
-    generalized_sets,
-    ghz_contexts,
-    ghz_observables,
-    mermin_square,
-    validate,
-)
-from .parity import build_parity_system, check_assignment, check_certificate, solve
-from .pauli import PauliOperator, format_pauli, product
 
 REL_TOL = 1e-9
 
@@ -94,6 +85,8 @@ class RunReport:
 
 def _system_for(n: int, square: bool = True):
     """The generalized family for odd n in 3..13, and the square for n = 2 if `square`."""
+    from .constructions import FAMILY_NS, generalized_sets, mermin_square
+
     if square and n == 2:
         return mermin_square()
     if n not in FAMILY_NS:
@@ -103,6 +96,8 @@ def _system_for(n: int, square: bool = True):
 
 
 def _validation_checks(report: RunReport, system) -> None:
+    from .constructions import validate
+
     result = validate(system)
     for check in result.checks:
         report.check(f"context {check.context_index} commuting", check.commuting, True)
@@ -114,6 +109,8 @@ def _validation_checks(report: RunReport, system) -> None:
 
 
 def _parity_checks(report: RunReport, system, expect_rows: int) -> None:
+    from .parity import build_parity_system, check_certificate, solve
+
     ps = build_parity_system(system)
     result = solve(ps)
     report.check("value assignment exists", result.satisfiable, False)
@@ -125,6 +122,8 @@ def _parity_checks(report: RunReport, system, expect_rows: int) -> None:
 
 def _verdict(report: RunReport, ps, result, **sizes) -> None:
     """Report SAT/UNSAT, then `sizes`, then the witness and its check."""
+    from .parity import check_assignment, check_certificate
+
     report.extras["result"] = "SAT" if result.satisfiable else "UNSAT"
     report.extras.update(sizes)
     if result.satisfiable:
@@ -136,6 +135,8 @@ def _verdict(report: RunReport, ps, result, **sizes) -> None:
 
 
 def cmd_verify_square(args) -> RunReport:
+    from .constructions import mermin_square
+
     report = RunReport("verify square", {})
     system = mermin_square()
     _validation_checks(report, system)
@@ -158,6 +159,9 @@ def cmd_verify_sets(args) -> RunReport:
 
 
 def cmd_bks_solve(args) -> RunReport:
+    from .constructions import validate
+    from .parity import build_parity_system, solve
+
     if (args.n is None) == (args.file is None):
         raise UsageError("bks solve needs exactly one of --n or --file")
     if args.n is not None:
@@ -179,6 +183,9 @@ def cmd_bks_solve(args) -> RunReport:
 
 
 def cmd_ghz(args) -> RunReport:
+    from .constructions import ghz_contexts, ghz_observables
+    from .parity import solve
+    from .pauli import PauliOperator, format_pauli, product
     from .tableau import ghz_tableau, tableau_expectation
 
     report = RunReport("ghz", {"grouping": args.grouping})
@@ -205,8 +212,6 @@ def cmd_ghz(args) -> RunReport:
 
 
 def cmd_correlate(args) -> RunReport:
-    # Imported here, so the other commands never load the sampler.  It
-    # imports numpy only for runs above its draw budget (`protocol`).
     from .protocol import ExperimentConfig, run_experiment
 
     system = _system_for(args.n)
@@ -249,6 +254,8 @@ def cmd_correlate(args) -> RunReport:
 
 
 def cmd_chsh(args) -> RunReport:
+    import random
+
     from . import chsh as chsh_mod
 
     n = args.n
@@ -286,6 +293,7 @@ def cmd_chsh(args) -> RunReport:
 
 
 def cmd_eigencheck(args) -> RunReport:
+    from .pauli import format_pauli
     from .tableau import eigenrelation_check
 
     system = _system_for(args.n)

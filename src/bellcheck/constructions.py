@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from itertools import combinations
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .parity import ParityRow, ParitySystem
-from .pauli import PauliOperator, format_pauli, parse_pauli, product, single
+from .pauli import PauliOperator, context_faults, fault_message, format_pauli, parse_pauli, product, single
+
+if TYPE_CHECKING:
+    from .parity import ParitySystem
 
 
 # The n for which `generalized_sets` builds a family: odd, 3..13.
@@ -86,34 +87,6 @@ def product_sign(context: Context) -> int:
             f"context product is not +-identity: {format_pauli(acc)}"
         )
     return +1 if acc.phase_exponent == 0 else -1
-
-
-def context_faults(observables) -> tuple[str | None, tuple[str, str] | None]:
-    """The first non-Hermitian member and the first non-commuting pair, as text.
-
-    Pairs are tried in `combinations` order; either part is None when the
-    context has no such fault.  Members on different registers raise
-    ValueError.
-    """
-    for o in observables:
-        if o.num_qubits != observables[0].num_qubits:
-            raise ValueError(f"qubit-count mismatch: {observables[0].num_qubits} vs {o.num_qubits}")
-    non_hermitian = next((format_pauli(o) for o in observables if not o.is_hermitian), None)
-    # `commutes`'s symplectic test, on the masks.
-    rows = [(o.x_mask, o.z_mask, o) for o in observables]
-    for (ax, az, a), (bx, bz, b) in combinations(rows, 2):
-        if ((ax & bz) ^ (az & bx)).bit_count() & 1:
-            return non_hermitian, (format_pauli(a), format_pauli(b))
-    return non_hermitian, None
-
-
-def fault_message(non_hermitian: str | None, failing_pair: tuple[str, str] | None) -> str | None:
-    """Why a context's words are not jointly measurable; Hermiticity goes first."""
-    if non_hermitian is not None:
-        return f"observable {non_hermitian} is not Hermitian"
-    if failing_pair is not None:
-        return f"observables {failing_pair[0]} and {failing_pair[1]} do not commute"
-    return None
 
 
 class ContextCheck(NamedTuple):
@@ -254,6 +227,8 @@ def ghz_contexts(grouping: str) -> ParitySystem:
     the second observer only holds the four two-particle products; every
     equation sums two variables and each product variable occurs once.
     """
+    from .parity import ParityRow, ParitySystem  # here, so that `constructions` does not load `parity`
+
     if grouping == "tripartite":
         variables = ("X1", "Y1", "X2", "Y2", "X3", "Y3")
         terms = [("X1", "Y2", "Y3"), ("Y1", "X2", "Y3"), ("Y1", "Y2", "X3"), ("X1", "X2", "X3")]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from itertools import islice
+from itertools import combinations, islice
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -150,6 +150,34 @@ def commutes(a: PauliOperator, b: PauliOperator) -> bool:
             f"qubit-count mismatch: {a.num_qubits} vs {b.num_qubits}"
         )
     return ((a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()) % 2 == 0
+
+
+def context_faults(observables) -> tuple[str | None, tuple[str, str] | None]:
+    """The first non-Hermitian member and the first non-commuting pair, as text.
+
+    Pairs are tried in `combinations` order; either part is None when the
+    context has no such fault.  Members on different registers raise
+    ValueError.
+    """
+    for o in observables:
+        if o.num_qubits != observables[0].num_qubits:
+            raise ValueError(f"qubit-count mismatch: {observables[0].num_qubits} vs {o.num_qubits}")
+    non_hermitian = next((format_pauli(o) for o in observables if not o.is_hermitian), None)
+    # `commutes`'s symplectic test, on the masks.
+    rows = [(o.x_mask, o.z_mask, o) for o in observables]
+    for (ax, az, a), (bx, bz, b) in combinations(rows, 2):
+        if ((ax & bz) ^ (az & bx)).bit_count() & 1:
+            return non_hermitian, (format_pauli(a), format_pauli(b))
+    return non_hermitian, None
+
+
+def fault_message(non_hermitian: str | None, failing_pair: tuple[str, str] | None) -> str | None:
+    """Why a context's words are not jointly measurable; Hermiticity goes first."""
+    if non_hermitian is not None:
+        return f"observable {non_hermitian} is not Hermitian"
+    if failing_pair is not None:
+        return f"observables {failing_pair[0]} and {failing_pair[1]} do not commute"
+    return None
 
 
 def to_dense(op: PauliOperator) -> np.ndarray:

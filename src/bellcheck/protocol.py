@@ -17,9 +17,9 @@ popcounts.  A run that reads at most `_PURE_BLOCKS` Philox blocks takes
 the words of every entry of a block of shots from one call of
 `rng.packed_words`, in plain Python, and never imports numpy; it cuts
 the planes straight from the packed words' bytes, with exact integer
-thresholds in place of the draws' float comparisons.  A larger run
-draws blocks of shots with the numpy kernel `rng.shot_draws` and packs
-the same planes with `np.packbits`.
+thresholds in place of the draws' float comparisons.  Only a larger run
+imports `numpy_draws`, whose kernel `shot_draws` draws blocks of shots
+and whose `packed_planes` packs the same planes with `np.packbits`.
 
 With no noise and unit efficiency the shared outcomes agree on every
 round and every fully-recorded context satisfies its product constraint
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .constructions import ContextSystem
 from .pauli import format_pauli
-from .rng import check_key, packed_words, shot_draws
+from .rng import check_key, packed_words
 from .tableau import bell_product_tableau, compile_context, embed
 
 MODES = ("alone", "in_context")
@@ -196,27 +196,6 @@ def _addend(p: float) -> bytes:
     return ((1 << 64) - (ceil(ldexp(p, 53)) << 11)).to_bytes(16, "little")
 
 
-def _packed_planes(draws, flip_p: tuple, efficiency: float) -> list[int]:
-    """The record planes of a block's rows of draws (`rng.shot_draws`), packed by numpy.
-
-    The same planes as `_word_planes`, from row i of `draws` for shot i.
-    """
-    import numpy as np
-
-    width = len(flip_p)
-    rows, k = draws.shape
-    record = np.empty((1 + k, rows), dtype=bool)
-    record[0] = True
-    np.greater_equal(draws[:, :width].T, 0.5, out=record[1 : 1 + min(k, width)])
-    if k > width:
-        np.less(draws[:, width::2].T, np.array(flip_p)[:, None], out=record[1 + width :: 2])
-        np.greater_equal(draws[:, width + 1 :: 2].T, efficiency, out=record[2 + width :: 2])
-    packed = np.packbits(record, axis=1, bitorder="little")
-    data, size = packed.tobytes(), packed.shape[1]
-    from_bytes = int.from_bytes  # looked up once, not once per plane
-    return [from_bytes(data[r * size : (r + 1) * size], "little") for r in range(len(packed))]
-
-
 def _counts(columns, planes: list[int]) -> list[int]:
     """The summary counts of one entry's shots, from their record planes.
 
@@ -320,6 +299,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     philox_blocks = sum(
         len(range(entry, config.shots, period)) * -(-k // 4) for entry, k in enumerate(reads)
     )
+    if philox_blocks > _PURE_BLOCKS:
+        try:
+            from .numpy_draws import packed_planes, shot_draws
+        except ImportError as err:
+            budget = f"this run reads {philox_blocks} Philox blocks, above the draw budget of {_PURE_BLOCKS}"
+            raise ImportError(f"{budget}, and needs numpy: {err}") from err
     seed, efficiency = config.seed, config.efficiency
     counts = [0] * 6  # comparable, equal, Alice's +1 and -1, Bob's +1 and -1
     totals = [0] * len(config.system.contexts)
@@ -339,7 +324,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
             ]
         else:
             planes = [
-                _packed_planes(draws, flip_p, efficiency)
+                packed_planes(draws, flip_p, efficiency)
                 for draws, (_, flip_p, _, _) in zip(shot_draws(seed, groups), rounds)
             ]
         for (columns, flip_p, ctx_id, _), entry in zip(rounds, planes):

@@ -26,8 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .constructions import context_faults, fault_message
-from .pauli import PauliOperator, format_pauli, multiply, product_masks
+from .pauli import PauliOperator, context_faults, fault_message, format_pauli, multiply, product_masks
 
 
 class StabilizerTableau(NamedTuple):

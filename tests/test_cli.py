@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bellcheck
-from bellcheck import cli, protocol
+from bellcheck import cli, constructions, numpy_draws, protocol
 from bellcheck.constructions import Context, ContextSystem, mermin_square
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -91,6 +91,18 @@ SMALL_RUNS = [
     # Just within the draw budget: 39,440 and 65,250 Philox blocks.
     ["correlate", "--n", "13", "--shots", "5800", "--noise", "0.05", "--efficiency", "0.9"],
 ]
+# Both runs are above the draw budget: 68,000 and 112,500 Philox blocks.
+ABOVE_BUDGET = ["correlate", "--n", "13", "--shots", "10000", "--noise", "0.05", "--efficiency", "0.9"]
+# The bellcheck modules each command loads besides `bellcheck` and `bellcheck.cli`:
+# `bks solve --file` also loads `dsl`, and a run above the draw budget `numpy_draws`.
+COMMAND_MODULES = {
+    "verify": "constructions parity pauli",
+    "bks": "constructions parity pauli",
+    "eigencheck": "constructions pauli tableau",
+    "ghz": "constructions parity pauli tableau",
+    "chsh": "chsh pauli tableau",
+    "correlate": "constructions pauli protocol rng tableau",
+}
 
 
 class TestReadmeExamples:
@@ -144,7 +156,7 @@ class TestVerify:
         contexts = list(good.contexts)
         contexts[0] = Context(contexts[0].observables, -1)
         tampered = ContextSystem(2, tuple(contexts))
-        monkeypatch.setattr(cli, "mermin_square", lambda: tampered)
+        monkeypatch.setattr(constructions, "mermin_square", lambda: tampered)
         code, out, _ = run(capsys, ["verify", "square"])
         assert code == 1
         assert "FAIL" in out
@@ -366,14 +378,13 @@ class TestCorrelate:
         assert fresh_main(argv, "numpy") == "0 False"
 
     def test_run_above_the_draw_budget_uses_numpy_and_reports_the_same(self, capsys, monkeypatch):
-        # Both runs are above the draw budget: 68,000 and 112,500 Philox blocks.
-        argv = ["correlate", "--n", "13", "--shots", "10000", "--noise", "0.05", "--efficiency", "0.9"]
+        argv = ABOVE_BUDGET
         assert fresh_main(argv, "numpy") == "0 True"
         assert fresh_main(argv, "numpy.random") == "0 False"
         kernel = run(capsys, [*argv, "--format", "json"])
         assert kernel[0] == 0
         monkeypatch.setattr(protocol, "_PURE_BLOCKS", 2**63)
-        monkeypatch.setattr(protocol, "shot_draws", lambda *args: pytest.fail("drew with numpy"))
+        monkeypatch.setattr(numpy_draws, "shot_draws", lambda *args: pytest.fail("drew with numpy"))
         assert run(capsys, [*argv, "--format", "json"]) == kernel
 
     def test_never_imports_the_dense_states(self):
@@ -488,7 +499,7 @@ class TestUsage:
         def broken():
             raise OverflowError("result\ntoo large")
 
-        monkeypatch.setattr(cli, "mermin_square", broken)
+        monkeypatch.setattr(constructions, "mermin_square", broken)
         code, out, err = run(capsys, ["verify", "square"])
         assert code == 2
         assert out == ""
@@ -536,6 +547,56 @@ class TestStartup:
         assert result.stderr == ""
         assert result.stdout.splitlines() == [f"0 {' '.join(argv)} []" for argv in runs]
 
+    def test_each_command_loads_only_the_modules_it_runs(self, tmp_path):
+        """Without bytecode caches a child compiles every module it loads, so each loads only its own.
+
+        Before each command every bellcheck module is dropped, so the
+        command imports its modules afresh, and it prints those it loaded.
+        """
+        write_readme_obs(tmp_path)
+        runs = [[*argv, "--format", "json"] for argv in VERDICTS + SMALL_RUNS + [ABOVE_BUDGET]]
+        script = (
+            "import importlib, io, sys\n"
+            f"for argv in {runs!r}:\n"
+            "    for name in [m for m in sys.modules if m.split('.')[0] == 'bellcheck']:\n"
+            "        del sys.modules[name]\n"
+            "    cli = importlib.import_module('bellcheck.cli')\n"
+            "    sys.stdout, out = io.StringIO(), sys.stdout\n"
+            "    code = cli.main(argv)\n"
+            "    sys.stdout = out\n"
+            "    loaded = [m.split('.')[1] for m in sys.modules if m.startswith('bellcheck.')]\n"
+            "    print(code, *argv, '|', *sorted(set(loaded) - {'cli'}))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=fresh_env(),
+            cwd=tmp_path, timeout=300,
+        )
+        assert result.stderr == ""
+        expected = []
+        for argv in runs:
+            modules = COMMAND_MODULES[argv[0]].split()
+            modules += ["dsl"] * ("--file" in argv) + ["numpy_draws"] * (argv[:-2] == ABOVE_BUDGET)
+            expected.append(f"0 {' '.join(argv)} | {' '.join(sorted(modules))}")
+        assert result.stdout.splitlines() == expected
+
+    def test_run_above_the_draw_budget_without_numpy_exits_two_naming_numpy(self):
+        """Where numpy cannot be imported, a run that needs it names numpy and the draw budget."""
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None  # as on a host without numpy\n"
+            "from bellcheck import cli\n"
+            f"print(cli.main({[*ABOVE_BUDGET, '--format', 'json']!r}))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=fresh_env(), timeout=120
+        )
+        assert result.stdout == "2\n"
+        assert result.stderr.startswith(
+            "error: ImportError: this run reads 68000 Philox blocks, above the draw budget of 65536, "
+            "and needs numpy: "
+        )
+        assert result.stderr.count("\n") == 1
+
     @staticmethod
     def run_into_closed_pipe(argv, *streams):
         """Run the CLI with each of `streams` ("stdout", "stderr") on a pipe with no reader."""
@@ -581,7 +642,8 @@ OLD_NAMESPACE = {
     "pauli": "PauliOperator PauliSyntaxError commutes format_pauli identity multiply "
     "parse_pauli relabel single to_dense",
     "protocol": "ExperimentConfig ExperimentSummary default_schedule run_experiment",
-    "rng": "shot_draws shot_stream",
+    "rng": "shot_stream",
+    "numpy_draws": "shot_draws",
     "states": "StateVector apply_pauli bell_product_state dense_expectation expectation "
     "ghz_state measure_context singlet_product_state",
     "tableau": "StabilizerTableau bell_product_tableau compile_context eigenrelation_check "

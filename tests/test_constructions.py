@@ -9,7 +9,6 @@ from conftest import dense_oracle, random_pauli
 from bellcheck.constructions import (
     Context,
     ContextSystem,
-    context_faults,
     generalized_sets,
     ghz_contexts,
     ghz_observables,
@@ -17,7 +16,7 @@ from bellcheck.constructions import (
     product_sign,
     validate,
 )
-from bellcheck.pauli import commutes, format_pauli, parse_pauli
+from bellcheck.pauli import commutes, context_faults, format_pauli, parse_pauli
 
 
 def dense_product(ops):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from bellcheck import protocol
+from bellcheck import numpy_draws, protocol
 from bellcheck.constructions import Context, ContextSystem, generalized_sets, mermin_square
 from bellcheck.pauli import PauliOperator, parse_pauli
 from bellcheck.protocol import MODES, ExperimentConfig, default_schedule, run_experiment
@@ -29,10 +29,10 @@ def on_both_sources(monkeypatch, config):
     Both summaries must be equal; the one returned is compared further.
     """
     summaries = []
-    for budget, unused in ((2**63, "shot_draws"), (0, "packed_words")):
+    for budget, module, unused in ((2**63, numpy_draws, "shot_draws"), (0, protocol, "packed_words")):
         with monkeypatch.context() as patch:
             patch.setattr(protocol, "_PURE_BLOCKS", budget)
-            patch.setattr(protocol, unused, drew_first)
+            patch.setattr(module, unused, drew_first)
             summaries.append(run_experiment(config))
     assert summaries[0] == summaries[1]
     return summaries[0]
@@ -377,7 +377,7 @@ class TestBadInputs:
         )
         expected = self.error(reference_experiment, config)
         with monkeypatch.context() as patch:
-            patch.setattr(protocol, "shot_draws", drew_first)
+            patch.setattr(numpy_draws, "shot_draws", drew_first)
             patch.setattr(protocol, "packed_words", drew_first)
             assert self.error(run_experiment, config) == expected
 
@@ -395,7 +395,7 @@ class TestBadInputs:
             efficiency=efficiency, seed=seed, bob_mode=mode,
         )
         with monkeypatch.context() as patch:
-            patch.setattr(protocol, "shot_draws", drew_first)
+            patch.setattr(numpy_draws, "shot_draws", drew_first)
             patch.setattr(protocol, "packed_words", drew_first)
             assert self.error(run_experiment, config) == expected
 
@@ -404,7 +404,8 @@ class TestBadInputs:
         """Shot 2**64 has no stream key, so the run is refused at once, not when it gets there."""
         config = ExperimentConfig(n=2, system=mermin_square(), shots=shots)
         with monkeypatch.context() as patch:
-            for name in ("_compile_round", "shot_draws", "packed_words"):
+            patch.setattr(numpy_draws, "shot_draws", drew_first)
+            for name in ("_compile_round", "packed_words"):
                 patch.setattr(protocol, name, drew_first)
             message = self.error(run_experiment, config)
         assert message == "seed and shot index must be non-negative and below 2**64"

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellcheck import rng
-from bellcheck.rng import packed_words, shot_draws, shot_stream
+from bellcheck import numpy_draws, rng
+from bellcheck.numpy_draws import shot_draws
+from bellcheck.rng import packed_words, shot_stream
 
 SEEDS = [0, 7, 2**32 - 1, 2**32, 2**40 + 1, 2**64 - 1]
 
@@ -112,7 +113,7 @@ def test_groups_span_passes(monkeypatch):
     """Lane passes that cut through groups and shots give the same rows."""
     groups = [(range(shot, 90, 3), 4 * (shot + 1) - 1) for shot in range(3)]
     whole = shot_draws(3, groups)
-    monkeypatch.setattr(rng, "LANES", 5)
+    monkeypatch.setattr(numpy_draws, "LANES", 5)
     for a, b in zip(whole, shot_draws(3, groups)):
         assert np.array_equal(a, b)
     assert_rows_equal_streams(3, groups)
