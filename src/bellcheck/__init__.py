@@ -3,13 +3,14 @@ shared-Bell-state correlation protocols, and CHSH amplification bounds.
 
 The names below are loaded from their submodules on first access (PEP 562),
 so `python -m bellcheck`, which always runs this file, imports only what
-its command uses (see `cli`): only a `correlate` run above the draw
-budget loads numpy, with `numpy_draws`.
+its command uses (see `cli`); no command imports numpy, which only the
+dense test oracles use (`states`, `pauli.to_dense`, `parity.brute_force`,
+`rng.shot_stream`).
 """
 
 import importlib
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 # Submodule -> the public names this package re-exports from it.
 _EXPORTS = {
@@ -59,7 +60,6 @@ _EXPORTS = {
         "single",
         "to_dense",
     ),
-    "numpy_draws": ("shot_draws",),
     "protocol": ("ExperimentConfig", "ExperimentSummary", "default_schedule", "run_experiment"),
     "rng": ("shot_stream",),
     "states": (

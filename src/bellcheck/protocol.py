@@ -9,17 +9,18 @@ erased (inconclusive) with probability 1 - `efficiency`.
 
 A round is compiled once into GF(2) affine forms, one per outcome
 (`tableau.compile_context`), and from them into the record bits that
-each of its eight statistics combines.  An experiment then reads each
-shot's own stream and evaluates the statistics bit-sliced: for each
-schedule entry, record bit r of all its shots is one Python int (a
-bit-plane), so a statistic is a few int XORs or ORs and the summary is
-popcounts.  A run that reads at most `_PURE_BLOCKS` Philox blocks takes
-the words of every entry of a block of shots from one call of
-`rng.packed_words`, in plain Python, and never imports numpy; it cuts
-the planes straight from the packed words' bytes, with exact integer
-thresholds in place of the draws' float comparisons.  Only a larger run
-imports `numpy_draws`, whose kernel `shot_draws` draws blocks of shots
-and whose `packed_planes` packs the same planes with `np.packbits`.
+each of its eight statistics combines.  An experiment then evaluates the
+statistics bit-sliced: for each schedule entry, record bit r of all its
+shots is one Python int (a record plane, bit q for the entry's q-th
+shot), so a statistic is a few int XORs or ORs and the summary is
+popcounts.  The planes are drawn straight from plain-int Philox blocks
+(`rng.philox_blocks`), with no numpy, after Stim's bit-packed noise
+sampling (Gidney, Quantum 5, 497 (2021)): each entry has its own stream,
+and the block at counter (lane chunk, record bit, round, 0) gives 256
+lanes of one plane.  A coin is the bit of round 0; a flip (U < noise) or
+an erasure (U >= efficiency) compares each lane's uniform U, read one
+binary digit per round, with the binary digits of the threshold, and a
+lane is decided at the first digit where they differ (`_record_planes`).
 
 With no noise and unit efficiency the shared outcomes agree on every
 round and every fully-recorded context satisfies its product constraint
@@ -29,33 +30,20 @@ exactly; the summary statistics quantify how both degrade otherwise.
 from __future__ import annotations
 
 from functools import reduce
-from math import ceil, ldexp
 from operator import or_, xor
 from typing import NamedTuple
 
 from .constructions import ContextSystem
 from .pauli import format_pauli
-from .rng import check_key, packed_words
+from .rng import check_key, philox_blocks
 from .tableau import bell_product_tableau, compile_context, embed
 
 MODES = ("alone", "in_context")
-# Shots sampled together: memory is O(BLOCK_SHOTS x words), not O(shots).
-BLOCK_SHOTS = 4096
-# Runs that read at most this many Philox blocks compute them in plain
-# Python (`rng.packed_words`) and never import numpy.  On a 2-core Xeon VM
-# the lane-packed Philox costs 0.8-1.2 us per block, and the two sources
-# break even near 70,000 blocks per run (children, median of 7 alternating
-# pairs, both runs of a command on one source): `correlate --n 13 --noise
-# 0.05 --efficiency 0.9` with 47,600 and 78,750 blocks (7,000 shots) took
-# 364 ms either way, and `correlate --n 2` with 80,000 blocks per run
-# took 422 ms plain and 458 ms with numpy, 100,000 blocks 527 and 448 ms.
-# Plain runs peaked at 21.8 MiB RSS or less, numpy runs at 29.5-32.1 MiB.
-_PURE_BLOCKS = 65536
-# Bytes to binary digits, for `_word_planes`: a byte's top bit (a coin),
-# a carry byte 1, and a carry byte 0.
-_COINS = bytes.maketrans(bytes(range(256)), b"0" * 128 + b"1" * 128)
-_CARRY = bytes.maketrans(b"\0\1", b"01")
-_NO_CARRY = bytes.maketrans(b"\0\1", b"10")
+# Lanes of each entry sampled together, in 256-lane chunks: memory is
+# O(entries x record bits x BLOCK_CHUNKS), not O(shots).  On a 2-core VM
+# 4, 8 and 16 chunks ran 10^5 and 5 x 10^5 shots of n = 13 equally fast;
+# at 5 x 10^5 shots 4 peaked at 19 MiB RSS, 16 at 28 MiB.
+BLOCK_CHUNKS = 4
 
 
 def _noise_pair(noise) -> tuple[float, float]:
@@ -79,8 +67,8 @@ def _compile_round(
     `blocks` holds the symbolic measurement of each context's Alice block
     (and of Bob's copy of the context in "in_context" mode), shared by
     every entry that reaches it.
-    Returns (statistics columns, flip probability per outcome, context id,
-    word draws up to the last fair coin's); the outcomes are Alice's
+    Returns (statistics columns, number of record bits, context id, the
+    tests of the record bits the columns read); the outcomes are Alice's
     words, then Bob's (see `_columns`).
     """
     n, system, bob_mode = config.n, config.system, config.bob_mode
@@ -120,10 +108,20 @@ def _compile_round(
         forms, split, (shared_pos, split + bob_shared_pos), context.expected_sign, bob_mode
     )
     p_alice, p_bob = _noise_pair(config.noise)
-    flip_p = (p_alice,) * split + (p_bob,) * (len(forms) - split)
-    # Coin j is bit j + 1 of a form; forced words' draws are never read.
-    coin_draws = max(max(form.bit_length() for form in forms) - 1, 0)
-    return columns, flip_p, alice_context_id, coin_draws
+    width = len(forms)
+    # Each record bit a statistic reads, with its test: a coin (record bit
+    # j + 1 for outcome j) is U >= 1/2, then outcome j's flip U < p and its
+    # erasure U >= efficiency.  A forced word's coin is never read.
+    tests = []
+    for r in sorted({r for bits in columns for r in bits} - {0}):
+        j, erasure = divmod(r - 1 - width, 2)
+        if r <= width:
+            tests.append((r, 0.5, True))
+        elif erasure:
+            tests.append((r, float(config.efficiency), True))
+        else:
+            tests.append((r, p_alice if j < split else p_bob, False))
+    return columns, 1 + 3 * width, alice_context_id, tests
 
 
 def _columns(forms, split: int, shared: tuple[int, int], expected_sign: int, bob_mode: str):
@@ -157,43 +155,91 @@ def _bits(form: int) -> tuple[int, ...]:
     return tuple(r for r in range(form.bit_length()) if form >> r & 1)
 
 
-def _word_planes(rows: int, words: list[bytes], flip_p: tuple, efficiency: float) -> list[int]:
-    """The record planes of `rows` shots, from their words (`rng.packed_words`).
+def _digits(p: float) -> str | None:
+    """The binary digits of p in [0, 1] after the point, up to its last 1; None for p = 1.
 
-    Bit i of plane r is record bit r of shot i.  A shot's words are one
-    per outcome, then a flip word and an erasure word per outcome,
-    Alice's outcomes first; with no noise and unit efficiency only coins
-    are drawn, and the planes stop there.  Word x of shot i sits in the
-    low half of the 16-byte slot i, so its coin x >> 63 is the top bit of
-    the slot's byte 7.  Its flip, the draw (x >> 11) * 2**-53 below p, is
-    x < t for t = ceil(p 2**53) << 11 exactly, since x >> 11 is an integer
-    below the real p 2**53 iff it is below its ceiling.  Adding 2**64 - t
-    to every slot carries into bit 64, byte 8 of the slot, iff x >= t: a
-    flip is the absence of that carry and an erasure, with t from the
-    efficiency, is the carry itself.
+    p = 0.d1 d2 d3 ... exactly: a double is a dyadic rational.
     """
-    if not rows:
-        return [0]
-    width = len(flip_p)
-    planes = [(1 << rows) - 1]
-    planes += [int(word[-9::-16].translate(_COINS), 2) for word in words[:width]]
-    if len(words) > width:
-        # One sum over every flip and erasure word, last word first, so
-        # that the carries read backwards come word by word in order.
-        erase = _addend(efficiency) * rows
-        addend = b"".join([erase + _addend(p) * rows for p in reversed(flip_p)])
-        total = int.from_bytes(b"".join(reversed(words[width:])), "little")
-        total += int.from_bytes(addend, "little")
-        carries = total.to_bytes(len(addend), "little")[-8::-16]
-        for start in range(0, len(carries), 2 * rows):
-            planes.append(int(carries[start : start + rows].translate(_NO_CARRY), 2))
-            planes.append(int(carries[start + rows : start + 2 * rows].translate(_CARRY), 2))
+    numerator, denominator = p.as_integer_ratio()
+    if numerator == denominator:
+        return None
+    return format(numerator, "b").zfill(denominator.bit_length() - 1) if numerator else ""
+
+
+def _record_planes(seed: int, chunk: int, entries, digits: dict) -> list[list[int]]:
+    """The record planes of each entry's lanes from lane 256 * chunk on.
+
+    Entry (key, lanes, size, tests) gives `size` planes of `lanes` bits:
+    plane 0 is all ones, and plane r is record bit r for each test (r, p,
+    above), the lanes whose U is below p, or with `above` the others;
+    planes no test names stay 0.  Lane q's U is the binary fraction
+    0.u1 u2 ..., digit k the bit of lane q in the block of the entry's
+    stream at counter (chunk + q // 256, r, k - 1, 0).  Digit by digit, a
+    lane is decided where its digit differs from p's (`digits[p]`): below
+    p where p's is 1, above where it is 0.  Lanes equal to p up to p's
+    last 1 are not below it.
+
+    Each round draws one block per chunk of every plane with a lane still
+    undecided, for all entries at once (`rng.philox_blocks`).  The planes
+    of one p share p's digits, so each round updates all their lanes with
+    a few big-int operations, 256 bits per block.
+    """
+    planes, groups = [], {}
+    for key, lanes, size, tests in entries:
+        ones = (1 << lanes) - 1
+        row = [ones] + [0] * (size - 1)
+        planes.append(row)
+        heads = [key.to_bytes(8, "little") + c.to_bytes(8, "little") for c in range(chunk, chunk - (-lanes // 256))]
+        width = 32 * len(heads)  # the bytes of a plane's blocks
+        all_lanes, zero = ones.to_bytes(width, "little"), bytes(width)
+        for r, p, above in tests:
+            if digits[p]:
+                # Per p: its jobs, each the key and counter words of a plane's
+                # blocks, their width, a zero of that width and where the plane
+                # goes; and, job after job, their lanes still undecided and
+                # those found below p, one 256-bit block per chunk.
+                jobs, undecided, below = groups.setdefault(digits[p], ([], [], []))
+                tail = r.to_bytes(8, "little")
+                jobs.append((b"".join([head + tail for head in heads]), width, zero, row, r, above, ones))
+                undecided.append(all_lanes)
+                below.append(zero)
+            else:  # p = 0 or p = 1: every lane is decided without a draw
+                value = ones if digits[p] is None else 0
+                row[r] = ones & ~value if above else value
+    live, k = [(p_digits, *group) for p_digits, group in groups.items()], 0
+    while live:
+        blocks = philox_blocks(seed, k, b"".join([job[0] for _, jobs, _, _ in live for job in jobs]))
+        start, survivors = 0, []
+        for p_digits, jobs, undecided, below in live:
+            undecided, below = b"".join(undecided), b"".join(below)
+            size = len(undecided)
+            bits = int.from_bytes(blocks[start : start + size], "little")
+            undecided, below = int.from_bytes(undecided, "little"), int.from_bytes(below, "little")
+            start += size
+            if p_digits[k] == "1":
+                below |= undecided & ~bits
+                undecided &= bits
+            else:
+                undecided &= ~bits
+            last = k + 1 == len(p_digits)
+            u, b = undecided.to_bytes(size, "little"), below.to_bytes(size, "little")
+            kept, i = ([], [], []), 0
+            for job in jobs:
+                j = i + job[1]
+                lanes = u[i:j]
+                if last or lanes == job[2]:  # every lane decided
+                    _, _, _, row, r, above, ones = job
+                    value = int.from_bytes(b[i:j], "little")
+                    row[r] = ones & ~value if above else value
+                else:
+                    kept[0].append(job)
+                    kept[1].append(lanes)
+                    kept[2].append(b[i:j])
+                i = j
+            if kept[0]:
+                survivors.append((p_digits, *kept))
+        live, k = survivors, k + 1
     return planes
-
-
-def _addend(p: float) -> bytes:
-    """The slot of 2**64 - t for t = ceil(p 2**53) << 11: a word x carries past 64 bits iff x >= t."""
-    return ((1 << 64) - (ceil(ldexp(p, 53)) << 11)).to_bytes(16, "little")
 
 
 def _counts(columns, planes: list[int]) -> list[int]:
@@ -260,23 +306,28 @@ def default_schedule(system: ContextSystem) -> tuple[tuple[int, int], ...]:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
-    """Run `shots` rounds cycling over the schedule, with per-shot RNG streams.
+    """Run `shots` rounds cycling over the schedule, with a random stream per entry.
 
-    Each schedule entry the run reaches is checked and compiled once.  The
-    shots are then sampled in blocks of `BLOCK_SHOTS` consecutive shots,
-    each entry's shots of a block as one set of record planes, and the
-    counts of every block are summed.  The summary is bit-identical for
-    equal seeds regardless of execution order or of the source of the
-    words, because every shot derives its randomness from (seed, shot).
+    Shot s runs schedule entry e = s mod len(schedule) as that entry's
+    lane s // len(schedule).  Each entry the run reaches is checked and
+    compiled once.  The lanes are then sampled in blocks of
+    `BLOCK_CHUNKS` 256-lane chunks, every entry's lanes of a block as one
+    set of record planes, and the counts of every block are summed.  A
+    lane's records depend only on (seed, entry, lane), so the summary is
+    the same however the lanes are blocked, and shot s's records do not
+    depend on the number of shots.
     """
     if config.shots < 0:
         raise ValueError(f"shots must be >= 0, got {config.shots}")
+    if config.shots > 1 << 72:  # an entry's lane chunks are one 64-bit counter word
+        raise ValueError(f"shots must be at most 2**72, got {config.shots}")
     p_alice, p_bob = _noise_pair(config.noise)
     schedule = config.schedule or default_schedule(config.system)
     if not schedule:
         raise ValueError("schedule is empty")
-    # A bad seed, or a shot the key cannot address, fails before any entry is checked.
-    check_key(config.seed, max(config.shots - 1, 0))
+    period = len(schedule)
+    # A bad seed fails before any entry is checked.
+    check_key(config.seed, period - 1)
     # Checked here, not per entry, so that they hold even when no shot runs.
     if config.system.num_qubits != config.n:
         raise ValueError(f"system acts on {config.system.num_qubits} qubits, expected {config.n}")
@@ -288,47 +339,25 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     blocks: dict = {}
     rounds = [
         _compile_round(config, ctx_id, obs_id, blocks)
-        for ctx_id, obs_id in schedule[: min(len(schedule), config.shots)]
+        for ctx_id, obs_id in schedule[: min(period, config.shots)]
     ]
 
-    # Each shot draws only what its round reads: with no noise and unit
-    # efficiency no flip or erasure draw, and no draw past the last coin's.
-    exact = p_alice == p_bob == 0.0 and config.efficiency == 1.0
-    reads = [coin_draws if exact else 3 * len(flip_p) for _, flip_p, _, coin_draws in rounds]
-    period = len(schedule)
-    philox_blocks = sum(
-        len(range(entry, config.shots, period)) * -(-k // 4) for entry, k in enumerate(reads)
-    )
-    if philox_blocks > _PURE_BLOCKS:
-        try:
-            from .numpy_draws import packed_planes, shot_draws
-        except ImportError as err:
-            budget = f"this run reads {philox_blocks} Philox blocks, above the draw budget of {_PURE_BLOCKS}"
-            raise ImportError(f"{budget}, and needs numpy: {err}") from err
-    seed, efficiency = config.seed, config.efficiency
+    # Every entry's lanes; later entries never have more, so the entries
+    # with lanes left in a block are the first few.
+    lanes = [len(range(entry, config.shots, period)) for entry in range(len(rounds))]
+    digits = {p: _digits(p) for p in (0.5, p_alice, p_bob, float(config.efficiency))}
     counts = [0] * 6  # comparable, equal, Alice's +1 and -1, Bob's +1 and -1
     totals = [0] * len(config.system.contexts)
     passes = [0] * len(config.system.contexts)
-    for start in range(0, config.shots, BLOCK_SHOTS):
-        stop = min(start + BLOCK_SHOTS, config.shots)
-        groups = [
-            (range(start + (entry - start) % period, stop, period), k)
-            for entry, k in enumerate(reads)
+    step = 256 * BLOCK_CHUNKS
+    for first in range(0, lanes[0] if lanes else 0, step):
+        entries = [
+            (entry, min(n - first, step), size, tests)
+            for entry, (n, (_, size, _, tests)) in enumerate(zip(lanes, rounds))
+            if n > first
         ]
-        if philox_blocks <= _PURE_BLOCKS:
-            planes = [
-                _word_planes(len(shots), words, flip_p, efficiency)
-                for (shots, _), words, (_, flip_p, _, _) in zip(
-                    groups, packed_words(seed, groups), rounds
-                )
-            ]
-        else:
-            planes = [
-                packed_planes(draws, flip_p, efficiency)
-                for draws, (_, flip_p, _, _) in zip(shot_draws(seed, groups), rounds)
-            ]
-        for (columns, flip_p, ctx_id, _), entry in zip(rounds, planes):
-            entry += [0] * (1 + 3 * len(flip_p) - len(entry))  # no shot, or no noise draws
+        planes = _record_planes(config.seed, first // 256, entries, digits)
+        for (columns, _, ctx_id, _), entry in zip(rounds, planes):
             *shared, total, passed = _counts(columns, entry)
             counts = [a + b for a, b in zip(counts, shared)]
             totals[ctx_id] += total

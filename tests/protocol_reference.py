@@ -1,22 +1,32 @@
 """Per-round reference protocol: the oracle for the compiled batch sampler.
 
-`reference_experiment` runs one round per shot, each on a fresh
-`shot_stream(seed, shot)`, and measures with a function passed in: either
-`measure_context` on the dense Bell-product state, or `tableau_measure`,
-a concrete tableau measurement that updates the signs in place and shares
-no code with `tableau.compile_context` beyond the input checks.  Both draw
-one number per word and two per recorded outcome, in the order the
-compiled sampler reads them.  Words go onto each observer's block with
+`reference_experiment` runs one round per shot and measures with a
+function passed in: either `measure_context` on the dense Bell-product
+state, or `tableau_measure`, a concrete tableau measurement that updates
+the signs in place and shares no code with `tableau.compile_context`
+beyond the input checks.  Words go onto each observer's block with
 `pauli.relabel`, not with `tableau.embed`.
+
+Each shot reads its own lane of the random layout, one bit at a time,
+from NumPy's `Philox(key=[seed, entry])` with its counter set (`Lane`),
+not from `bellcheck.rng`: shot s runs entry e = s mod len(schedule) as
+lane q = s // len(schedule), and record bit r's uniform U has binary
+digit k + 1 at bit q mod 256 of the block at counter (q // 256, r, k, 0).
+A word's outcome reads its coin, record bit j + 1, and a recorded
+outcome its flip and erasure bits by the definitions U < p and
+U >= efficiency (`Lane.below`).
 """
 
+from fractions import Fraction
+from functools import lru_cache
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
 
 from bellcheck.pauli import PauliOperator, commutes, identity, multiply, relabel
 from bellcheck.protocol import MODES, ExperimentSummary, _noise_pair, default_schedule
-from bellcheck.rng import check_key, shot_stream
+from bellcheck.rng import check_key
 from bellcheck.states import bell_product_state, measure_context
 from bellcheck.tableau import StabilizerTableau, _check_size, _checked_context, bell_product_tableau
 
@@ -76,11 +86,57 @@ def _on_side(n, observables, side):
     return [relabel(o, {k: k + offset for k in range(1, n + 1)}, 2 * n) for o in observables]
 
 
-def _record(outcomes, p_flip, efficiency, rng):
+@lru_cache(maxsize=1 << 16)
+def _block(seed, entry, counter):
+    """The block at a 256-bit counter of stream (seed, entry), as an int, from NumPy's `Philox`.
+
+    NumPy's Philox steps its counter before each block, so it is set one below.
+    """
+    key = np.array([seed, entry], dtype=np.uint64)
+    words = np.random.Philox(key=key, counter=(counter - 1) % 2**256).random_raw(4)
+    return sum(int(x) << 64 * w for w, x in enumerate(words))
+
+
+class Lane:
+    """The random bits of one lane (one shot) of an entry's stream."""
+
+    def __init__(self, seed, entry, lane):
+        self.seed, self.entry, self.lane = seed, entry, lane
+        self.coins = 0
+
+    def bit(self, r, k):
+        """Digit k + 1 of record bit r's U: its bit in the block at counter (lane // 256, r, k, 0)."""
+        counter = self.lane // 256 | r << 64 | k << 128
+        return _block(self.seed, self.entry, counter) >> self.lane % 256 & 1
+
+    def below(self, r, p):
+        """Whether record bit r's U = 0.u1 u2 ... is below p, read digit by digit until decided."""
+        low, width = Fraction(0), Fraction(1)  # U lies in [low, low + width)
+        for k in count():
+            if low + width <= p:
+                return True
+            if low >= p:
+                return False
+            width /= 2
+            low += width * self.bit(r, k)
+
+    def random(self):
+        """The next word's draw, as a measurement reads it: below 1/2 iff its coin is 0.
+
+        Word j's coin is record bit j + 1, U's first digit; the draw is
+        the midpoint of the half of [0, 1) that digit names, so comparing
+        it with an outcome probability of 0, 1/2 or 1 reads only the coin.
+        """
+        self.coins += 1
+        return 0.25 + 0.5 * self.bit(self.coins, 0)
+
+
+def _record(outcomes, first, width, p_flip, efficiency, lane):
+    """Outcomes first, first + 1, ... of a round of `width` outcomes, flipped and erased."""
     recorded = []
-    for value in outcomes:
-        flip = rng.random() < p_flip
-        lost = rng.random() >= efficiency
+    for j, value in enumerate(outcomes, first):
+        flip = lane.below(1 + width + 2 * j, Fraction(p_flip))
+        lost = not lane.below(2 + width + 2 * j, Fraction(efficiency))
         recorded.append(None if lost else (-value if flip else value))
     return tuple(recorded)
 
@@ -112,14 +168,17 @@ def reference_round(n, system, ctx_id, obs_id, bob_mode, noise, efficiency, rng,
     else:
         bob_raw, state = measure(state, _on_side(n, context.observables, "bob"), rng)
         bob_shared_pos = shared_pos
-    alice = _record(alice_raw, p_alice, efficiency, rng)
-    bob = _record(bob_raw, p_bob, efficiency, rng)
+    width = len(alice_raw) + len(bob_raw)
+    alice = _record(alice_raw, 0, width, p_alice, efficiency, rng)
+    bob = _record(bob_raw, len(alice_raw), width, p_bob, efficiency, rng)
     return Round(alice, bob, alice[shared_pos], bob[bob_shared_pos])
 
 
 def reference_experiment(config, backend="tableau"):
     if config.shots < 0:
         raise ValueError(f"shots must be >= 0, got {config.shots}")
+    if config.shots > 2**72:
+        raise ValueError(f"shots must be at most 2**72, got {config.shots}")
     p_alice, p_bob = _noise_pair(config.noise)
     schedule = config.schedule or default_schedule(config.system)
     if not schedule:
@@ -136,10 +195,11 @@ def reference_experiment(config, backend="tableau"):
     totals, passes = {}, {}
     shared_counts = {"alice": {+1: 0, -1: 0}, "bob": {+1: 0, -1: 0}}
     for shot in range(config.shots):
-        ctx_id, obs_id = schedule[shot % len(schedule)]
+        lane, entry = divmod(shot, len(schedule))
+        ctx_id, obs_id = schedule[entry]
         record = reference_round(
             config.n, config.system, ctx_id, obs_id, config.bob_mode, (p_alice, p_bob),
-            config.efficiency, shot_stream(config.seed, shot), backend,
+            config.efficiency, Lane(config.seed, entry, lane), backend,
         )
         if record.shared_alice is not None and record.shared_bob is not None:
             comparable += 1

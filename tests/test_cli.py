@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bellcheck
-from bellcheck import cli, constructions, numpy_draws, protocol
+from bellcheck import cli, constructions, protocol
 from bellcheck.constructions import Context, ContextSystem, mermin_square
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -67,8 +67,7 @@ def fresh_main(argv, imported: str, cwd=None) -> str:
     return result.stdout.splitlines()[-1]
 
 
-# Commands that must run without numpy: the verdicts, and `correlate` runs
-# within the draw budget.
+# Commands that must run without numpy: every command.
 VERDICTS = [
     ["verify", "square"],
     ["verify", "sets", "--n", "13"],
@@ -88,13 +87,13 @@ SMALL_RUNS = [
     ),
     ["correlate", "--n", "13", "--shots", "200"],
     ["correlate", "--n", "3", "--shots", "0"],
-    # Just within the draw budget: 39,440 and 65,250 Philox blocks.
     ["correlate", "--n", "13", "--shots", "5800", "--noise", "0.05", "--efficiency", "0.9"],
 ]
-# Both runs are above the draw budget: 68,000 and 112,500 Philox blocks.
-ABOVE_BUDGET = ["correlate", "--n", "13", "--shots", "10000", "--noise", "0.05", "--efficiency", "0.9"]
+# A larger noisy run, which before 0.8.0 drew 68,000 and 112,500 Philox
+# blocks of the per-shot layout and ran on a numpy kernel.
+LARGE_RUN = ["correlate", "--n", "13", "--shots", "10000", "--noise", "0.05", "--efficiency", "0.9"]
 # The bellcheck modules each command loads besides `bellcheck` and `bellcheck.cli`:
-# `bks solve --file` also loads `dsl`, and a run above the draw budget `numpy_draws`.
+# `bks solve --file` also loads `dsl`.
 COMMAND_MODULES = {
     "verify": "constructions parity pauli",
     "bks": "constructions parity pauli",
@@ -346,15 +345,23 @@ class TestCorrelate:
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
-        assert err == "error: seed and shot index must be non-negative and below 2**64\n"
+        assert err == "error: seed and entry index must be non-negative and below 2**64\n"
 
     @pytest.mark.parametrize("shots", ["18446744073709551617", "100000000000000000000"])
     def test_shots_past_the_key_range_exit_two_at_once(self, capsys, shots):
-        """Shot 2**64 has no stream key; the run is refused before any shot is sampled."""
+        """Counts past 2**64, like any count above `MAX_SHOTS`, are refused before any shot is sampled."""
         argv = ["correlate", "--n", "3", "--shots", shots, "--format", "json"]
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
-        assert err == "error: seed and shot index must be non-negative and below 2**64\n"
+        assert err == f"error: --shots must be at most 100000000, got {shots}\n"
+
+    def test_shots_above_the_cap_exit_two_before_any_work(self, capsys, monkeypatch):
+        """A count above `cli.MAX_SHOTS` is refused before the system is built or a round compiled."""
+        assert cli.MAX_SHOTS == 10**8
+        monkeypatch.setattr(cli, "_system_for", lambda n: pytest.fail("built the system"))
+        monkeypatch.setattr(protocol, "run_experiment", lambda config: pytest.fail("ran"))
+        argv = ["correlate", "--n", "13", "--shots", str(10**8 + 1), "--noise", "0.1", "--format", "json"]
+        assert run(capsys, argv) == (2, "", "error: --shots must be at most 100000000, got 100000001\n")
 
     def test_zero_shots_still_checks_efficiency(self, capsys):
         argv = ["correlate", "--n", "2", "--shots", "0", "--efficiency", "7", "--format", "json"]
@@ -364,28 +371,20 @@ class TestCorrelate:
 
     @pytest.mark.parametrize("regime", [[], ["--noise", "0.1", "--efficiency", "0.9"]])
     def test_never_imports_numpy_random(self, regime):
-        """Draws come from the Philox in `rng`, never from NumPy's generator.
-
-        This run is within the draw budget, so its words are plain ints; the
-        test below covers a run that uses the numpy kernel.
-        """
+        """Draws come from the plain-int Philox in `rng`, never from NumPy's generator."""
         argv = ["correlate", "--n", "3", "--shots", "300", *regime]
         assert fresh_main(argv, "numpy.random") == "0 False"
 
     @pytest.mark.parametrize("argv", SMALL_RUNS, ids=" ".join)
     def test_small_runs_never_import_numpy(self, argv):
-        """Runs within the draw budget read plain-int words; numpy's import would dominate them."""
+        """Runs read plain-int Philox blocks; numpy's import would dominate them."""
         assert fresh_main(argv, "numpy") == "0 False"
 
-    def test_run_above_the_draw_budget_uses_numpy_and_reports_the_same(self, capsys, monkeypatch):
-        argv = ABOVE_BUDGET
-        assert fresh_main(argv, "numpy") == "0 True"
-        assert fresh_main(argv, "numpy.random") == "0 False"
-        kernel = run(capsys, [*argv, "--format", "json"])
-        assert kernel[0] == 0
-        monkeypatch.setattr(protocol, "_PURE_BLOCKS", 2**63)
-        monkeypatch.setattr(numpy_draws, "shot_draws", lambda *args: pytest.fail("drew with numpy"))
-        assert run(capsys, [*argv, "--format", "json"]) == kernel
+    def test_large_noisy_run_loads_no_numpy_and_repeats_its_report(self, capsys):
+        assert fresh_main(LARGE_RUN, "numpy") == "0 False"
+        first = run(capsys, [*LARGE_RUN, "--format", "json"])
+        assert first[0] == 0
+        assert run(capsys, [*LARGE_RUN, "--format", "json"]) == first
 
     def test_never_imports_the_dense_states(self):
         """The protocol measures on the tableau; the dense vectors are test oracles."""
@@ -554,7 +553,7 @@ class TestStartup:
         command imports its modules afresh, and it prints those it loaded.
         """
         write_readme_obs(tmp_path)
-        runs = [[*argv, "--format", "json"] for argv in VERDICTS + SMALL_RUNS + [ABOVE_BUDGET]]
+        runs = [[*argv, "--format", "json"] for argv in VERDICTS + SMALL_RUNS + [LARGE_RUN]]
         script = (
             "import importlib, io, sys\n"
             f"for argv in {runs!r}:\n"
@@ -575,27 +574,27 @@ class TestStartup:
         expected = []
         for argv in runs:
             modules = COMMAND_MODULES[argv[0]].split()
-            modules += ["dsl"] * ("--file" in argv) + ["numpy_draws"] * (argv[:-2] == ABOVE_BUDGET)
+            modules += ["dsl"] * ("--file" in argv)
             expected.append(f"0 {' '.join(argv)} | {' '.join(sorted(modules))}")
         assert result.stdout.splitlines() == expected
 
-    def test_run_above_the_draw_budget_without_numpy_exits_two_naming_numpy(self):
-        """Where numpy cannot be imported, a run that needs it names numpy and the draw budget."""
+    def test_large_noisy_run_without_numpy_exits_zero(self):
+        """Where numpy cannot be imported, every `correlate` run still samples and reports."""
         script = (
             "import sys\n"
             "sys.modules['numpy'] = None  # as on a host without numpy\n"
             "from bellcheck import cli\n"
-            f"print(cli.main({[*ABOVE_BUDGET, '--format', 'json']!r}))\n"
+            f"print(cli.main({[*LARGE_RUN, '--format', 'json']!r}))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('bellcheck.')))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=fresh_env(), timeout=120
         )
-        assert result.stdout == "2\n"
-        assert result.stderr.startswith(
-            "error: ImportError: this run reads 68000 Philox blocks, above the draw budget of 65536, "
-            "and needs numpy: "
-        )
-        assert result.stderr.count("\n") == 1
+        assert result.stderr == ""
+        *_, code, loaded = result.stdout.splitlines()
+        assert code == "0"
+        modules = "cli constructions pauli protocol rng tableau".split()
+        assert loaded == repr([f"bellcheck.{m}" for m in modules])
 
     @staticmethod
     def run_into_closed_pipe(argv, *streams):
@@ -643,7 +642,6 @@ OLD_NAMESPACE = {
     "parse_pauli relabel single to_dense",
     "protocol": "ExperimentConfig ExperimentSummary default_schedule run_experiment",
     "rng": "shot_stream",
-    "numpy_draws": "shot_draws",
     "states": "StateVector apply_pauli bell_product_state dense_expectation expectation "
     "ghz_state measure_context singlet_product_state",
     "tableau": "StabilizerTableau bell_product_tableau compile_context eigenrelation_check "

@@ -1,16 +1,15 @@
 """Two-observer protocol: perfect-correlation regime, noise, inefficiency."""
 
 import math
-import random
+from fractions import Fraction
 
 import pytest
 
-from bellcheck import numpy_draws, protocol
+from bellcheck import protocol, rng
 from bellcheck.constructions import Context, ContextSystem, generalized_sets, mermin_square
 from bellcheck.pauli import PauliOperator, parse_pauli
 from bellcheck.protocol import MODES, ExperimentConfig, default_schedule, run_experiment
-from bellcheck.rng import shot_stream
-from protocol_reference import reference_experiment, reference_round
+from protocol_reference import Lane, reference_experiment, reference_round
 
 
 def binomial_4sigma(p, shots):
@@ -19,23 +18,6 @@ def binomial_4sigma(p, shots):
 
 def drew_first(*args):
     pytest.fail("drew first")
-
-
-def on_both_sources(monkeypatch, config):
-    """`run_experiment(config)` on the plain-int words and on the numpy kernel.
-
-    The draw budget is set above the run, then below it, and the source
-    not chosen refuses to draw, so each summary comes from one source.
-    Both summaries must be equal; the one returned is compared further.
-    """
-    summaries = []
-    for budget, module, unused in ((2**63, numpy_draws, "shot_draws"), (0, protocol, "packed_words")):
-        with monkeypatch.context() as patch:
-            patch.setattr(protocol, "_PURE_BLOCKS", budget)
-            patch.setattr(module, unused, drew_first)
-            summaries.append(run_experiment(config))
-    assert summaries[0] == summaries[1]
-    return summaries[0]
 
 
 def one_entry(ctx_id, obs_id, mode="alone", noise=0.0, efficiency=1.0, shots=100, seed=0):
@@ -139,10 +121,10 @@ class TestRunExperiment:
         b = run_experiment(ExperimentConfig(seed=2, **base))
         assert a != b
 
-    def test_zero_shots_reports_undefined_markers(self, monkeypatch):
+    def test_zero_shots_reports_undefined_markers(self):
         for mode in ("alone", "in_context"):
             config = ExperimentConfig(n=2, system=mermin_square(), shots=0, bob_mode=mode)
-            summary = on_both_sources(monkeypatch, config)
+            summary = run_experiment(config)
             assert summary.shots == 0
             assert summary.equality_rate is None
             assert summary.conclusive_fraction is None
@@ -180,8 +162,7 @@ class TestTableauAgainstDenseOracle:
 
     The reference measures each round on its own stream, either on dense
     state vectors (`measure_context`) or on a concrete tableau, so every
-    draw is read in the same place and the summaries must be equal.  The
-    sampler runs on both of its sources (`on_both_sources`).
+    draw is read in the same place and the summaries must be equal.
     """
 
     @pytest.mark.parametrize("mode", ["alone", "in_context"])
@@ -192,37 +173,37 @@ class TestTableauAgainstDenseOracle:
         [(0.0, 1.0), (0.1, 0.8), ((0.05, 0.2), 0.95), (0.0, 0.9), ((0.0, 0.1), 1.0)],
     )
     @pytest.mark.parametrize("n,shots", [(2, 60), (3, 40), (5, 24), (7, 8)])
-    def test_summaries_equal(self, monkeypatch, n, shots, noise, efficiency, mode):
+    def test_summaries_equal(self, n, shots, noise, efficiency, mode):
         for seed in (0, 3, 2**40 + 1):
             config = ExperimentConfig(
                 n=n, system=system_for(n), shots=shots, noise=noise,
                 efficiency=efficiency, seed=seed, bob_mode=mode,
             )
-            compiled = on_both_sources(monkeypatch, config)
+            compiled = run_experiment(config)
             assert compiled == reference_experiment(config, "dense")
             assert compiled == reference_experiment(config, "tableau")
 
     @pytest.mark.parametrize("mode", ["alone", "in_context"])
     @pytest.mark.parametrize("n,shots", [(9, 40), (11, 30), (13, 30)])
-    def test_large_n_equals_tableau_reference(self, monkeypatch, n, shots, mode):
+    def test_large_n_equals_tableau_reference(self, n, shots, mode):
         config = ExperimentConfig(
             n=n, system=system_for(n), shots=shots, noise=0.1,
             efficiency=0.8, seed=n, bob_mode=mode,
         )
-        assert on_both_sources(monkeypatch, config) == reference_experiment(config)
+        assert run_experiment(config) == reference_experiment(config)
 
     @pytest.mark.parametrize("mode", ["alone", "in_context"])
     @pytest.mark.parametrize("shots", [0, 1, 7])
-    def test_few_shots(self, monkeypatch, shots, mode):
+    def test_few_shots(self, shots, mode):
         # Fewer shots than the 18 schedule entries: only the first few run.
         config = ExperimentConfig(
             n=2, system=mermin_square(), shots=shots, noise=0.2, efficiency=0.7,
             seed=5, bob_mode=mode,
         )
-        assert on_both_sources(monkeypatch, config) == reference_experiment(config)
+        assert run_experiment(config) == reference_experiment(config)
 
     @pytest.mark.parametrize("mode", ["alone", "in_context"])
-    def test_custom_schedule(self, monkeypatch, mode):
+    def test_custom_schedule(self, mode):
         system = generalized_sets(3)
         schedule = tuple(
             (ci, system.catalog.index(system.contexts[ci].observables[k]))
@@ -232,27 +213,29 @@ class TestTableauAgainstDenseOracle:
             n=3, system=system, shots=23, schedule=schedule, noise=0.1,
             efficiency=0.9, seed=11, bob_mode=mode,
         )
-        assert on_both_sources(monkeypatch, config) == reference_experiment(config)
+        assert run_experiment(config) == reference_experiment(config)
 
     def test_blocks_do_not_change_the_summary(self, monkeypatch):
         config = ExperimentConfig(
             n=3, system=generalized_sets(3), shots=200, noise=0.1, efficiency=0.9, seed=2
         )
         whole = run_experiment(config)
-        monkeypatch.setattr(protocol, "BLOCK_SHOTS", 3)
-        assert on_both_sources(monkeypatch, config) == whole == reference_experiment(config)
+        monkeypatch.setattr(protocol, "BLOCK_CHUNKS", 1)
+        monkeypatch.setattr(rng, "PACKED_LANES", 3)
+        assert run_experiment(config) == whole == reference_experiment(config)
 
     def test_block_boundary_mid_schedule(self, monkeypatch):
-        """More shots than one block, the boundary inside a schedule cycle."""
+        """More lanes than one block, the last block holding only the first few entries."""
+        monkeypatch.setattr(protocol, "BLOCK_CHUNKS", 1)
         system = generalized_sets(3)
-        assert protocol.BLOCK_SHOTS % len(default_schedule(system))
+        schedule = default_schedule(system)[:4]
         config = ExperimentConfig(
-            n=3, system=system, shots=protocol.BLOCK_SHOTS + 45, noise=0.1,
+            n=3, system=system, shots=256 * len(schedule) + 3, schedule=schedule, noise=0.1,
             efficiency=0.9, seed=13, bob_mode="in_context",
         )
-        assert on_both_sources(monkeypatch, config) == reference_experiment(config)
+        assert run_experiment(config) == reference_experiment(config)
 
-    def test_rounds_equal(self, monkeypatch):
+    def test_rounds_equal(self):
         """Each round of the default schedule on its own, against both references."""
         system = generalized_sets(3)
         for entry in default_schedule(system):
@@ -261,30 +244,58 @@ class TestTableauAgainstDenseOracle:
                     n=3, system=system, shots=6, schedule=(entry,), noise=0.2,
                     efficiency=0.9, seed=8, bob_mode=mode,
                 )
-                fast = on_both_sources(monkeypatch, config)
+                fast = run_experiment(config)
                 for backend in ("dense", "tableau"):
                     assert fast == reference_experiment(config, backend)
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_ties_at_a_drawn_value(self, monkeypatch, mode):
-        """`noise`, then `efficiency`, equal to a draw that shot 0 reads.
+    def test_ties_at_a_drawn_value(self, mode):
+        """`noise`, then `efficiency`, equal to the uniform that shot 0 reads, cut after a 1 digit.
 
-        A flip is `draw < noise` and an erasure `draw >= efficiency`, so at
-        a tie the flip is not made and the erasure is: every source and
-        the reference must read the tie the same way.
+        A flip is U < noise and an erasure U >= efficiency.  A threshold p
+        equal to the first digits of shot 0's U, up to a digit 1, ties
+        with U until p's digits end; U is not below p, so the flip is not
+        made and the erasure is: the sampler and the reference must read
+        the tie the same way.
         """
         system = mermin_square()
         ctx_id, _ = default_schedule(system)[0]  # its shared word is outcome 0
         alice = len(system.contexts[ctx_id].observables)
-        outcomes = alice + (1 if mode == "alone" else alice)
-        draws = shot_stream(5, 0).random(3 * outcomes).tolist()
-        flip, erasure = draws[outcomes], draws[outcomes + 1]
-        for noise, efficiency in ((flip, 0.95), (0.05, erasure)):
+        width = alice + (1 if mode == "alone" else alice)
+        lane = Lane(5, 0, 0)
+        ties = []
+        for r in (1 + width, 2 + width):  # outcome 0's flip and erasure bits
+            digits = [lane.bit(r, k) for k in range(12)]
+            last = max(k for k, digit in enumerate(digits) if digit)
+            ties.append(float(sum(Fraction(d, 2 ** (k + 1)) for k, d in enumerate(digits[: last + 1]))))
+            assert not lane.below(r, Fraction(ties[-1]))
+        for noise, efficiency in ((ties[0], 0.95), (0.05, ties[1])):
             config = ExperimentConfig(
                 n=2, system=system, shots=40, noise=noise, efficiency=efficiency,
                 seed=5, bob_mode=mode,
             )
-            assert on_both_sources(monkeypatch, config) == reference_experiment(config)
+            assert run_experiment(config) == reference_experiment(config)
+
+
+def test_prefix_stability(monkeypatch):
+    """Lane q's records depend neither on the entry's number of lanes nor on the lanes per pass.
+
+    So shot i's records are the same in a run of any number of shots, and
+    however `run_experiment` cuts the lanes into blocks and passes.
+    """
+    tests = [(1, 0.5, True), (2, 0.05, False), (3, 0.9, True), (5, 2**-40, False)]
+    digits = {p: protocol._digits(p) for p in (0.5, 0.05, 0.9, 2**-40)}
+
+    def planes(chunk, lanes):
+        return protocol._record_planes(11, chunk, [(3, lanes, 6, tests)], digits)[0]
+
+    whole = planes(0, 700)
+    for lanes in (0, 1, 63, 256, 257, 699):
+        assert planes(0, lanes) == [plane & ((1 << lanes) - 1) for plane in whole]
+    monkeypatch.setattr(rng, "PACKED_LANES", 1)
+    for chunk in range(3):  # blocks of one chunk, each Philox block a pass of its own
+        lanes = min(256, 700 - 256 * chunk)
+        assert planes(chunk, lanes) == [plane >> 256 * chunk & ((1 << lanes) - 1) for plane in whole]
 
 
 # Flip probabilities and efficiencies at the edges of the 53-bit draw grid.
@@ -293,32 +304,46 @@ THRESHOLDS = [0.0, 5e-324, 2**-53, 0.05, 0.5, 0.9, 1 - 2**-52, 1 - 2**-53, 1.0]
 
 @pytest.mark.parametrize("p", THRESHOLDS)
 def test_integer_thresholds_equal_the_float_comparison(p):
-    """`_word_planes` reads coins, flips and erasures off packed words as the draws' float tests do.
+    """Bit-sliced planes equal the definition U < p, U read from the same lane bits.
 
-    A flip is `(x >> 11) * 2**-53 < p` and an erasure `>= efficiency`;
-    the planes test x against an integer threshold by a carry instead.
-    The words sit at that threshold, a grid step either side, at both
-    ends of the 64-bit range and at random.
+    `_record_planes` compares each lane's bits with the binary digits of
+    p's integer numerator, round by round, and never compares floats.
+    The reference reads each lane's bits one at a time from NumPy's
+    Philox as the binary fraction U = 0.u1 u2 ..., until U < p or U >= p
+    is certain, for a coin, a flip and an erasure, in three entries of
+    which one spans two chunks and one has no lane.
     """
-    rng = random.Random(p)
-    t = math.ceil(math.ldexp(p, 53)) << 11
-    near = {t + d for d in (-(2**11) - 1, -(2**11), -1, 0, 1, 2**11 - 1, 2**11)}
-    words = sorted({0, 1, 2**11 - 1, 2**11, 2**63, 2**64 - 1, *(rng.getrandbits(64) for _ in range(40))})
-    words += sorted(x for x in near if 0 <= x < 2**64)
-    packed = b"".join(x.to_bytes(8, "little") + bytes(8) for x in words)
-    for noise, efficiency in ((p, 1.0), (0.05, p), (p, p)):
-        planes = protocol._word_planes(len(words), [packed] * 3, (noise,), efficiency)
+    seed, chunk = 2**64 - 1, 3
+    tests = [(1, 0.5, True), (2, p, False), (3, p, True)]
+    entries = [(0, 300, 4, tests), (7, 45, 4, tests), (2**64 - 1, 0, 4, tests)]
+    digits = {q: protocol._digits(q) for q in (0.5, p)}
+    planes = protocol._record_planes(seed, chunk, entries, digits)
+    for (key, lanes, _, _), row in zip(entries, planes):
+        reads = [Lane(seed, key, 256 * chunk + q) for q in range(lanes)]
         expected = [
-            [1] * len(words),
-            [x >> 63 for x in words],
-            [(x >> 11) * 2.0**-53 < noise for x in words],
-            [(x >> 11) * 2.0**-53 >= efficiency for x in words],
+            [1] * lanes,
+            [lane.bit(1, 0) for lane in reads],
+            [lane.below(2, Fraction(p)) for lane in reads],
+            [not lane.below(3, Fraction(p)) for lane in reads],
         ]
-        assert planes == [sum(bit << i for i, bit in enumerate(bits)) for bits in expected]
+        assert row == [sum(bit << q for q, bit in enumerate(bits)) for bits in expected]
 
 
 def test_planes_of_no_shots():
-    assert protocol._word_planes(0, [b""] * 6, (0.1, 0.2), 0.9) == [0]
+    tests = [(1, 0.5, True), (2, 0.1, False), (3, 0.9, True)]
+    digits = {q: protocol._digits(q) for q in (0.5, 0.1, 0.9)}
+    assert protocol._record_planes(1, 0, [(0, 0, 7, tests)], digits) == [[0] * 7]
+    assert protocol._record_planes(1, 0, [], digits) == []
+
+
+@pytest.mark.parametrize("p", THRESHOLDS)
+def test_digits_are_the_exact_binary_expansion(p):
+    digits = protocol._digits(p)
+    if p == 1.0:
+        assert digits is None
+    else:
+        assert Fraction(int(digits or "0", 2), 2 ** len(digits)) == Fraction(p)
+        assert not digits.endswith("0")
 
 
 class CountingDraw:
@@ -377,8 +402,7 @@ class TestBadInputs:
         )
         expected = self.error(reference_experiment, config)
         with monkeypatch.context() as patch:
-            patch.setattr(numpy_draws, "shot_draws", drew_first)
-            patch.setattr(protocol, "packed_words", drew_first)
+            patch.setattr(protocol, "philox_blocks", drew_first)
             assert self.error(run_experiment, config) == expected
 
     @pytest.mark.parametrize("case", [i for i, c in enumerate(BAD_INPUTS) if c[6] in range(2**64)])
@@ -395,26 +419,25 @@ class TestBadInputs:
             efficiency=efficiency, seed=seed, bob_mode=mode,
         )
         with monkeypatch.context() as patch:
-            patch.setattr(numpy_draws, "shot_draws", drew_first)
-            patch.setattr(protocol, "packed_words", drew_first)
+            patch.setattr(protocol, "philox_blocks", drew_first)
             assert self.error(run_experiment, config) == expected
 
-    @pytest.mark.parametrize("shots", [2**64 + 1, 10**20])
-    def test_shots_past_the_key_range_raise_before_any_entry(self, monkeypatch, shots):
-        """Shot 2**64 has no stream key, so the run is refused at once, not when it gets there."""
+    @pytest.mark.parametrize("shots", [2**72 + 1, 10**30])
+    def test_shots_past_the_counter_range_raise_before_any_entry(self, monkeypatch, shots):
+        """An entry addresses 2**64 chunks of 256 lanes, so the run is refused at once."""
         config = ExperimentConfig(n=2, system=mermin_square(), shots=shots)
         with monkeypatch.context() as patch:
-            patch.setattr(numpy_draws, "shot_draws", drew_first)
-            for name in ("_compile_round", "packed_words"):
+            for name in ("_compile_round", "philox_blocks"):
                 patch.setattr(protocol, name, drew_first)
             message = self.error(run_experiment, config)
-        assert message == "seed and shot index must be non-negative and below 2**64"
+        assert message == f"shots must be at most 2**72, got {shots}"
+        assert message == self.error(reference_experiment, config)
 
-    def test_unreached_entries_are_not_checked(self, monkeypatch):
+    def test_unreached_entries_are_not_checked(self):
         config = ExperimentConfig(
             n=2, system=mermin_square(), shots=1, schedule=((0, 0), (0, 99))
         )
-        assert on_both_sources(monkeypatch, config) == reference_experiment(config)
+        assert run_experiment(config) == reference_experiment(config)
         # The mode is not an entry's setting: it is checked with no entry reached.
         with pytest.raises(ValueError, match="bob_mode"):
             run_experiment(
