@@ -10,9 +10,10 @@ acting on its own (k, n+k) qubit pair of the singlet product state.  So
 every term of either operator is a Pauli word, and the singlets are a
 stabilizer state: each term's expectation is read exactly off the singlet
 tableau (`tableau`), never substituted analytically, and without numpy.
-The dense 2n-qubit state vector stays as the test oracle.  The
-local-realist bound is obtained by enumerating all 16 deterministic
-strategies for one pair and raising the maximum to the n-th power.
+The local-realist bound is obtained by enumerating all 16 deterministic
+strategies for one pair and raising the maximum to the n-th power, which
+assumes that each observer's joint outcome is the product of the
+per-pair +-1 outcomes.
 """
 
 from __future__ import annotations
@@ -22,22 +23,18 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .pauli import PauliOperator, parse_pauli, to_dense
+from .pauli import PauliOperator
 from .tableau import singlet_product_tableau, tableau_expectation
 
-if TYPE_CHECKING:
-    import numpy as np
-
 VTOL = 1e-12
-MAX_DENSE_PAIRS = 5
+MAX_TABLEAU_PAIRS = 5
 # Largest n for which (2*sqrt(2))^n, the optimal quantum value, is a finite
 # float64; beyond it the values overflow.
 MAX_PAIRS = int(math.log(sys.float_info.max) / math.log(2.0 * math.sqrt(2.0)))
 
-_AXES = ("X", "Y", "Z")
-# Their masks, indexed like the rows and columns of c_ij.
+# The masks of X, Y and Z, indexed like the rows and columns of c_ij.
 _X_BITS = (1, 1, 0)
 _Z_BITS = (0, 1, 1)
 
@@ -108,35 +105,6 @@ def _pair_correlations() -> tuple[tuple[float, ...], ...]:
     )
 
 
-@lru_cache(maxsize=1)
-def _pair_basis() -> tuple[tuple[np.ndarray, ...], ...]:
-    """The nine 4x4 matrices alpha1 beta2, alpha and beta in X, Y, Z; built once."""
-    basis = []
-    for alpha in _AXES:
-        row = []
-        for beta in _AXES:
-            matrix = to_dense(parse_pauli(f"{alpha}1 {beta}2", 2))
-            matrix.flags.writeable = False  # shared by every caller
-            row.append(matrix)
-        basis.append(tuple(row))
-    return tuple(basis)
-
-
-def chsh_pair_operator(v: MeasurementVectors) -> np.ndarray:
-    """Dense 4x4 CHSH operator for one pair: the test oracle of `pair_expectation`."""
-    import numpy as np  # here, so that importing `chsh` does not load numpy
-
-    coeff = _coefficients(v)
-    basis = _pair_basis()
-    out = np.zeros((4, 4), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            out += coeff[i][j] * basis[i][j]
-    if np.max(np.abs(out - out.conj().T)) > VTOL:
-        raise AssertionError("CHSH pair operator is not Hermitian")
-    return out
-
-
 def pair_expectation(v: MeasurementVectors) -> float:
     """Singlet expectation of the pair operator: the sum of c_ij <alpha_i beta_j>."""
     coeff = _coefficients(v)
@@ -151,17 +119,15 @@ def quantum_value(n: int, v: MeasurementVectors, method: str = "factorized") -> 
     n >= 1).  "tableau" expands the n-pair operator into its Pauli words,
     up to 9^n of them (4^n for planar settings), and reads each word's
     expectation off the 2n-qubit singlet tableau, so it does not assume
-    that the value factorizes (n <= 5).  "dense", the test oracle, applies
-    the pair operator to each (k, n+k) qubit pair of the 2n-qubit singlet
-    state vector and takes the overlap with that state (n <= 5).
+    that the value factorizes (n <= 5).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if method == "factorized":
         return pair_expectation(v) ** n
-    if method in ("tableau", "dense") and n > MAX_DENSE_PAIRS:
-        raise ValueError(f"{method} path limited to n <= {MAX_DENSE_PAIRS}, got {n}")
     if method == "tableau":
+        if n > MAX_TABLEAU_PAIRS:
+            raise ValueError(f"tableau path limited to n <= {MAX_TABLEAU_PAIRS}, got {n}")
         coeff = _coefficients(v)
         terms = [((i, j), coeff[i][j]) for i in range(3) for j in range(3) if coeff[i][j] != 0.0]
         state = singlet_product_tableau(n)
@@ -170,21 +136,7 @@ def quantum_value(n: int, v: MeasurementVectors, method: str = "factorized") -> 
             weight = math.prod(c for _, c in combo)
             total += weight * tableau_expectation(state, _word([axes for axes, _ in combo]))
         return total
-    if method == "dense":
-        import numpy as np
-
-        from .states import hermitian_overlap, singlet_product_state
-
-        state = singlet_product_state(n)
-        # One tensor axis per qubit, qubit 1 first; the pair operator's
-        # axes are (out k, out n+k, in k, in n+k).
-        op = chsh_pair_operator(v).reshape(2, 2, 2, 2)
-        amp = state.amplitudes.reshape((2,) * (2 * n))
-        for k in range(n):
-            amp = np.tensordot(op, amp, axes=([2, 3], [k, n + k]))
-            amp = np.moveaxis(amp, (0, 1), (k, n + k))
-        return hermitian_overlap(state, amp.reshape(-1))
-    raise ValueError(f"method must be 'factorized', 'tableau' or 'dense', got {method!r}")
+    raise ValueError(f"method must be 'factorized' or 'tableau', got {method!r}")
 
 
 def lhv_pair_values() -> list[int]:

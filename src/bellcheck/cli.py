@@ -275,7 +275,7 @@ def cmd_chsh(args) -> RunReport:
     target = (2.0 * math.sqrt(2.0)) ** n
     gap = chsh_mod.gap_report(n, vectors)  # the factorized value
     report.check("quantum value (factorized)", gap.quantum_value, target, tolerance=REL_TOL)
-    if n <= chsh_mod.MAX_DENSE_PAIRS:
+    if n <= chsh_mod.MAX_TABLEAU_PAIRS:
         tableau_value = chsh_mod.quantum_value(n, vectors, method="tableau")
         report.check("quantum value (tableau)", tableau_value, gap.quantum_value, tolerance=REL_TOL)
     report.check("local-realist bound", gap.lhv_bound, 2.0 ** n)

@@ -20,8 +20,6 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .pauli import format_pauli
 
-MAX_BRUTE_FORCE_VARIABLES = 24
-
 
 class ParityRow(namedtuple("ParityRow", "variables rhs")):
     __slots__ = ()
@@ -157,44 +155,6 @@ def solve(ps: ParitySystem) -> SolveResult:
             rest &= rest - 1
         bits[var] = value
     assignment = {name: 1 - 2 * bits[i] for i, name in enumerate(ps.variables)}
-    return SolveResult(True, assignment=assignment)
-
-
-def brute_force(ps: ParitySystem) -> SolveResult:
-    """Exhaustive oracle over all 2^k bit assignments (k <= 24).
-
-    Returns the lexicographically first satisfying assignment (variables
-    in catalog order, +1 before -1) or UNSAT with no certificate; the
-    exhaustion itself is the proof.
-    """
-    k = len(ps.variables)
-    if k > MAX_BRUTE_FORCE_VARIABLES:
-        raise ValueError(
-            f"brute force limited to {MAX_BRUTE_FORCE_VARIABLES} variables, got {k}"
-        )
-    if not ps.rows:
-        return SolveResult(True, assignment={name: +1 for name in ps.variables})
-    import numpy as np  # here, so that importing `parity` does not load numpy
-
-    # Assignment a encodes variable j as bit (k-1-j), so increasing a is
-    # lexicographic order with +1 (bit 0) first.
-    dtype = np.uint32
-    space = np.arange(1 << k, dtype=dtype)
-    sat = np.ones(1 << k, dtype=bool)
-    for ridx in range(len(ps.rows)):
-        mask = 0
-        row_mask = ps.row_mask(ridx)
-        for j in range(k):
-            if row_mask >> j & 1:
-                mask |= 1 << (k - 1 - j)
-        sat &= (np.bitwise_count(space & dtype(mask)) & 1) == ps.rows[ridx].rhs
-    hits = np.flatnonzero(sat)
-    if hits.size == 0:
-        return SolveResult(False)
-    first = int(hits[0])
-    assignment = {
-        name: 1 - 2 * (first >> (k - 1 - j) & 1) for j, name in enumerate(ps.variables)
-    }
     return SolveResult(True, assignment=assignment)
 
 

@@ -11,8 +11,7 @@ absorbed into the site letter, never into phase_exponent.  Under this
 canonical form an operator is Hermitian iff phase_exponent is 0 or 2.
 
 Multiplication tracks phases exactly in integer arithmetic, so products
-of Pauli words are exact; the dense-matrix export exists as an oracle
-surface and for embedding words into larger operators.
+of Pauli words are exact.
 """
 
 from __future__ import annotations
@@ -20,11 +19,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from itertools import combinations, islice
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
-
 _LETTERS = {0: "I", 1: "X", 2: "Z", 3: "Y"}  # index = x_bit + 2*z_bit
 
 _PHASE_LABEL = {0: "+", 1: "i", 2: "-", 3: "-i"}
@@ -32,8 +26,6 @@ _LABEL_PHASE = {v: k for k, v in _PHASE_LABEL.items()}
 
 # Each letter's (x, z) bits on its site.
 _SITE_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-
-MAX_DENSE_QUBITS = 14
 
 
 class PauliSyntaxError(ValueError):
@@ -178,53 +170,6 @@ def fault_message(non_hermitian: str | None, failing_pair: tuple[str, str] | Non
     if failing_pair is not None:
         return f"observables {failing_pair[0]} and {failing_pair[1]} do not commute"
     return None
-
-
-def to_dense(op: PauliOperator) -> np.ndarray:
-    """Dense 2^n matrix; qubit 1 is the most significant basis-index bit."""
-    if op.num_qubits > MAX_DENSE_QUBITS:
-        raise ValueError(
-            f"dense export limited to {MAX_DENSE_QUBITS} qubits, got {op.num_qubits}"
-        )
-    import numpy as np  # here, so that importing `pauli` does not load numpy
-
-    dense_letter = {
-        "I": np.eye(2, dtype=complex),
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
-    m = np.eye(1, dtype=complex)
-    for j in range(1, op.num_qubits + 1):
-        m = np.kron(m, dense_letter[op.letter(j)])
-    return (1j ** op.phase_exponent) * m
-
-
-def relabel(op: PauliOperator, qubit_map: dict[int, int], target_size: int) -> PauliOperator:
-    """Move the word's letters to mapped (1-based) positions on a larger register.
-
-    Every qubit carrying a non-identity letter must appear in the map;
-    the map must be injective into 1..target_size.  Phase is preserved.
-    """
-    values = list(qubit_map.values())
-    if len(set(values)) != len(values):
-        raise ValueError("qubit_map is not injective")
-    x = 0
-    z = 0
-    for src, dst in qubit_map.items():
-        if not 1 <= src <= op.num_qubits:
-            raise ValueError(f"source index {src} out of range 1..{op.num_qubits}")
-        if not 1 <= dst <= target_size:
-            raise ValueError(f"target index {dst} out of range 1..{target_size}")
-        bit = 1 << (src - 1)
-        if op.x_mask & bit:
-            x |= 1 << (dst - 1)
-        if op.z_mask & bit:
-            z |= 1 << (dst - 1)
-    unmapped = (op.x_mask | op.z_mask) & ~sum(1 << (s - 1) for s in qubit_map)
-    if unmapped:
-        raise ValueError("qubit_map does not cover all non-identity sites")
-    return PauliOperator(target_size, x, z, op.phase_exponent)
 
 
 def format_pauli(op: PauliOperator) -> str:

@@ -9,17 +9,12 @@ Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 64-bit words in ten rounds of multiply-and-xor.  A block is read as 256
 bits, word w at bits 64 w to 64 w + 63.
 
-The blocks are computed two ways, equal bit for bit:
-
-- `philox_blocks` in plain Python ints for many blocks at once, with no
-  numpy import: the blocks of a pass are packed as 128-bit slots of a few
-  big ints, so each round is a dozen big-int operations however many
-  blocks the pass holds;
-- NumPy's own `Philox`, the oracle (`shot_stream` for one stream).  It
-  steps its counter before each block, so to read a given block it is
-  set one below it.
-
-Importing this module does not import numpy: only `shot_stream` does.
+`philox_blocks` computes many blocks at once in plain Python ints: the
+blocks of a pass are packed as 128-bit slots of a few big ints, so each
+round is a dozen big-int operations however many blocks the pass holds.
+The tests check its blocks bit for bit against NumPy's own `Philox`
+(`tests/oracles.py`), which steps its counter before each block, so to
+read a given block it is set one below it.
 """
 
 from __future__ import annotations
@@ -44,19 +39,6 @@ def check_key(seed: int, entry: int) -> None:
     """
     if not (0 <= seed < 1 << 64 and 0 <= entry < 1 << 64):
         raise ValueError("seed and entry index must be non-negative and below 2**64")
-
-
-def shot_stream(seed: int, entry: int) -> np.random.Generator:
-    """NumPy's generator on the stream of key (seed, entry): the reference for `philox_blocks`.
-
-    It steps its counter before each block, so its raw words are the
-    blocks at counters (1, 0, 0, 0), (2, 0, 0, 0), ... in turn.
-    """
-    import numpy as np
-
-    check_key(seed, entry)
-    key = np.array([seed, entry], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def philox_blocks(seed: int, c2: int, lanes: bytes) -> bytes:

@@ -14,11 +14,11 @@ Measured symbolically (`compile_context`), each stabilizer's sign is a
 GF(2) affine form over the coins of the words measured so far, so one
 pass over a context serves every shot; the draws only evaluate the forms.
 
-Shared states use the block layout of `states`: for n pairs, the first
-observer holds qubits 1..n, the second n+1..2n, and qubit k is paired
-with n+k.  This module needs no floating-point arrays and imports no
-numpy, so `eigencheck`, `ghz` and `chsh`, which measure only here, never
-load it.
+Shared states use the block layout: for n pairs, the first observer
+holds qubits 1..n, the second n+1..2n, and qubit k is paired with n+k.
+This module needs no floating-point arrays and imports no numpy; the
+dense state vectors that the tests compare it with live in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def embed(op: PauliOperator, n: int, side: str) -> PauliOperator:
 
 @lru_cache(maxsize=16)
 def bell_product_tableau(n: int) -> StabilizerTableau:
-    """The n-pair Bell product of `states.bell_product_state` as a tableau.
+    """The product of n Bell pairs (|00>+|11>)/sqrt(2) as a tableau.
 
     Pair k is stabilized by X_k X_{n+k} and Z_k Z_{n+k}, destabilized by
     Z_k and X_{n+k}.  The tableau is immutable, so one copy per n is shared.
@@ -72,7 +72,7 @@ def bell_product_tableau(n: int) -> StabilizerTableau:
 
 @lru_cache(maxsize=16)
 def singlet_product_tableau(n: int) -> StabilizerTableau:
-    """The n-singlet product of `states.singlet_product_state` as a tableau.
+    """The product of n singlets (|01>-|10>)/sqrt(2) as a tableau.
 
     The rows of `bell_product_tableau(n)`, with the stabilizers negated:
     each singlet is the -1 eigenstate of X_k X_{n+k} and of Z_k Z_{n+k}.
@@ -83,7 +83,7 @@ def singlet_product_tableau(n: int) -> StabilizerTableau:
 
 
 def ghz_tableau() -> StabilizerTableau:
-    """The GHZ state (|000> - |111>)/sqrt(2) of `states.ghz_state` as a tableau.
+    """The GHZ state (|000> - |111>)/sqrt(2) as a tableau.
 
     Stabilizers Z1 Z2, Z2 Z3 and -X1 X2 X3; destabilizers X2 X3, X3, Z1.
     """

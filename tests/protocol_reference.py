@@ -1,11 +1,11 @@
 """Per-round reference protocol: the oracle for the compiled batch sampler.
 
 `reference_experiment` runs one round per shot and measures with a
-function passed in: either `measure_context` on the dense Bell-product
-state, or `tableau_measure`, a concrete tableau measurement that updates
+function passed in: either `oracles.measure_context` on the dense
+Bell-product state, or `tableau_measure`, a concrete tableau measurement that updates
 the signs in place and shares no code with `tableau.compile_context`
 beyond the input checks.  Words go onto each observer's block with
-`pauli.relabel`, not with `tableau.embed`.
+`oracles.relabel`, not with `tableau.embed`.
 
 Each shot reads its own lane of the random layout, one bit at a time,
 from NumPy's `Philox(key=[seed, entry])` with its counter set (`Lane`),
@@ -24,10 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from bellcheck.pauli import PauliOperator, commutes, identity, multiply, relabel
+from oracles import bell_product_state, measure_context, relabel
+from bellcheck.pauli import PauliOperator, commutes, identity, multiply
 from bellcheck.protocol import MODES, ExperimentSummary, _noise_pair, default_schedule
 from bellcheck.rng import check_key
-from bellcheck.states import bell_product_state, measure_context
 from bellcheck.tableau import StabilizerTableau, _check_size, _checked_context, bell_product_tableau
 
 

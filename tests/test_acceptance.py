@@ -12,8 +12,16 @@ from itertools import combinations
 import numpy as np
 from scipy import stats
 
-from conftest import dense_oracle, random_pauli
-from bellcheck.chsh import MAX_DENSE_PAIRS, lhv_max, optimal_vectors, quantum_value
+from oracles import (
+    MAX_DENSE_PAIRS,
+    apply_pauli,
+    brute_force,
+    dense_oracle,
+    dense_quantum_value,
+    ghz_state,
+    random_pauli,
+)
+from bellcheck.chsh import lhv_max, optimal_vectors, quantum_value
 from bellcheck.constructions import (
     generalized_sets,
     ghz_contexts,
@@ -25,7 +33,6 @@ from bellcheck.constructions import (
 from bellcheck.parity import (
     ParityRow,
     ParitySystem,
-    brute_force,
     build_parity_system,
     check_assignment,
     check_certificate,
@@ -33,7 +40,7 @@ from bellcheck.parity import (
 )
 from bellcheck.pauli import PauliOperator, commutes, identity, multiply
 from bellcheck.protocol import ExperimentConfig, run_experiment
-from bellcheck.states import apply_pauli, eigenrelation_check, ghz_state
+from bellcheck.tableau import eigenrelation_check
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
@@ -154,7 +161,7 @@ def test_criterion_5_chsh():
         factorized = quantum_value(n, vectors)
         assert abs(factorized - target) <= 1e-9 * target
         if n <= MAX_DENSE_PAIRS:
-            dense = quantum_value(n, vectors, method="dense")
+            dense = dense_quantum_value(n, vectors)
             assert abs(dense - factorized) <= 1e-9 * abs(factorized)
         assert lhv_max(n) == 2.0**n
         ratio = factorized / lhv_max(n)

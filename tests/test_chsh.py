@@ -6,11 +6,20 @@ from itertools import product as iter_product
 import numpy as np
 import pytest
 
-from bellcheck.chsh import (
+from oracles import (
     MAX_DENSE_PAIRS,
+    MAX_PRODUCT_PAIRS,
+    chsh_pair_operator,
+    dense_expectation,
+    dense_oracle,
+    dense_quantum_value,
+    product_lhv_max,
+    singlet_product_state,
+)
+from bellcheck.chsh import (
+    MAX_TABLEAU_PAIRS,
     ChshReport,
     MeasurementVectors,
-    chsh_pair_operator,
     gap_report,
     lhv_max,
     lhv_pair_values,
@@ -19,8 +28,7 @@ from bellcheck.chsh import (
     planar_vectors,
     quantum_value,
 )
-from bellcheck.pauli import parse_pauli, to_dense
-from bellcheck.states import dense_expectation, singlet_product_state
+from bellcheck.pauli import parse_pauli
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
@@ -35,7 +43,7 @@ def singlet_correlations() -> np.ndarray:
     table = np.empty((3, 3))
     for i, a in enumerate("XYZ"):
         for j, b in enumerate("XYZ"):
-            table[i, j] = dense_expectation(singlet, to_dense(parse_pauli(f"{a}1 {b}2", 2)))
+            table[i, j] = dense_expectation(singlet, dense_oracle(parse_pauli(f"{a}1 {b}2", 2)))
     return table
 
 
@@ -142,7 +150,7 @@ class TestQuantumValue:
         # Per-pair value -2 (a'=a, b'=b, all along z), squared across pairs.
         aligned = MeasurementVectors(Z_HAT, Z_HAT, Z_HAT, Z_HAT)
         assert quantum_value(2, aligned) == pytest.approx(4.0, abs=1e-12)
-        assert quantum_value(2, aligned, method="dense") == pytest.approx(4.0, abs=1e-10)
+        assert dense_quantum_value(2, aligned) == pytest.approx(4.0, abs=1e-10)
         assert quantum_value(2, aligned, method="tableau") == 4.0
 
     def test_factorized_and_dense_agree_on_random_settings(self):
@@ -155,13 +163,13 @@ class TestQuantumValue:
             vs /= np.linalg.norm(vs, axis=1, keepdims=True)
             v = MeasurementVectors(*(tuple(row) for row in vs))
             fac = quantum_value(n, v)
-            den = quantum_value(n, v, method="dense")
+            den = dense_quantum_value(n, v)
             assert abs(fac - den) <= 1e-9 * max(1.0, abs(fac))
             if n <= 3:
                 tab = quantum_value(n, v, method="tableau")
                 assert abs(tab - den) <= 1e-9 * max(1.0, abs(fac))
 
-    @pytest.mark.parametrize("n", range(1, MAX_DENSE_PAIRS + 1))
+    @pytest.mark.parametrize("n", range(1, MAX_TABLEAU_PAIRS + 1))
     def test_three_methods_agree_on_aligned_settings(self, n):
         settings = [
             optimal_vectors(),
@@ -171,8 +179,8 @@ class TestQuantumValue:
         ]
         for v in settings:
             fac = quantum_value(n, v)
-            for method in ("tableau", "dense"):
-                value = quantum_value(n, v, method=method)
+            values = {"tableau": quantum_value(n, v, method="tableau"), "dense": dense_quantum_value(n, v)}
+            for method, value in values.items():
                 assert abs(value - fac) <= 1e-9 * max(1.0, abs(fac)), method
 
     def test_multiplicative_over_product_states(self):
@@ -189,11 +197,12 @@ class TestQuantumValue:
         with pytest.raises(ValueError, match="n must be"):
             quantum_value(0, v)
         with pytest.raises(ValueError, match="dense path"):
-            quantum_value(MAX_DENSE_PAIRS + 1, v, method="dense")
+            dense_quantum_value(MAX_DENSE_PAIRS + 1, v)
         with pytest.raises(ValueError, match="tableau path"):
-            quantum_value(MAX_DENSE_PAIRS + 1, v, method="tableau")
-        with pytest.raises(ValueError, match="method"):
-            quantum_value(1, v, method="exact")
+            quantum_value(MAX_TABLEAU_PAIRS + 1, v, method="tableau")
+        for method in ("exact", "dense"):
+            with pytest.raises(ValueError, match="'factorized' or 'tableau'"):
+                quantum_value(1, v, method=method)
 
 
 class TestLhv:
@@ -207,6 +216,10 @@ class TestLhv:
     def test_bound_powers(self):
         assert lhv_max(1) == 2.0
         assert lhv_max(4) == 16.0
+
+    @pytest.mark.parametrize("n", range(1, MAX_PRODUCT_PAIRS + 1))
+    def test_product_strategy_enumeration_matches_bound(self, n):
+        assert product_lhv_max(n) == lhv_max(n) == gap_report(n).lhv_bound
 
     def test_mixed_strategies_never_beat_deterministic(self):
         rng = np.random.default_rng(41)

@@ -1,5 +1,6 @@
 """Command surface: exit codes, report formats, determinism."""
 
+import ast
 import importlib
 import json
 import os
@@ -13,7 +14,8 @@ import bellcheck
 from bellcheck import cli, constructions, protocol
 from bellcheck.constructions import Context, ContextSystem, mermin_square
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+REPO = Path(__file__).resolve().parents[1]
+README = REPO / "README.md"
 
 
 def run(capsys, argv):
@@ -386,11 +388,6 @@ class TestCorrelate:
         assert first[0] == 0
         assert run(capsys, [*LARGE_RUN, "--format", "json"]) == first
 
-    def test_never_imports_the_dense_states(self):
-        """The protocol measures on the tableau; the dense vectors are test oracles."""
-        argv = ["correlate", "--n", "3", "--shots", "10"]
-        assert fresh_main(argv, "bellcheck.states") == "0 False"
-
 
 class TestChsh:
     def test_n3(self, capsys):
@@ -628,22 +625,20 @@ class TestStartup:
         assert (result.returncode, result.stdout) == (2, "")
 
 
-# The package namespace before it became lazy: submodule -> names.  Each must
-# still resolve, to the very object its submodule holds.
+# The package namespace before it became lazy, less the dense oracles that
+# 0.9.0 moved to `tests/oracles.py`: submodule -> names.  Each must still
+# resolve, to the very object its submodule holds.
 OLD_NAMESPACE = {
-    "chsh": "ChshReport MeasurementVectors chsh_pair_operator gap_report lhv_max "
+    "chsh": "ChshReport MeasurementVectors gap_report lhv_max "
     "optimal_vectors pair_expectation planar_vectors quantum_value",
     "constructions": "ConstructionError Context ContextSystem ValidationReport generalized_sets "
     "ghz_contexts ghz_observables mermin_square product_sign validate",
     "dsl": "DslSyntaxError parse_document serialize",
-    "parity": "ParityRow ParitySystem SolveResult brute_force build_parity_system "
+    "parity": "ParityRow ParitySystem SolveResult build_parity_system "
     "check_assignment check_certificate solve",
     "pauli": "PauliOperator PauliSyntaxError commutes format_pauli identity multiply "
-    "parse_pauli relabel single to_dense",
+    "parse_pauli single",
     "protocol": "ExperimentConfig ExperimentSummary default_schedule run_experiment",
-    "rng": "shot_stream",
-    "states": "StateVector apply_pauli bell_product_state dense_expectation expectation "
-    "ghz_state measure_context singlet_product_state",
     "tableau": "StabilizerTableau bell_product_tableau compile_context eigenrelation_check "
     "embed tableau_expectation",
 }
@@ -673,6 +668,24 @@ class TestPackage:
         assert loaded == "[]"
         expected = {name for names in OLD_NAMESPACE.values() for name in names.split()}
         assert expected | {"__version__"} <= set(listed.split())
+
+    def test_no_module_imports_numpy(self):
+        """numpy is a test dependency: no module imports it, at any depth, and none is required."""
+        for path in sorted((REPO / "src" / "bellcheck").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                assert all(m.split(".")[0] != "numpy" for m in modules), f"{path.name}:{node.lineno}"
+        try:
+            import tomllib
+        except ModuleNotFoundError:  # Python 3.10
+            return
+        project = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+        assert project["dependencies"] == []
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

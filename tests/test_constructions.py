@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import dense_oracle, random_pauli
+from oracles import dense_oracle, random_pauli
 from bellcheck.constructions import (
     Context,
     ContextSystem,

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from oracles import brute_force
 from bellcheck.constructions import generalized_sets, ghz_contexts, mermin_square
 from bellcheck.parity import (
     ParityRow,
     ParitySystem,
     SolveResult,
-    brute_force,
     build_parity_system,
     check_assignment,
     check_certificate,

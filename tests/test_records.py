@@ -5,13 +5,13 @@ import re
 import numpy as np
 import pytest
 
+from oracles import StateVector, bell_product_state
 from bellcheck.chsh import MeasurementVectors, gap_report, optimal_vectors
 from bellcheck.cli import Check
 from bellcheck.constructions import Context, mermin_square, validate
 from bellcheck.parity import ParityRow, ParitySystem, build_parity_system, solve
 from bellcheck.pauli import PauliOperator, parse_pauli
 from bellcheck.protocol import ExperimentConfig, run_experiment
-from bellcheck.states import StateVector, bell_product_state
 from bellcheck.tableau import bell_product_tableau
 
 Z_HAT = (0.0, 0.0, 1.0)

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import shot_stream
 from bellcheck import rng
-from bellcheck.rng import philox_blocks, shot_stream
+from bellcheck.rng import philox_blocks
 
 SEEDS = [0, 7, 2**32 - 1, 2**32, 2**40 + 1, 2**64 - 1]
 TOP = 2**64 - 1

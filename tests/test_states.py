@@ -6,25 +6,27 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import dense_oracle, random_pauli
-from protocol_reference import tableau_measure
-from bellcheck.constructions import generalized_sets, mermin_square
-from bellcheck.pauli import PauliOperator, commutes, parse_pauli, relabel
-from bellcheck.rng import shot_stream
-from bellcheck.states import (
+from oracles import (
     StateVector,
     apply_pauli,
     bell_product_state,
     dense_expectation,
-    eigenrelation_check,
+    dense_oracle,
     expectation,
     ghz_state,
     measure_context,
+    random_pauli,
+    relabel,
+    shot_stream,
     singlet_product_state,
 )
+from protocol_reference import tableau_measure
+from bellcheck.constructions import generalized_sets, mermin_square
+from bellcheck.pauli import PauliOperator, commutes, parse_pauli
 from bellcheck.tableau import (
     bell_product_tableau,
     compile_context,
+    eigenrelation_check,
     embed,
     ghz_tableau,
     singlet_product_tableau,
