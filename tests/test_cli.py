@@ -36,10 +36,14 @@ def readme_python_blocks() -> list[str]:
     return [block.split("```")[0] for block in text.split("```python\n")[1:]]
 
 
+def readme_obs() -> str:
+    """The README's own `.obs` example, which `--file my.obs` reads."""
+    return README.read_text(encoding="utf-8").split("## Observable files")[1].split("```")[1]
+
+
 def write_readme_obs(directory: Path) -> None:
-    """`my.obs` in `directory`: the README's own `.obs` example, which `--file my.obs` reads."""
-    example = README.read_text(encoding="utf-8").split("## Observable files")[1]
-    (directory / "my.obs").write_text(example.split("```")[1], encoding="utf-8")
+    """`my.obs` in `directory`: the README's `.obs` example."""
+    (directory / "my.obs").write_text(readme_obs(), encoding="utf-8")
 
 
 def fresh_env() -> dict:
@@ -116,6 +120,13 @@ class TestReadmeExamples:
         assert first[0] == 0, first[2]
         assert first == second
         assert json.loads(first[1])["passed"] is True
+
+    def test_examples_are_in_the_report_corpus(self):
+        """`tests/golden/` pins every example's report, and its `my.obs` is the README's."""
+        corpus = json.loads((REPO / "tests" / "golden" / "corpus.json").read_text(encoding="utf-8"))
+        recorded = [e["argv"] for e in corpus]
+        assert all([*argv, "--format", "json"] in recorded for argv in readme_examples())
+        assert (REPO / "tests" / "golden" / "my.obs").read_text(encoding="utf-8") == readme_obs()
 
     def test_python_blocks_run(self):
         """The library examples run in order in one namespace, as a reader would paste them."""
