@@ -50,7 +50,7 @@ class MeasurementVectors(namedtuple("MeasurementVectors", "a a_prime b b_prime")
             v = tuple(float(x) for x in vector)
             if len(v) != 3:
                 raise ValueError(f"{name} must be a 3-vector")
-            if abs(math.sqrt(sum(x * x for x in v)) - 1.0) > VTOL:
+            if not abs(math.sqrt(sum(x * x for x in v)) - 1.0) <= VTOL:  # NaN fails too
                 raise ValueError(f"{name} is not a unit vector: {v}")
             vectors.append(v)
         return tuple.__new__(cls, vectors)

@@ -132,7 +132,7 @@ def _verdict(report: RunReport, ps, result, **sizes) -> None:
     report.extras["result"] = "SAT" if result.satisfiable else "UNSAT"
     report.extras.update(sizes)
     if result.satisfiable:
-        report.extras["assignment"] = {name: result.assignment[name] for name in ps.variables}
+        report.extras["assignment"] = {str(v): result.assignment[v] for v in ps.variables}
         report.check("assignment verifies", check_assignment(ps, result.assignment), True)
     elif result.certificate is not None:
         report.extras["certificate"] = list(result.certificate)
@@ -326,13 +326,13 @@ def _to_devnull(stream) -> None:
 
 
 def _error(message: str) -> None:
-    """Print the one `error:` line on stderr.
+    """Print the one `error:` line on stderr, each line break of `message` made a space.
 
     If stderr is a closed pipe the line is lost, but the exit status stays
     2: exit 1 means that a verification failed.
     """
     try:
-        print(f"error: {message}", file=sys.stderr, flush=True)
+        print(f"error: {' '.join(message.splitlines())}", file=sys.stderr, flush=True)
     except BrokenPipeError:
         _to_devnull(sys.stderr)
 

@@ -6,7 +6,9 @@ Grammar, one directive per line:
     set OBS, OBS, ... [= +1|-1]       # one context; sign defaults to +1
 
 Each OBS is a whitespace-separated Pauli token list ("X1 Z2"), `#`
-starts a comment, blank lines are ignored, and LF or CRLF both work.
+starts a comment, and blank lines are ignored.  A line ends at LF, CRLF
+or CR, the breaks that a text-mode `open` reads as LF, and at no other
+character: a form feed or U+2028 in a comment stays in the comment.
 Parsing builds the contexts verbatim; structural validation (commutation,
 product signs) is deliberately left to the caller.
 """
@@ -42,7 +44,8 @@ def parse_document(text: str) -> ContextSystem:
     # Every observable of a parity proof sits in at least two contexts, so
     # each word's text is parsed once and its record shared.
     words: dict[str, PauliOperator] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue

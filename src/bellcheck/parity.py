@@ -10,15 +10,18 @@ Unsatisfiability is witnessed by a certificate: a subset of rows whose
 XOR has empty variable support but right-hand side 1.  Satisfiability is
 witnessed by an explicit assignment.  Both witnesses are checkable
 independently of the solver (`check_certificate`, `check_assignment`).
+
+The variables are any hashable labels, and an assignment is keyed by
+them.  For a context system they are its catalog's Pauli words, so the
+solver never names an observable; a report names each one by its text,
+`str(word)`, only where it prints it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Hashable
 from typing import Iterable, Mapping, NamedTuple
-
-from .pauli import format_pauli
 
 
 class ParityRow(namedtuple("ParityRow", "variables rhs")):
@@ -37,7 +40,7 @@ class ParityRow(namedtuple("ParityRow", "variables rhs")):
 class ParitySystem(namedtuple("ParitySystem", "variables rows")):
     __slots__ = ()
 
-    def __new__(cls, variables: Sequence[str], rows: tuple[ParityRow, ...]):
+    def __new__(cls, variables: tuple[Hashable, ...], rows: tuple[ParityRow, ...]):
         for row in rows:
             for v in row.variables:
                 if not 0 <= v < len(variables):
@@ -57,53 +60,15 @@ class ParitySystem(namedtuple("ParitySystem", "variables rows")):
 
 class SolveResult(NamedTuple):
     satisfiable: bool
-    assignment: dict[str, int] | None = None
+    assignment: dict[Hashable, int] | None = None
     certificate: tuple[int, ...] | None = None
-
-
-class _CatalogNames(Sequence):
-    """The variable names of a catalog, `format_pauli` of each word, formatted on first read.
-
-    Reading the count formats nothing, so an UNSAT verdict, which reports
-    only the count and the certificate rows, formats no name.  Compares
-    and hashes as the tuple of names.
-    """
-
-    __slots__ = ("_catalog", "_names")
-
-    def __init__(self, catalog):
-        self._catalog, self._names = catalog, None
-
-    def __len__(self) -> int:
-        return len(self._catalog)
-
-    def __getitem__(self, index):
-        return self._formatted()[index]
-
-    def __iter__(self):
-        return iter(self._formatted())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _CatalogNames):
-            other = other._formatted()
-        return self._formatted() == other
-
-    def __hash__(self) -> int:
-        return hash(self._formatted())
-
-    def __repr__(self) -> str:
-        return repr(self._formatted())
-
-    def _formatted(self) -> tuple[str, ...]:
-        if self._names is None:
-            self._names = tuple(format_pauli(o) for o in self._catalog)
-        return self._names
 
 
 def build_parity_system(system) -> ParitySystem:
     """One XOR row per context of a ContextSystem; rhs 1 iff expected sign -1.
 
-    The variables are the catalog words, named lazily by `_CatalogNames`.
+    The variables are the catalog's own words, in catalog order: no name
+    is made here, so a verdict that prints none formats none.
     """
     index = system.catalog_index
     rows = tuple(
@@ -113,7 +78,7 @@ def build_parity_system(system) -> ParitySystem:
         )
         for ctx in system.contexts
     )
-    return ParitySystem(_CatalogNames(system.catalog), rows)
+    return ParitySystem(system.catalog, rows)
 
 
 def solve(ps: ParitySystem) -> SolveResult:
@@ -154,8 +119,7 @@ def solve(ps: ParitySystem) -> SolveResult:
             value ^= bits[j]
             rest &= rest - 1
         bits[var] = value
-    assignment = {name: 1 - 2 * bits[i] for i, name in enumerate(ps.variables)}
-    return SolveResult(True, assignment=assignment)
+    return SolveResult(True, assignment={v: 1 - 2 * b for v, b in zip(ps.variables, bits)})
 
 
 def check_certificate(ps: ParitySystem, certificate: Iterable[int]) -> bool:
@@ -170,15 +134,16 @@ def check_certificate(ps: ParitySystem, certificate: Iterable[int]) -> bool:
     return mask == 0 and rhs == 1
 
 
-def check_assignment(ps: ParitySystem, assignment: Mapping[str, int]) -> bool:
+def check_assignment(ps: ParitySystem, assignment: Mapping[Hashable, int]) -> bool:
     """True iff every row's value product matches its sign."""
-    for name in ps.variables:
-        if assignment.get(name) not in (+1, -1):
-            raise ValueError(f"assignment must map {name!r} to +1 or -1")
+    values = [assignment.get(v) for v in ps.variables]
+    for v, value in zip(ps.variables, values):
+        if value not in (+1, -1):
+            raise ValueError(f"assignment must map {str(v)!r} to +1 or -1")
     for row in ps.rows:
         product = 1
-        for v in row.variables:
-            product *= assignment[ps.variables[v]]
+        for i in row.variables:
+            product *= values[i]
         if product != (1 - 2 * row.rhs):
             return False
     return True

@@ -296,8 +296,7 @@ class ExperimentSummary(NamedTuple):
 
 def default_schedule(system: ContextSystem) -> tuple[tuple[int, int], ...]:
     """Every (context, member) pair once, in system order."""
-    catalog = system.catalog
-    index = {obs: i for i, obs in enumerate(catalog)}
+    index = system.catalog_index
     return tuple(
         (ci, index[obs])
         for ci, ctx in enumerate(system.contexts)

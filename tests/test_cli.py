@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bellcheck
-from bellcheck import cli, constructions, protocol
+from bellcheck import cli, constructions, pauli, protocol
 from bellcheck.constructions import Context, ContextSystem, mermin_square
 
 REPO = Path(__file__).resolve().parents[1]
@@ -227,12 +227,14 @@ class TestBksSolve:
         ],
     )
     def test_non_physical_file_exits_two(self, capsys, tmp_path, text, problem):
-        path = tmp_path / "bad.obs"
-        path.write_text(text)
-        code, out, err = run(capsys, ["bks", "solve", "--file", str(path), "--format", "json"])
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {path}: {problem}\n"
+        # The error is one line even when the file's name holds a line break.
+        for name, shown in (("bad.obs", "bad.obs"), ("bad\nname.obs", "bad name.obs")):
+            path = tmp_path / name
+            path.write_text(text)
+            code, out, err = run(capsys, ["bks", "solve", "--file", str(path), "--format", "json"])
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {tmp_path / shown}: {problem}\n"
 
     @pytest.mark.parametrize(
         "qubits,message",
@@ -275,6 +277,44 @@ class TestBksSolve:
         path.write_text("qubits 1\nset Z1\n")
         code, _, err = run(capsys, ["bks", "solve", "--n", "3", "--file", str(path)])
         assert code == 2
+
+    def test_form_feed_in_a_comment_is_a_comment(self, capsys, tmp_path):
+        path = tmp_path / "page.obs"
+        path.write_text("qubits 2\n# page\x0cbreak\nset Z1, Z2, Z1 Z2\n", encoding="utf-8")
+        code, out, err = run(capsys, ["bks", "solve", "--file", str(path), "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["assignment"] == {"Z1": 1, "Z2": 1, "Z1 Z2": 1}
+
+
+class TestNameTraffic:
+    """A verdict names a variable (`format_pauli` of its word) only where its report prints it."""
+
+    @pytest.fixture
+    def formatted(self, monkeypatch):
+        calls = []
+        real = pauli.format_pauli
+
+        def counting(op):
+            calls.append(real(op))
+            return calls[-1]
+
+        monkeypatch.setattr(pauli, "format_pauli", counting)
+        return calls
+
+    @pytest.mark.parametrize("argv", [["verify", "sets", "--n", "13"], ["bks", "solve", "--n", "13"]], ids=" ".join)
+    def test_unsat_verdict_formats_no_variable(self, capsys, formatted, argv):
+        code, out, _ = run(capsys, [*argv, "--format", "json"])
+        assert code == 0
+        assert "certificate" in json.loads(out)
+        assert formatted == []
+
+    def test_sat_report_formats_each_variable_once(self, capsys, formatted, monkeypatch):
+        monkeypatch.chdir(REPO / "tests" / "golden")
+        code, out, _ = run(capsys, ["bks", "solve", "--file", "verdicts-1/diag-a.obs", "--format", "json"])
+        payload = json.loads(out)
+        assert (code, payload["result"]) == (0, "SAT")
+        assert len(formatted) == payload["variables"]
+        assert formatted == list(payload["assignment"])  # each name once, in report order
 
 
 class TestGhz:

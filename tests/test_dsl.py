@@ -41,6 +41,19 @@ class TestParse:
         system = parse_document("qubits 2\r\nset X1, X2 = +1\r\n")
         assert len(system.contexts) == 1
 
+    def test_lone_cr(self):
+        system = parse_document("qubits 2\rset X1, X2 = +1\rset Z1, Z2\r")
+        assert len(system.contexts) == 2
+
+    @pytest.mark.parametrize(
+        "char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"], ids=ascii
+    )
+    def test_other_line_separators_stay_in_a_comment(self, char):
+        # `str.splitlines` splits at these; an `.obs` line does not end there.
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_document(f"qubits 2\n# page{char}break\nset Z1, Z2, Z1 Z2\nbogus\n")
+        assert str(exc.value) == "line 4, column 1: unknown directive 'bogus'"
+
     def test_empty_document_has_no_contexts(self):
         assert parse_document("qubits 4\n").contexts == ()
 

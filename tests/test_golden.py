@@ -45,8 +45,3 @@ def test_report_is_unchanged(entry, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     assert run_cli(entry["argv"]) == entry
 
-
-def test_commands_are_distinct_json_runs():
-    argvs = [tuple(e["argv"]) for e in load_corpus()]
-    assert len(set(argvs)) == len(argvs)
-    assert all(argv[-2:] == ("--format", "json") for argv in argvs)

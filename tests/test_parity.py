@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import brute_force
-from bellcheck.constructions import generalized_sets, ghz_contexts, mermin_square
+from bellcheck.constructions import FAMILY_NS, generalized_sets, ghz_contexts, mermin_square
+from bellcheck.dsl import parse_document
 from bellcheck.parity import (
     ParityRow,
     ParitySystem,
@@ -38,6 +39,11 @@ class TestBuild:
         assert len(ps.variables) == 16
         assert len(ps.rows) == 7
         assert sum(row.rhs for row in ps.rows) == 1
+
+    @pytest.mark.parametrize("n", [2, *FAMILY_NS])
+    def test_variables_are_the_catalog_words(self, n):
+        system = mermin_square() if n == 2 else generalized_sets(n)
+        assert build_parity_system(system).variables == system.catalog
 
     def test_empty_system(self):
         from bellcheck.constructions import ContextSystem
@@ -89,6 +95,16 @@ class TestSolve:
         result = solve(ps)
         assert result.assignment["c"] == +1
         assert check_assignment(ps, result.assignment)
+
+    def test_assignment_is_keyed_by_the_words(self):
+        system = parse_document("qubits 2\nset Z1, Z2, Z1 Z2 = -1\n")
+        ps = build_parity_system(system)
+        result = solve(ps)
+        z1, z2, z1z2 = system.catalog
+        assert result.assignment == {z1: -1, z2: +1, z1z2: +1}
+        assert check_assignment(ps, result.assignment)
+        with pytest.raises(ValueError, match="^assignment must map 'Z1 Z2' to \\+1 or -1$"):
+            check_assignment(ps, {z1: +1, z2: +1})
 
     def test_deterministic(self):
         ps = build_parity_system(generalized_sets(5))

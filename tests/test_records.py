@@ -1,5 +1,6 @@
 """Record types: immutable named tuples that keep the checks of their constructors."""
 
+import math
 import re
 
 import numpy as np
@@ -51,6 +52,7 @@ REFUSALS = [
     (Context((X1,), +1), {"observables": ()}, "context needs at least one observable"),
     (optimal_vectors(), {"a": (1.0, 0.0)}, "a must be a 3-vector"),
     (optimal_vectors(), {"b_prime": (2, 0, 0)}, "b_prime is not a unit vector: (2.0, 0.0, 0.0)"),
+    (optimal_vectors(), {"a": (math.nan, 0, 0)}, "a is not a unit vector: (nan, 0.0, 0.0)"),
     (StateVector(1, np.array([1.0, 0.0])), {"num_qubits": 0}, "num_qubits must be in 1..26"),
     (StateVector(1, np.array([1.0, 0.0])), {"amplitudes": np.ones(3)}, "expected 2 amplitudes, got (3,)"),
     (StateVector(1, np.array([1.0, 0.0])), {"amplitudes": np.ones(2)}, "state is not normalized"),
