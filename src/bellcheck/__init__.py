@@ -10,7 +10,7 @@ dense numpy oracles that the tests compare it with live in
 
 import importlib
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 # Submodule -> the public names this package re-exports from it.
 _EXPORTS = {

@@ -6,26 +6,27 @@ usage or input error.  JSON reports are byte-identical for identical
 invocations and seeds, so they diff cleanly in CI; wall time is shown
 only in text output for that reason.
 
-Each command imports the bellcheck modules it runs, and this module only
-the stdlib, so a child loads (and compiles) no module it does not run.
+This module holds what every command shares: the report, the error
+handling, the parser and `main`.  Each command's subparser and handler
+live in its own module under `bellcheck.commands`.  `main` builds only the
+subparser of the command word it is given, so a child imports one handler
+module; each handler imports the bellcheck modules it runs, and this module
+only the stdlib.  So a child loads (and compiles) no module it does not run.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
-import math
 import os
 import sys
 import time
 from typing import NamedTuple
 
-REL_TOL = 1e-9
-# The most shots `correlate` accepts, checked before any work.  On a 2-core
-# Xeon VM 10**7 shots of `--n 13 --noise 0.05 --efficiency 0.9` (the
-# slowest regime) take 37 s at 21 MiB peak RSS, so this cap stands for
-# about six minutes; a larger count is refused, not left to run for hours.
-MAX_SHOTS = 10**8
+# The command words, in help order.  Word `w` runs in `bellcheck.commands.w`,
+# which adds its subparser and holds its handler.
+COMMANDS = ("verify", "bks", "ghz", "correlate", "chsh", "eigencheck")
 
 
 class Check(NamedTuple):
@@ -100,31 +101,6 @@ def _system_for(n: int, square: bool = True):
     return generalized_sets(n)
 
 
-def _validation_checks(report: RunReport, system) -> None:
-    from .constructions import validate
-
-    result = validate(system)
-    for check in result.checks:
-        report.check(f"context {check.context_index} commuting", check.commuting, True)
-        report.check(
-            f"context {check.context_index} product sign",
-            check.product_sign,
-            check.expected_sign,
-        )
-
-
-def _parity_checks(report: RunReport, system, expect_rows: int) -> None:
-    from .parity import build_parity_system, check_certificate, solve
-
-    ps = build_parity_system(system)
-    result = solve(ps)
-    report.check("value assignment exists", result.satisfiable, False)
-    if result.certificate is not None:
-        report.check("certificate rows", len(result.certificate), expect_rows)
-        report.check("certificate verifies", check_certificate(ps, result.certificate), True)
-        report.extras["certificate"] = list(result.certificate)
-
-
 def _verdict(report: RunReport, ps, result, **sizes) -> None:
     """Report SAT/UNSAT, then `sizes`, then the witness and its check."""
     from .parity import check_assignment, check_certificate
@@ -137,181 +113,6 @@ def _verdict(report: RunReport, ps, result, **sizes) -> None:
     elif result.certificate is not None:
         report.extras["certificate"] = list(result.certificate)
         report.check("certificate verifies", check_certificate(ps, result.certificate), True)
-
-
-def cmd_verify_square(args) -> RunReport:
-    from .constructions import mermin_square
-
-    report = RunReport("verify square", {})
-    system = mermin_square()
-    _validation_checks(report, system)
-    report.check("distinct observables", len(system.catalog), 9)
-    report.check("occurrences per observable", sorted(set(system.occurrence_counts)), [2])
-    _parity_checks(report, system, expect_rows=6)
-    return report
-
-
-def cmd_verify_sets(args) -> RunReport:
-    n = args.n
-    report = RunReport("verify sets", {"n": n})
-    system = _system_for(n, square=False)
-    _validation_checks(report, system)
-    report.check("context count", len(system.contexts), n + 2)
-    report.check("distinct observables", len(system.catalog), 3 * n + 1)
-    report.check("occurrences per observable", sorted(set(system.occurrence_counts)), [2])
-    _parity_checks(report, system, expect_rows=n + 2)
-    return report
-
-
-def cmd_bks_solve(args) -> RunReport:
-    from .constructions import validate
-    from .parity import build_parity_system, solve
-
-    if (args.n is None) == (args.file is None):
-        raise UsageError("bks solve needs exactly one of --n or --file")
-    if args.n is not None:
-        report = RunReport("bks solve", {"n": args.n})
-        system = _system_for(args.n, square=False)
-    else:
-        from .dsl import parse_document  # only `--file` reads `.obs` text
-
-        report = RunReport("bks solve", {"file": args.file})
-        with open(args.file, "r", encoding="utf-8") as fh:
-            system = parse_document(fh.read())
-        # A verdict on contexts that are not physical would be meaningless.
-        for check in validate(system).checks:
-            if not check.ok:
-                raise UsageError(f"{args.file}: context {check.context_index}: {check.problem}")
-    ps = build_parity_system(system)
-    _verdict(report, ps, solve(ps), variables=len(ps.variables), rows=len(ps.rows))
-    return report
-
-
-def cmd_ghz(args) -> RunReport:
-    from .constructions import ghz_contexts, ghz_observables
-    from .parity import solve
-    from .pauli import PauliOperator, format_pauli, product
-    from .tableau import ghz_tableau, tableau_expectation
-
-    report = RunReport("ghz", {"grouping": args.grouping})
-    observables = ghz_observables()
-    report.check(
-        "operator product",
-        format_pauli(product([op for op, _ in observables])),
-        format_pauli(PauliOperator(3, 0, 0, 2)),
-    )
-    state = ghz_tableau()
-    for op, indicated in observables:
-        report.check(
-            f"eigenvalue of {format_pauli(op)}",
-            tableau_expectation(state, op),
-            float(indicated),
-            tolerance=1e-12,
-        )
-    ps = ghz_contexts(args.grouping)
-    result = solve(ps)
-    expect_sat = args.grouping == "bipartite"
-    report.check("value assignment exists", result.satisfiable, expect_sat)
-    _verdict(report, ps, result)
-    return report
-
-
-def cmd_correlate(args) -> RunReport:
-    if args.shots > MAX_SHOTS:
-        raise ValueError(f"--shots must be at most {MAX_SHOTS}, got {args.shots}")
-    from .protocol import ExperimentConfig, run_experiment
-
-    system = _system_for(args.n)
-    report = RunReport(
-        "correlate",
-        {
-            "n": args.n,
-            "shots": args.shots,
-            "noise": args.noise,
-            "efficiency": args.efficiency,
-        },
-        seed=args.seed,
-    )
-    exact_regime = args.noise == 0.0 and args.efficiency == 1.0
-    for mode in ("alone", "in_context"):
-        summary = run_experiment(
-            ExperimentConfig(
-                n=args.n,
-                system=system,
-                shots=args.shots,
-                noise=args.noise,
-                efficiency=args.efficiency,
-                seed=args.seed,
-                bob_mode=mode,
-            )
-        )
-        report.extras[f"{mode}_equality_rate"] = summary.equality_rate
-        report.extras[f"{mode}_conclusive_fraction"] = summary.conclusive_fraction
-        report.extras[f"{mode}_product_pass_rates"] = {
-            str(k): v for k, v in summary.product_pass_rates.items()
-        }
-        if exact_regime and args.shots > 0:
-            report.check(f"{mode} equality rate", summary.equality_rate, 1.0)
-            report.check(
-                f"{mode} product constraints",
-                sorted(set(summary.product_pass_rates.values())),
-                [1.0],
-            )
-    return report
-
-
-def cmd_chsh(args) -> RunReport:
-    import random
-
-    from . import chsh as chsh_mod
-
-    n = args.n
-    if not 1 <= n <= chsh_mod.MAX_PAIRS:
-        raise UsageError(f"--n must be in 1..{chsh_mod.MAX_PAIRS}, got {n}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    report = RunReport("chsh", {"n": n}, seed=args.seed)
-    vectors = chsh_mod.optimal_vectors()
-    target = (2.0 * math.sqrt(2.0)) ** n
-    gap = chsh_mod.gap_report(n, vectors)  # the factorized value
-    report.check("quantum value (factorized)", gap.quantum_value, target, tolerance=REL_TOL)
-    if n <= chsh_mod.MAX_TABLEAU_PAIRS:
-        tableau_value = chsh_mod.quantum_value(n, vectors, method="tableau")
-        report.check("quantum value (tableau)", tableau_value, gap.quantum_value, tolerance=REL_TOL)
-    report.check("local-realist bound", gap.lhv_bound, 2.0 ** n)
-    report.check("ratio", gap.ratio, math.sqrt(2.0) ** n, tolerance=REL_TOL)
-    rng = random.Random(args.seed)
-    worst = 0.0
-    for _ in range(200):
-        vs = []
-        for _ in range(4):
-            g = [rng.gauss(0.0, 1.0) for _ in range(3)]
-            norm = math.sqrt(sum(x * x for x in g))
-            vs.append(tuple(x / norm for x in g))
-        value = chsh_mod.pair_expectation(chsh_mod.MeasurementVectors(*vs))
-        worst = max(worst, abs(value))
-    report.extras["random_sweep_max"] = worst
-    report.check(
-        "random settings stay within quantum bound",
-        worst <= 2.0 * math.sqrt(2.0) + 1e-9,
-        True,
-    )
-    return report
-
-
-def cmd_eigencheck(args) -> RunReport:
-    from .pauli import format_pauli
-    from .tableau import eigenrelation_check
-
-    system = _system_for(args.n)
-    report = RunReport("eigencheck", {"n": args.n})
-    for op in system.catalog:
-        report.check(
-            f"mirrored {format_pauli(op)} fixes the shared state",
-            eigenrelation_check(args.n, op),
-            True,
-        )
-    return report
 
 
 class UsageError(ValueError):
@@ -344,70 +145,35 @@ class _Parser(argparse.ArgumentParser):
     """
 
     def error(self, message: str):
-        _error(" ".join(message.split()))
+        _error(message)
         raise SystemExit(2)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_format(parser) -> None:
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def build_parser(words=COMMANDS) -> argparse.ArgumentParser:
+    """The `bellcheck` parser with the subparser of each command word in `words`."""
     parser = _Parser(
         prog="bellcheck",
         description="Verify commuting-set constructions, value-assignment "
         "impossibility, shared-state correlations, and CHSH bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    verify = sub.add_parser("verify", help="validate a built-in observable family")
-    verify_sub = verify.add_subparsers(dest="target", required=True)
-    vs = verify_sub.add_parser("square", help="the 3x3 two-qubit square")
-    add_format(vs)
-    vs.set_defaults(func=cmd_verify_square)
-    vn = verify_sub.add_parser("sets", help="the n-qubit commuting-set family")
-    vn.add_argument("--n", type=int, required=True)
-    add_format(vn)
-    vn.set_defaults(func=cmd_verify_sets)
-
-    bks = sub.add_parser("bks", help="value-assignment solver")
-    bks_sub = bks.add_subparsers(dest="action", required=True)
-    solve_p = bks_sub.add_parser("solve", help="solve a parity system")
-    solve_p.add_argument("--n", type=int)
-    solve_p.add_argument("--file", help="path to a .obs file")
-    add_format(solve_p)
-    solve_p.set_defaults(func=cmd_bks_solve)
-
-    ghz = sub.add_parser("ghz", help="three-particle observable checks")
-    ghz.add_argument("--grouping", choices=("tripartite", "bipartite"), required=True)
-    add_format(ghz)
-    ghz.set_defaults(func=cmd_ghz)
-
-    corr = sub.add_parser("correlate", help="two-observer protocol statistics")
-    corr.add_argument("--n", type=int, required=True)
-    corr.add_argument("--shots", type=int, required=True)
-    corr.add_argument("--noise", type=float, default=0.0)
-    corr.add_argument("--efficiency", type=float, default=1.0)
-    corr.add_argument("--seed", type=int, default=0)
-    add_format(corr)
-    corr.set_defaults(func=cmd_correlate)
-
-    chsh_p = sub.add_parser("chsh", help="quantum vs local-realist gap")
-    chsh_p.add_argument("--n", type=int, required=True)
-    chsh_p.add_argument("--seed", type=int, default=0)
-    add_format(chsh_p)
-    chsh_p.set_defaults(func=cmd_chsh)
-
-    eig = sub.add_parser("eigencheck", help="mirrored-observable eigenrelations")
-    eig.add_argument("--n", type=int, required=True)
-    add_format(eig)
-    eig.set_defaults(func=cmd_eigencheck)
-
+    for word in words:
+        importlib.import_module(f".commands.{word}", __package__).add_parser(sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # A run of one command builds only its subparser.  Help, a missing or
+    # unknown command word, or an option first gets every subparser, so its
+    # usage and `error:` lines are those of the full parser.
+    word = argv[0] if argv else None
+    args = build_parser((word,) if word in COMMANDS else COMMANDS).parse_args(argv)
     started = time.perf_counter()
     try:
         report = args.func(args)
@@ -415,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         _error(str(err))
         return 2
     except Exception as err:  # exit 1 is reserved for a failed verification
-        _error(f"{type(err).__name__}: {' '.join(str(err).split())}")
+        _error(f"{type(err).__name__}: {err}")
         return 2
     wall = time.perf_counter() - started
     try:

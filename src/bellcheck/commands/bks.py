@@ -1,0 +1,37 @@
+"""`bellcheck bks solve`: the value-assignment verdict on a family or an `.obs` file."""
+
+from ..cli import RunReport, UsageError, _add_format, _system_for, _verdict
+
+
+def add_parser(sub) -> None:
+    bks = sub.add_parser("bks", help="value-assignment solver")
+    actions = bks.add_subparsers(dest="action", required=True)
+    solve_p = actions.add_parser("solve", help="solve a parity system")
+    solve_p.add_argument("--n", type=int)
+    solve_p.add_argument("--file", help="path to a .obs file")
+    _add_format(solve_p)
+    solve_p.set_defaults(func=run)
+
+
+def run(args) -> RunReport:
+    from ..constructions import validate
+    from ..parity import build_parity_system, solve
+
+    if (args.n is None) == (args.file is None):
+        raise UsageError("bks solve needs exactly one of --n or --file")
+    if args.n is not None:
+        report = RunReport("bks solve", {"n": args.n})
+        system = _system_for(args.n, square=False)
+    else:
+        from ..dsl import parse_document  # only `--file` reads `.obs` text
+
+        report = RunReport("bks solve", {"file": args.file})
+        with open(args.file, "r", encoding="utf-8") as fh:
+            system = parse_document(fh.read())
+        # A verdict on contexts that are not physical would be meaningless.
+        for check in validate(system).checks:
+            if not check.ok:
+                raise UsageError(f"{args.file}: context {check.context_index}: {check.problem}")
+    ps = build_parity_system(system)
+    _verdict(report, ps, solve(ps), variables=len(ps.variables), rows=len(ps.rows))
+    return report

@@ -1,0 +1,39 @@
+"""`bellcheck ghz`: the GHZ observables on the GHZ state, and each grouping's verdict."""
+
+from ..cli import RunReport, _add_format, _verdict
+
+
+def add_parser(sub) -> None:
+    ghz = sub.add_parser("ghz", help="three-particle observable checks")
+    ghz.add_argument("--grouping", choices=("tripartite", "bipartite"), required=True)
+    _add_format(ghz)
+    ghz.set_defaults(func=run)
+
+
+def run(args) -> RunReport:
+    from ..constructions import ghz_contexts, ghz_observables
+    from ..parity import solve
+    from ..pauli import PauliOperator, format_pauli, product
+    from ..tableau import ghz_tableau, tableau_expectation
+
+    report = RunReport("ghz", {"grouping": args.grouping})
+    observables = ghz_observables()
+    report.check(
+        "operator product",
+        format_pauli(product([op for op, _ in observables])),
+        format_pauli(PauliOperator(3, 0, 0, 2)),
+    )
+    state = ghz_tableau()
+    for op, indicated in observables:
+        report.check(
+            f"eigenvalue of {format_pauli(op)}",
+            tableau_expectation(state, op),
+            float(indicated),
+            tolerance=1e-12,
+        )
+    ps = ghz_contexts(args.grouping)
+    result = solve(ps)
+    expect_sat = args.grouping == "bipartite"
+    report.check("value assignment exists", result.satisfiable, expect_sat)
+    _verdict(report, ps, result)
+    return report

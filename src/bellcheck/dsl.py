@@ -5,9 +5,10 @@ Grammar, one directive per line:
     qubits N                          # register size 1..4096, required, once
     set OBS, OBS, ... [= +1|-1]       # one context; sign defaults to +1
 
-Each OBS is a whitespace-separated Pauli token list ("X1 Z2"), `#`
-starts a comment, and blank lines are ignored.  A line ends at LF, CRLF
-or CR, the breaks that a text-mode `open` reads as LF, and at no other
+Each OBS is a whitespace-separated Pauli token list ("X1 Z2"), and
+whitespace (spaces or tabs) also ends a directive's word.  `#` starts a
+comment, and blank lines are ignored.  A line ends at LF, CRLF or CR,
+the breaks that a text-mode `open` reads as LF, and at no other
 character: a form feed or U+2028 in a comment stays in the comment.
 Parsing builds the contexts verbatim; structural validation (commutation,
 product signs) is deliberately left to the caller.
@@ -50,7 +51,10 @@ def parse_document(text: str) -> ContextSystem:
         if not line.strip():
             continue
         indent = len(line) - len(line.lstrip())
-        word, sep, rest = line.lstrip().partition(" ")
+        stripped = line.lstrip()
+        # Whitespace ends the directive, as it ends a Pauli token: a tab too.
+        word = stripped.split(maxsplit=1)[0]
+        rest = stripped[len(word) + 1 :]
         if word == "qubits":
             if declared is not None:
                 raise DslSyntaxError(
@@ -74,7 +78,7 @@ def parse_document(text: str) -> ContextSystem:
         elif word == "set":
             if declared is None:
                 raise DslSyntaxError("set before qubits declaration", lineno, indent + 1)
-            body_col = indent + len(word) + len(sep) + 1  # 1-based column of body
+            body_col = indent + len(stripped) - len(rest) + 1  # 1-based column of body
             contexts.append(_scan_set(rest, declared, lineno, body_col, words))
         else:
             raise DslSyntaxError(f"unknown directive {word!r}", lineno, indent + 1)

@@ -12,6 +12,7 @@ import pytest
 
 import bellcheck
 from bellcheck import cli, constructions, pauli, protocol
+from bellcheck.commands import correlate as correlate_command
 from bellcheck.constructions import Context, ContextSystem, mermin_square
 
 REPO = Path(__file__).resolve().parents[1]
@@ -98,15 +99,16 @@ SMALL_RUNS = [
 # A larger noisy run, which before 0.8.0 drew 68,000 and 112,500 Philox
 # blocks of the per-shot layout and ran on a numpy kernel.
 LARGE_RUN = ["correlate", "--n", "13", "--shots", "10000", "--noise", "0.05", "--efficiency", "0.9"]
-# The bellcheck modules each command loads besides `bellcheck` and `bellcheck.cli`:
+# The bellcheck modules each command loads besides `bellcheck`, `bellcheck.cli`
+# and `bellcheck.commands`: its own handler module and the modules it runs.
 # `bks solve --file` also loads `dsl`.
 COMMAND_MODULES = {
-    "verify": "constructions parity pauli",
-    "bks": "constructions parity pauli",
-    "eigencheck": "constructions pauli tableau",
-    "ghz": "constructions parity pauli tableau",
-    "chsh": "chsh pauli tableau",
-    "correlate": "constructions pauli protocol rng tableau",
+    "verify": "commands.verify constructions parity pauli",
+    "bks": "commands.bks constructions parity pauli",
+    "eigencheck": "commands.eigencheck constructions pauli tableau",
+    "ghz": "commands.ghz constructions parity pauli tableau",
+    "chsh": "chsh commands.chsh pauli tableau",
+    "correlate": "commands.correlate constructions pauli protocol rng tableau",
 }
 
 
@@ -409,9 +411,9 @@ class TestCorrelate:
         assert err == f"error: --shots must be at most 100000000, got {shots}\n"
 
     def test_shots_above_the_cap_exit_two_before_any_work(self, capsys, monkeypatch):
-        """A count above `cli.MAX_SHOTS` is refused before the system is built or a round compiled."""
-        assert cli.MAX_SHOTS == 10**8
-        monkeypatch.setattr(cli, "_system_for", lambda n: pytest.fail("built the system"))
+        """A count above `MAX_SHOTS` is refused before the system is built or a round compiled."""
+        assert correlate_command.MAX_SHOTS == 10**8
+        monkeypatch.setattr(correlate_command, "_system_for", lambda n: pytest.fail("built the system"))
         monkeypatch.setattr(protocol, "run_experiment", lambda config: pytest.fail("ran"))
         argv = ["correlate", "--n", "13", "--shots", str(10**8 + 1), "--noise", "0.1", "--format", "json"]
         assert run(capsys, argv) == (2, "", "error: --shots must be at most 100000000, got 100000001\n")
@@ -536,6 +538,21 @@ class TestUsage:
         assert code == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_parser_errors_quote_the_value_as_typed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ghz", "--grouping", "a  b"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: argument --grouping: invalid choice: 'a  b' (")
+
+    def test_unexpected_errors_keep_their_spacing(self, capsys, monkeypatch):
+        def broken():
+            raise OverflowError("result  too\nlarge")
+
+        monkeypatch.setattr(constructions, "mermin_square", broken)
+        assert run(capsys, ["verify", "square"]) == (2, "", "error: OverflowError: result  too large\n")
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["correlate", "--help"])
@@ -559,6 +576,55 @@ class TestUsage:
     def test_json_report_omits_wall_time(self, capsys):
         _, out, _ = run(capsys, ["verify", "square", "--format", "json"])
         assert "wall" not in out
+
+
+class TestOneSubparser:
+    """A command word builds only its own subparser, and prints what the full parser prints."""
+
+    ERRORS = [
+        ["correlate", "--n", "3"],  # a required option missing
+        ["bks", "solve", "--n", "x"],  # a non-int --n
+        ["ghz", "--grouping", "pairs"],  # a choice not offered
+        ["verify", "square", "extra"],  # an extra positional
+        ["verify"],  # no target
+    ]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The command words of each parser built, in order."""
+        monkeypatch.setenv("COLUMNS", "80")
+        words_built = []
+        build = cli.build_parser
+
+        def recording(words=cli.COMMANDS):
+            words_built.append(tuple(words))
+            return build(words)
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        return words_built
+
+    @staticmethod
+    def exit_and_output(capsys, parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return (exc.value.code, *capsys.readouterr())
+
+    @pytest.mark.parametrize(
+        "argv", [*([word, "--help"] for word in cli.COMMANDS), *ERRORS], ids=" ".join
+    )
+    def test_command_word_output_is_the_full_parsers(self, capsys, built, argv):
+        full = self.exit_and_output(capsys, cli.build_parser().parse_args, argv)
+        assert self.exit_and_output(capsys, cli.main, argv) == full
+        assert built == [cli.COMMANDS, (argv[0],)]
+        if argv[-1] == "--help":
+            assert full[0] == 0 and full[1].startswith(f"usage: bellcheck {argv[0]} ")
+        else:
+            assert full[0] == 2 and full[2].startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [["--help"], [], ["nosuch"], ["--format", "json"]], ids=repr)
+    def test_anything_else_builds_the_full_parser(self, capsys, built, argv):
+        self.exit_and_output(capsys, cli.main, argv)
+        assert built == [cli.COMMANDS]
 
 
 class TestStartup:
@@ -599,6 +665,8 @@ class TestStartup:
 
         Before each command every bellcheck module is dropped, so the
         command imports its modules afresh, and it prints those it loaded.
+        The sets must match exactly, so no other command's handler module
+        may load either.
         """
         write_readme_obs(tmp_path)
         runs = [[*argv, "--format", "json"] for argv in VERDICTS + SMALL_RUNS + [LARGE_RUN]]
@@ -611,8 +679,8 @@ class TestStartup:
             "    sys.stdout, out = io.StringIO(), sys.stdout\n"
             "    code = cli.main(argv)\n"
             "    sys.stdout = out\n"
-            "    loaded = [m.split('.')[1] for m in sys.modules if m.startswith('bellcheck.')]\n"
-            "    print(code, *argv, '|', *sorted(set(loaded) - {'cli'}))\n"
+            "    loaded = [m.partition('.')[2] for m in sys.modules if m.startswith('bellcheck.')]\n"
+            "    print(code, *argv, '|', *sorted(set(loaded) - {'cli', 'commands'}))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=fresh_env(),
@@ -641,7 +709,7 @@ class TestStartup:
         assert result.stderr == ""
         *_, code, loaded = result.stdout.splitlines()
         assert code == "0"
-        modules = "cli constructions pauli protocol rng tableau".split()
+        modules = "cli commands commands.correlate constructions pauli protocol rng tableau".split()
         assert loaded == repr([f"bellcheck.{m}" for m in modules])
 
     @staticmethod
@@ -722,7 +790,7 @@ class TestPackage:
 
     def test_no_module_imports_numpy(self):
         """numpy is a test dependency: no module imports it, at any depth, and none is required."""
-        for path in sorted((REPO / "src" / "bellcheck").glob("*.py")):
+        for path in sorted((REPO / "src" / "bellcheck").rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
                 if isinstance(node, ast.Import):
                     modules = [alias.name for alias in node.names]
@@ -730,7 +798,8 @@ class TestPackage:
                     modules = [node.module]
                 else:
                     continue
-                assert all(m.split(".")[0] != "numpy" for m in modules), f"{path.name}:{node.lineno}"
+                where = f"{path.relative_to(REPO)}:{node.lineno}"
+                assert all(m.split(".")[0] != "numpy" for m in modules), where
         try:
             import tomllib
         except ModuleNotFoundError:  # Python 3.10

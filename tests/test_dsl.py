@@ -54,6 +54,20 @@ class TestParse:
             parse_document(f"qubits 2\n# page{char}break\nset Z1, Z2, Z1 Z2\nbogus\n")
         assert str(exc.value) == "line 4, column 1: unknown directive 'bogus'"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "qubits\t2\nset Z1, Z2, Z1 Z2\n",
+            "qubits 2\nset\tZ1, Z2, Z1 Z2\n",
+            "\tqubits \t2\nset\t\tZ1,\tZ2, Z1\tZ2 =\t+1\n",
+        ],
+        ids=ascii,
+    )
+    def test_a_tab_separates_a_directive(self, text):
+        system = parse_document(text)
+        assert system.num_qubits == 2
+        assert [str(o) for o in system.contexts[0].observables] == ["Z1", "Z2", "Z1 Z2"]
+
     def test_empty_document_has_no_contexts(self):
         assert parse_document("qubits 4\n").contexts == ()
 
@@ -137,6 +151,18 @@ class TestErrors:
             parse_document("qubits 2\nset X1, Q7\n")
         assert exc.value.line == 2
         assert exc.value.column == 9
+
+
+    @pytest.mark.parametrize(
+        "line,column",
+        [("set\tX1, Q7", 9), ("\tset\t\tX1, Q7", 11), ("set \tX1,\tQ7", 10)],
+        ids=ascii,
+    )
+    def test_error_column_after_a_tab(self, line, column):
+        # A tab is one column, like any other character.
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_document(f"qubits 2\n{line}\n")
+        assert (exc.value.line, exc.value.column) == (2, column)
 
 
 class TestWordMemo:
