@@ -8,9 +8,7 @@ dense numpy oracles that the tests compare it with live in
 `tests/oracles.py`.
 """
 
-import importlib
-
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 # Submodule -> the public names this package re-exports from it.
 _EXPORTS = {
@@ -75,7 +73,8 @@ def __getattr__(name: str):
     module = _SOURCE.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    # The builtin import, unlike `importlib.import_module`, shows in `-X importtime`.
+    value = getattr(__import__(f"{__name__}.{module}", fromlist=(name,)), name)
     globals()[name] = value  # later lookups skip this function
     return value
 

@@ -40,7 +40,6 @@ def run(args) -> RunReport:
     for mode in ("alone", "in_context"):
         summary = run_experiment(
             ExperimentConfig(
-                n=args.n,
                 system=system,
                 shots=args.shots,
                 noise=args.noise,

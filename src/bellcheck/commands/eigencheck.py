@@ -19,7 +19,7 @@ def run(args) -> RunReport:
     for op in system.catalog:
         report.check(
             f"mirrored {format_pauli(op)} fixes the shared state",
-            eigenrelation_check(args.n, op),
+            eigenrelation_check(op),
             True,
         )
     return report

@@ -7,10 +7,12 @@ measure on the stabilizer tableau of the shared state (`tableau`).
 Recorded outcomes are independently flipped with probability `noise` and
 erased (inconclusive) with probability 1 - `efficiency`.
 
-A round is compiled once into GF(2) affine forms, one per outcome
-(`tableau.compile_context`), and from them into the record bits that
-each of its eight statistics combines.  An experiment then evaluates the
-statistics bit-sliced: for each schedule entry, record bit r of all its
+A round is compiled once into GF(2) affine forms, one per outcome:
+`tableau.compile_context` measures A's words on the Bell tableau, then
+B's on the tableau that A's measurement leaves, which numbers B's coins
+after A's.  The forms give the record bits that each of the round's
+eight statistics combines.  An experiment then evaluates the statistics
+bit-sliced: for each schedule entry, record bit r of all its
 shots is one Python int (a record plane, bit q for the entry's q-th
 shot), so a statistic is a few int XORs or ORs and the summary is
 popcounts.  The planes are drawn straight from plain-int Philox blocks
@@ -65,13 +67,14 @@ def _compile_round(
     Runs the checks of the entry itself (`run_experiment` has checked the
     rest) before compiling it, so a bad entry raises before any draw.
     `blocks` holds the symbolic measurement of each context's Alice block
-    (and of Bob's copy of the context in "in_context" mode), shared by
-    every entry that reaches it.
+    (its forms and post-measurement tableau) and of Bob's words on that
+    tableau, shared by every entry that reaches them.  The register has
+    two blocks of `system.num_qubits` qubits.
     Returns (statistics columns, number of record bits, context id, the
     tests of the record bits the columns read); the outcomes are Alice's
     words, then Bob's (see `_columns`).
     """
-    n, system, bob_mode = config.n, config.system, config.bob_mode
+    system, bob_mode = config.system, config.bob_mode
     if not 0 <= alice_context_id < len(system.contexts):
         raise ValueError(f"unknown context id {alice_context_id}")
     context = system.contexts[alice_context_id]
@@ -89,9 +92,9 @@ def _compile_round(
 
     alice = blocks.get(alice_context_id)
     if alice is None:
-        words = [embed(o, n, "alice") for o in context.observables]
-        alice = blocks[alice_context_id] = compile_context(bell_product_tableau(n), words)
-    alice_forms, tableau, signs = alice
+        words = [embed(o, "alice") for o in context.observables]
+        alice = blocks[alice_context_id] = compile_context(bell_product_tableau(system.num_qubits), words)
+    alice_forms, post = alice
     if bob_mode == "alone":
         key = (alice_context_id, shared_observable_id)
         bob_words, bob_shared_pos = (shared,), 0
@@ -100,8 +103,8 @@ def _compile_round(
         bob_words, bob_shared_pos = context.observables, shared_pos
     bob_forms = blocks.get(key)
     if bob_forms is None:
-        words = [embed(o, n, "bob") for o in bob_words]
-        bob_forms = blocks[key] = compile_context(tableau, words, signs, len(alice_forms))[0]
+        words = [embed(o, "bob") for o in bob_words]
+        bob_forms = blocks[key] = compile_context(post, words)[0]
     split = len(alice_forms)
     forms = alice_forms + bob_forms
     columns = _columns(
@@ -270,7 +273,6 @@ def _counts(columns, planes: list[int]) -> list[int]:
 
 
 class ExperimentConfig(NamedTuple):
-    n: int
     system: ContextSystem
     shots: int
     schedule: tuple[tuple[int, int], ...] | None = None  # (context id, catalog id)
@@ -328,8 +330,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     # A bad seed fails before any entry is checked.
     check_key(config.seed, period - 1)
     # Checked here, not per entry, so that they hold even when no shot runs.
-    if config.system.num_qubits != config.n:
-        raise ValueError(f"system acts on {config.system.num_qubits} qubits, expected {config.n}")
     if config.bob_mode not in MODES:
         raise ValueError(f"bob_mode must be one of {MODES}, got {config.bob_mode!r}")
     if not 0.0 < config.efficiency <= 1.0:

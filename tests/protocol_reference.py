@@ -2,10 +2,12 @@
 
 `reference_experiment` runs one round per shot and measures with a
 function passed in: either `oracles.measure_context` on the dense
-Bell-product state, or `tableau_measure`, a concrete tableau measurement that updates
-the signs in place and shares no code with `tableau.compile_context`
-beyond the input checks.  Words go onto each observer's block with
-`oracles.relabel`, not with `tableau.embed`.
+Bell-product state, or `tableau_measure`, a concrete measurement on a
+tableau of `PauliOperator` records (`RecordTableau`, each sign in its
+stabilizer's phase) that updates the signs in place.  It builds its own
+Bell tableau (`record_bell_tableau`) and shares no code with
+`tableau.compile_context` beyond the input checks.  Words go onto each
+observer's block with `oracles.relabel`, not with `tableau.embed`.
 
 Each shot reads its own lane of the random layout, one bit at a time,
 from NumPy's `Philox(key=[seed, entry])` with its counter set (`Lane`),
@@ -25,10 +27,27 @@ from typing import NamedTuple
 import numpy as np
 
 from oracles import bell_product_state, measure_context, relabel
-from bellcheck.pauli import PauliOperator, commutes, identity, multiply
+from bellcheck.pauli import PauliOperator, commutes, identity, multiply, single
 from bellcheck.protocol import MODES, ExperimentSummary, _noise_pair, default_schedule
 from bellcheck.rng import check_key
-from bellcheck.tableau import StabilizerTableau, _check_size, _checked_context, bell_product_tableau
+from bellcheck.tableau import _check_size, _checked_context
+
+
+class RecordTableau(NamedTuple):
+    """A tableau of `PauliOperator` records: each stabilizer's sign is its phase."""
+
+    num_qubits: int
+    stabilizers: tuple
+    destabilizers: tuple
+
+
+def record_bell_tableau(n):
+    """The n Bell pairs: stabilizers X_k X_{n+k} and Z_k Z_{n+k}, destabilizers Z_k and X_{n+k}."""
+    m = 2 * n
+    pairs = [(k, n + k) for k in range(1, n + 1)]
+    stabilizers = [multiply(single(p, a, m), single(p, b, m)) for p in "XZ" for a, b in pairs]
+    destabilizers = [single("Z", a, m) for a, _ in pairs] + [single("X", b, m) for _, b in pairs]
+    return RecordTableau(m, tuple(stabilizers), tuple(destabilizers))
 
 
 def tableau_measure(tableau, context_ops, rng):
@@ -63,12 +82,12 @@ def tableau_measure(tableau, context_ops, rng):
         stabilizers[pivot] = PauliOperator(
             op.num_qubits, op.x_mask, op.z_mask, op.phase_exponent + (0 if outcome == +1 else 2)
         )
-    return outcomes, StabilizerTableau(tableau.num_qubits, tuple(stabilizers), tuple(destabilizers))
+    return outcomes, RecordTableau(tableau.num_qubits, tuple(stabilizers), tuple(destabilizers))
 
 
 BACKENDS = {
     "dense": (bell_product_state, measure_context),
-    "tableau": (bell_product_tableau, tableau_measure),
+    "tableau": (record_bell_tableau, tableau_measure),
 }
 
 
@@ -141,10 +160,9 @@ def _record(outcomes, first, width, p_flip, efficiency, lane):
     return tuple(recorded)
 
 
-def reference_round(n, system, ctx_id, obs_id, bob_mode, noise, efficiency, rng, backend):
+def reference_round(system, ctx_id, obs_id, bob_mode, noise, efficiency, rng, backend):
     initial, measure = BACKENDS[backend]
-    if system.num_qubits != n:
-        raise ValueError(f"system acts on {system.num_qubits} qubits, expected {n}")
+    n = system.num_qubits
     if not 0 <= ctx_id < len(system.contexts):
         raise ValueError(f"unknown context id {ctx_id}")
     if bob_mode not in MODES:
@@ -185,8 +203,6 @@ def reference_experiment(config, backend="tableau"):
         raise ValueError("schedule is empty")
     check_key(config.seed, 0)
     # Experiment-wide settings are checked even when no round runs.
-    if config.system.num_qubits != config.n:
-        raise ValueError(f"system acts on {config.system.num_qubits} qubits, expected {config.n}")
     if config.bob_mode not in MODES:
         raise ValueError(f"bob_mode must be one of {MODES}, got {config.bob_mode!r}")
     if not 0.0 < config.efficiency <= 1.0:
@@ -198,7 +214,7 @@ def reference_experiment(config, backend="tableau"):
         lane, entry = divmod(shot, len(schedule))
         ctx_id, obs_id = schedule[entry]
         record = reference_round(
-            config.n, config.system, ctx_id, obs_id, config.bob_mode, (p_alice, p_bob),
+            config.system, ctx_id, obs_id, config.bob_mode, (p_alice, p_bob),
             config.efficiency, Lane(config.seed, entry, lane), backend,
         )
         if record.shared_alice is not None and record.shared_bob is not None:

@@ -113,25 +113,23 @@ def test_criterion_3_eigenrelations():
     square = mermin_square()
     assert len(square.catalog) == 9
     for op in square.catalog:
-        assert eigenrelation_check(2, op)
+        assert eigenrelation_check(op)
     for n in (3, 5):
         system = generalized_sets(n)
         assert len(system.catalog) == 3 * n + 1
         for op in system.catalog:
-            assert eigenrelation_check(n, op)
+            assert eigenrelation_check(op)
 
 
 @criterion(4, "two-observer protocol statistics", budget_seconds=None)
 def test_criterion_4_protocol():
     shots = 10_000
     summaries = {}
-    for label, n, builder in (("square", 2, mermin_square), ("sets3", 3, lambda: generalized_sets(3))):
+    for label, builder in (("square", mermin_square), ("sets3", lambda: generalized_sets(3))):
         system = builder()
         for seed_offset, mode in enumerate(("alone", "in_context")):
             summary = run_experiment(
-                ExperimentConfig(
-                    n=n, system=system, shots=shots, seed=100 + seed_offset, bob_mode=mode
-                )
+                ExperimentConfig(system=system, shots=shots, seed=100 + seed_offset, bob_mode=mode)
             )
             assert summary.equality_rate == 1.0
             assert summary.comparable_rounds == shots
@@ -147,7 +145,7 @@ def test_criterion_4_protocol():
         assert p_value > 0.001, f"modes distinguishable for {label}: p={p_value}"
 
     noisy = run_experiment(
-        ExperimentConfig(n=2, system=mermin_square(), shots=shots, noise=0.5, seed=200)
+        ExperimentConfig(system=mermin_square(), shots=shots, noise=0.5, seed=200)
     )
     four_sigma = 4.0 * math.sqrt(0.25 / shots)
     assert abs(noisy.equality_rate - 0.5) < four_sigma

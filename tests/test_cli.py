@@ -694,6 +694,16 @@ class TestStartup:
             expected.append(f"0 {' '.join(argv)} | {' '.join(sorted(modules))}")
         assert result.stdout.splitlines() == expected
 
+    def test_importtime_lists_the_handler_module(self):
+        """`-X importtime` reports the command's handler module, which `main` imports on the builtin path."""
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "bellcheck", "verify", "square"],
+            capture_output=True, text=True, env=fresh_env(), timeout=120,
+        )
+        assert result.returncode == 0
+        imported = [line.rpartition("|")[2].strip() for line in result.stderr.splitlines()]
+        assert "bellcheck.commands.verify" in imported
+
     def test_large_noisy_run_without_numpy_exits_zero(self):
         """Where numpy cannot be imported, every `correlate` run still samples and reports."""
         script = (

@@ -24,7 +24,7 @@ def one_entry(ctx_id, obs_id, mode="alone", noise=0.0, efficiency=1.0, shots=100
     """Every shot runs the same round: a one-entry schedule on the square."""
     return run_experiment(
         ExperimentConfig(
-            n=2, system=mermin_square(), shots=shots, schedule=((ctx_id, obs_id),),
+            system=mermin_square(), shots=shots, schedule=((ctx_id, obs_id),),
             noise=noise, efficiency=efficiency, seed=seed, bob_mode=mode,
         )
     )
@@ -78,7 +78,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("n,builder", [(2, mermin_square), (3, lambda: generalized_sets(3))])
     def test_exact_regime(self, n, builder, mode):
         summary = run_experiment(
-            ExperimentConfig(n=n, system=builder(), shots=600, seed=4, bob_mode=mode)
+            ExperimentConfig(system=builder(), shots=600, seed=4, bob_mode=mode)
         )
         assert summary.equality_rate == 1.0
         assert summary.conclusive_fraction == 1.0
@@ -87,7 +87,7 @@ class TestRunExperiment:
     def test_symmetric_noise_half(self):
         shots = 4000
         summary = run_experiment(
-            ExperimentConfig(n=2, system=mermin_square(), shots=shots, noise=0.5, seed=5)
+            ExperimentConfig(system=mermin_square(), shots=shots, noise=0.5, seed=5)
         )
         assert abs(summary.equality_rate - 0.5) < binomial_4sigma(0.5, shots)
 
@@ -96,7 +96,7 @@ class TestRunExperiment:
         p = 0.3
         summary = run_experiment(
             ExperimentConfig(
-                n=2, system=mermin_square(), shots=shots, noise=(p, 0.0), seed=6
+                system=mermin_square(), shots=shots, noise=(p, 0.0), seed=6
             )
         )
         assert abs(summary.equality_rate - (1.0 - p)) < binomial_4sigma(1.0 - p, shots)
@@ -105,25 +105,25 @@ class TestRunExperiment:
         shots = 4000
         eta = 0.8
         summary = run_experiment(
-            ExperimentConfig(n=2, system=mermin_square(), shots=shots, efficiency=eta, seed=7)
+            ExperimentConfig(system=mermin_square(), shots=shots, efficiency=eta, seed=7)
         )
         assert abs(summary.conclusive_fraction - eta * eta) < binomial_4sigma(eta * eta, shots)
 
     def test_bit_identical_for_equal_seeds(self):
         config = ExperimentConfig(
-            n=2, system=mermin_square(), shots=500, noise=0.1, efficiency=0.9, seed=42
+            system=mermin_square(), shots=500, noise=0.1, efficiency=0.9, seed=42
         )
         assert run_experiment(config) == run_experiment(config)
 
     def test_different_seed_differs(self):
-        base = dict(n=2, system=mermin_square(), shots=500, noise=0.1, efficiency=0.9)
+        base = dict(system=mermin_square(), shots=500, noise=0.1, efficiency=0.9)
         a = run_experiment(ExperimentConfig(seed=1, **base))
         b = run_experiment(ExperimentConfig(seed=2, **base))
         assert a != b
 
     def test_zero_shots_reports_undefined_markers(self):
         for mode in ("alone", "in_context"):
-            config = ExperimentConfig(n=2, system=mermin_square(), shots=0, bob_mode=mode)
+            config = ExperimentConfig(system=mermin_square(), shots=0, bob_mode=mode)
             summary = run_experiment(config)
             assert summary.shots == 0
             assert summary.equality_rate is None
@@ -143,14 +143,14 @@ class TestRunExperiment:
         system = mermin_square()
         summary = run_experiment(
             ExperimentConfig(
-                n=2, system=system, shots=100, schedule=((0, 0), (0, 1)), seed=9
+                system=system, shots=100, schedule=((0, 0), (0, 1)), seed=9
             )
         )
         assert list(summary.product_pass_rates) == [0]
 
     def test_negative_shots_rejected(self):
         with pytest.raises(ValueError, match="shots"):
-            run_experiment(ExperimentConfig(n=2, system=mermin_square(), shots=-1))
+            run_experiment(ExperimentConfig(system=mermin_square(), shots=-1))
 
 
 def system_for(n):
@@ -176,7 +176,7 @@ class TestTableauAgainstDenseOracle:
     def test_summaries_equal(self, n, shots, noise, efficiency, mode):
         for seed in (0, 3, 2**40 + 1):
             config = ExperimentConfig(
-                n=n, system=system_for(n), shots=shots, noise=noise,
+                system=system_for(n), shots=shots, noise=noise,
                 efficiency=efficiency, seed=seed, bob_mode=mode,
             )
             compiled = run_experiment(config)
@@ -187,7 +187,7 @@ class TestTableauAgainstDenseOracle:
     @pytest.mark.parametrize("n,shots", [(9, 40), (11, 30), (13, 30)])
     def test_large_n_equals_tableau_reference(self, n, shots, mode):
         config = ExperimentConfig(
-            n=n, system=system_for(n), shots=shots, noise=0.1,
+            system=system_for(n), shots=shots, noise=0.1,
             efficiency=0.8, seed=n, bob_mode=mode,
         )
         assert run_experiment(config) == reference_experiment(config)
@@ -197,7 +197,7 @@ class TestTableauAgainstDenseOracle:
     def test_few_shots(self, shots, mode):
         # Fewer shots than the 18 schedule entries: only the first few run.
         config = ExperimentConfig(
-            n=2, system=mermin_square(), shots=shots, noise=0.2, efficiency=0.7,
+            system=mermin_square(), shots=shots, noise=0.2, efficiency=0.7,
             seed=5, bob_mode=mode,
         )
         assert run_experiment(config) == reference_experiment(config)
@@ -210,14 +210,14 @@ class TestTableauAgainstDenseOracle:
             for ci, k in ((4, 0), (0, 1), (4, 0), (2, 2))
         )
         config = ExperimentConfig(
-            n=3, system=system, shots=23, schedule=schedule, noise=0.1,
+            system=system, shots=23, schedule=schedule, noise=0.1,
             efficiency=0.9, seed=11, bob_mode=mode,
         )
         assert run_experiment(config) == reference_experiment(config)
 
     def test_blocks_do_not_change_the_summary(self, monkeypatch):
         config = ExperimentConfig(
-            n=3, system=generalized_sets(3), shots=200, noise=0.1, efficiency=0.9, seed=2
+            system=generalized_sets(3), shots=200, noise=0.1, efficiency=0.9, seed=2
         )
         whole = run_experiment(config)
         monkeypatch.setattr(protocol, "BLOCK_CHUNKS", 1)
@@ -230,7 +230,7 @@ class TestTableauAgainstDenseOracle:
         system = generalized_sets(3)
         schedule = default_schedule(system)[:4]
         config = ExperimentConfig(
-            n=3, system=system, shots=256 * len(schedule) + 3, schedule=schedule, noise=0.1,
+            system=system, shots=256 * len(schedule) + 3, schedule=schedule, noise=0.1,
             efficiency=0.9, seed=13, bob_mode="in_context",
         )
         assert run_experiment(config) == reference_experiment(config)
@@ -241,7 +241,7 @@ class TestTableauAgainstDenseOracle:
         for entry in default_schedule(system):
             for mode in ("alone", "in_context"):
                 config = ExperimentConfig(
-                    n=3, system=system, shots=6, schedule=(entry,), noise=0.2,
+                    system=system, shots=6, schedule=(entry,), noise=0.2,
                     efficiency=0.9, seed=8, bob_mode=mode,
                 )
                 fast = run_experiment(config)
@@ -271,7 +271,7 @@ class TestTableauAgainstDenseOracle:
             assert not lane.below(r, Fraction(ties[-1]))
         for noise, efficiency in ((ties[0], 0.95), (0.05, ties[1])):
             config = ExperimentConfig(
-                n=2, system=system, shots=40, noise=noise, efficiency=efficiency,
+                system=system, shots=40, noise=noise, efficiency=efficiency,
                 seed=5, bob_mode=mode,
             )
             assert run_experiment(config) == reference_experiment(config)
@@ -362,27 +362,28 @@ NON_COMMUTING = ContextSystem(
 )
 NON_HERMITIAN = ContextSystem(2, (Context((PauliOperator(2, 1, 0, 1),), +1),))
 
-# (system, n, schedule, bob_mode, noise, efficiency, seed, shots); with a
+# (system, schedule, bob_mode, noise, efficiency, seed, shots); with a
 # schedule, its last entry is the bad one, reached after a good one.  A
 # round takes no seed, so the bad-seed cases are for experiments only.
 BAD_INPUTS = [
-    (mermin_square(), 3, None, "alone", 0.0, 1.0, 0, 5),
-    (mermin_square(), 2, ((0, 0), (17, 0)), "alone", 0.0, 1.0, 0, 5),
-    (mermin_square(), 2, ((0, 0), (0, 99)), "alone", 0.0, 1.0, 0, 5),
-    (mermin_square(), 2, ((0, 0), (0, 3)), "in_context", 0.0, 1.0, 0, 5),
-    (mermin_square(), 2, None, "together", 0.0, 1.0, 0, 5),
-    (mermin_square(), 2, None, "alone", 1.5, 1.0, 0, 5),
-    (mermin_square(), 2, None, "alone", (0.1, -0.1), 1.0, 0, 5),
-    (mermin_square(), 2, None, "alone", 0.0, 0.0, 0, 5),
-    (mermin_square(), 2, None, "alone", 0.0, 1.0, -1, 5),
-    (NON_COMMUTING, 2, None, "alone", 0.0, 1.0, 0, 5),
-    (NON_HERMITIAN, 2, None, "in_context", 0.0, 1.0, 0, 5),
+    # NaN compares false with both ends of [0, 1], so it is refused too.
+    (mermin_square(), None, "alone", math.nan, 1.0, 0, 5),
+    (mermin_square(), ((0, 0), (17, 0)), "alone", 0.0, 1.0, 0, 5),
+    (mermin_square(), ((0, 0), (0, 99)), "alone", 0.0, 1.0, 0, 5),
+    (mermin_square(), ((0, 0), (0, 3)), "in_context", 0.0, 1.0, 0, 5),
+    (mermin_square(), None, "together", 0.0, 1.0, 0, 5),
+    (mermin_square(), None, "alone", 1.5, 1.0, 0, 5),
+    (mermin_square(), None, "alone", (0.1, -0.1), 1.0, 0, 5),
+    (mermin_square(), None, "alone", 0.0, 0.0, 0, 5),
+    (mermin_square(), None, "alone", 0.0, 1.0, -1, 5),
+    (NON_COMMUTING, None, "alone", 0.0, 1.0, 0, 5),
+    (NON_HERMITIAN, None, "in_context", 0.0, 1.0, 0, 5),
     # Seeds are 64-bit stream keys: 2**64 + 1 would share seed 1's streams.
-    (mermin_square(), 3, None, "alone", 0.0, 1.0, 2**64 + 1, 5),
+    (mermin_square(), None, "alone", 0.0, 1.0, 2**64 + 1, 5),
     # The seed, the mode and the efficiency are checked even when no shot runs.
-    (mermin_square(), 2, None, "alone", 0.0, 1.0, -5, 0),
-    (mermin_square(), 2, None, "together", 0.0, 1.0, 0, 0),
-    (mermin_square(), 2, None, "alone", 0.0, 7.0, 0, 0),
+    (mermin_square(), None, "alone", 0.0, 1.0, -5, 0),
+    (mermin_square(), None, "together", 0.0, 1.0, 0, 0),
+    (mermin_square(), None, "alone", 0.0, 7.0, 0, 0),
 ]
 
 
@@ -395,9 +396,9 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("case", range(len(BAD_INPUTS)))
     def test_experiment_raises_before_any_draw(self, monkeypatch, case):
-        system, n, schedule, mode, noise, efficiency, seed, shots = BAD_INPUTS[case]
+        system, schedule, mode, noise, efficiency, seed, shots = BAD_INPUTS[case]
         config = ExperimentConfig(
-            n=n, system=system, shots=shots, schedule=schedule, noise=noise,
+            system=system, shots=shots, schedule=schedule, noise=noise,
             efficiency=efficiency, seed=seed, bob_mode=mode,
         )
         expected = self.error(reference_experiment, config)
@@ -405,17 +406,17 @@ class TestBadInputs:
             patch.setattr(protocol, "philox_blocks", drew_first)
             assert self.error(run_experiment, config) == expected
 
-    @pytest.mark.parametrize("case", [i for i, c in enumerate(BAD_INPUTS) if c[6] in range(2**64)])
+    @pytest.mark.parametrize("case", [i for i, c in enumerate(BAD_INPUTS) if c[5] in range(2**64)])
     def test_round_raises_before_any_draw(self, monkeypatch, case):
         """The bad entry alone, as a one-entry schedule, fails as the reference round does."""
-        system, n, schedule, mode, noise, efficiency, seed, _ = BAD_INPUTS[case]
+        system, schedule, mode, noise, efficiency, seed, _ = BAD_INPUTS[case]
         ctx_id, obs_id = (schedule or ((0, 0),))[-1]
         rng = CountingDraw()
-        args = (n, system, ctx_id, obs_id, mode, noise, efficiency)
+        args = (system, ctx_id, obs_id, mode, noise, efficiency)
         expected = self.error(reference_round, *args, rng, "tableau")
         assert rng.draws == 0
         config = ExperimentConfig(
-            n=n, system=system, shots=1, schedule=((ctx_id, obs_id),), noise=noise,
+            system=system, shots=1, schedule=((ctx_id, obs_id),), noise=noise,
             efficiency=efficiency, seed=seed, bob_mode=mode,
         )
         with monkeypatch.context() as patch:
@@ -425,7 +426,7 @@ class TestBadInputs:
     @pytest.mark.parametrize("shots", [2**72 + 1, 10**30])
     def test_shots_past_the_counter_range_raise_before_any_entry(self, monkeypatch, shots):
         """An entry addresses 2**64 chunks of 256 lanes, so the run is refused at once."""
-        config = ExperimentConfig(n=2, system=mermin_square(), shots=shots)
+        config = ExperimentConfig(system=mermin_square(), shots=shots)
         with monkeypatch.context() as patch:
             for name in ("_compile_round", "philox_blocks"):
                 patch.setattr(protocol, name, drew_first)
@@ -435,11 +436,11 @@ class TestBadInputs:
 
     def test_unreached_entries_are_not_checked(self):
         config = ExperimentConfig(
-            n=2, system=mermin_square(), shots=1, schedule=((0, 0), (0, 99))
+            system=mermin_square(), shots=1, schedule=((0, 0), (0, 99))
         )
         assert run_experiment(config) == reference_experiment(config)
         # The mode is not an entry's setting: it is checked with no entry reached.
         with pytest.raises(ValueError, match="bob_mode"):
             run_experiment(
-                ExperimentConfig(n=2, system=mermin_square(), shots=0, bob_mode="together")
+                ExperimentConfig(system=mermin_square(), shots=0, bob_mode="together")
             )

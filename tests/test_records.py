@@ -31,8 +31,8 @@ RECORDS = {
     "Check": lambda: Check("ratio", True, 2.0, 2.0, 1e-9),
     "MeasurementVectors": optimal_vectors,
     "ChshReport": lambda: gap_report(2),
-    "ExperimentConfig": lambda: ExperimentConfig(n=2, system=mermin_square(), shots=4, seed=3),
-    "ExperimentSummary": lambda: run_experiment(ExperimentConfig(n=2, system=mermin_square(), shots=4)),
+    "ExperimentConfig": lambda: ExperimentConfig(system=mermin_square(), shots=4, seed=3),
+    "ExperimentSummary": lambda: run_experiment(ExperimentConfig(system=mermin_square(), shots=4)),
     "StateVector": lambda: bell_product_state(1),
     "StabilizerTableau": lambda: bell_product_tableau.__wrapped__(1),  # not the cached copy
 }

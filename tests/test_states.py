@@ -20,7 +20,7 @@ from oracles import (
     shot_stream,
     singlet_product_state,
 )
-from protocol_reference import tableau_measure
+from protocol_reference import record_bell_tableau, tableau_measure
 from bellcheck.constructions import generalized_sets, mermin_square
 from bellcheck.pauli import PauliOperator, commutes, parse_pauli
 from bellcheck.tableau import (
@@ -170,20 +170,32 @@ def form_bits(forms, draws):
 def measure_compiled(tableau, contexts, draws):
     """Compile `contexts` one after another, then evaluate on one draw per word.
 
-    Returns the +-1 outcomes and the post-measurement tableau with its sign
-    forms evaluated into the rows' phases.
+    Returns the +-1 outcomes and the post-measurement tableau with each
+    sign form evaluated into a constant.
     """
-    signs, forms = None, ()
+    forms = ()
     for ops in contexts:
-        step, tableau, signs = compile_context(tableau, ops, signs, len(forms))
+        step, tableau = compile_context(tableau, ops)
         forms += step
-    signs = signs or (0,) * tableau.num_qubits
-    bits = form_bits(forms + signs, draws)
-    rows = tuple(
-        PauliOperator(s.num_qubits, s.x_mask, s.z_mask, s.phase_exponent + 2 * flip)
-        for s, flip in zip(tableau.stabilizers, bits[len(forms):])
-    )
-    return [1 - 2 * b for b in bits[: len(forms)]], tableau._replace(stabilizers=rows)
+    bits = form_bits(forms + tableau.signs, draws)
+    return [1 - 2 * b for b in bits[: len(forms)]], tableau._replace(signs=tuple(bits[len(forms):]))
+
+
+def records(tableau, rows):
+    """Rows of `tableau` as records, with phase 0."""
+    return tuple(PauliOperator(tableau.num_qubits, x, z) for x, z in rows)
+
+
+def signed_stabilizers(tableau):
+    """The stabilizers as records, each sign (a constant form) in its phase."""
+    assert all(sign in (0, 1) for sign in tableau.signs)
+    m = tableau.num_qubits
+    return tuple(PauliOperator(m, x, z, 2 * sign) for (x, z), sign in zip(tableau.stabilizers, tableau.signs))
+
+
+def masks(rows):
+    """The (x_mask, z_mask) of each record."""
+    return tuple((row.x_mask, row.z_mask) for row in rows)
 
 
 def commuting_words(rng, num_qubits, count):
@@ -202,19 +214,11 @@ class TestEmbed:
         for _ in range(200):
             n = int(rng.integers(1, 14))
             op = random_pauli(rng, n)
-            assert embed(op, n, side) == on_side(op, n, side)
-
-    def test_size_mismatch(self):
-        message = "operator acts on 1 qubits, expected 2"
-        for side in ("alice", "bob"):
-            with pytest.raises(ValueError, match=message):
-                embed(parse_pauli("X1", 1), 2, side)
-        with pytest.raises(ValueError, match=message):
-            eigenrelation_check(2, parse_pauli("X1", 1))
+            assert embed(op, side) == on_side(op, n, side)
 
     def test_unknown_side(self):
         with pytest.raises(ValueError, match="side"):
-            embed(parse_pauli("X1", 1), 1, "carol")
+            embed(parse_pauli("X1", 1), "carol")
 
 
 class TestEigenrelation:
@@ -222,40 +226,36 @@ class TestEigenrelation:
     def test_tableau_matches_dense_oracle_on_catalog(self, n):
         system = mermin_square() if n == 2 else generalized_sets(n)
         for op in system.catalog:
-            assert eigenrelation_check(n, op) == dense_eigenrelation(n, op)
+            assert eigenrelation_check(op) == dense_eigenrelation(n, op)
 
     def test_tableau_matches_dense_oracle_on_y(self):
         op = parse_pauli("Y1", 1)
-        assert eigenrelation_check(1, op) is dense_eigenrelation(1, op) is False
+        assert eigenrelation_check(op) is dense_eigenrelation(1, op) is False
 
     def test_random_words_match_dense_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
             n = int(rng.integers(1, 4))
             op = random_pauli(rng, n)
-            assert eigenrelation_check(n, op) == dense_eigenrelation(n, op)
+            assert eigenrelation_check(op) == dense_eigenrelation(n, op)
 
     def test_all_square_observables(self):
         for op in mermin_square().catalog:
-            assert eigenrelation_check(2, op)
+            assert eigenrelation_check(op)
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_all_generalized_observables(self, n):
         for op in generalized_sets(n).catalog:
-            assert eigenrelation_check(n, op)
+            assert eigenrelation_check(op)
 
     def test_single_y_fails(self):
         # Y picks up a transpose sign across a Bell pair: direct expansion
         # of (Y (x) Y) on (|00>+|11>)/sqrt(2) gives amplitude -1 overlap.
-        assert not eigenrelation_check(1, parse_pauli("Y1", 1))
+        assert not eigenrelation_check(parse_pauli("Y1", 1))
 
     def test_single_x_and_z_hold(self):
-        assert eigenrelation_check(1, parse_pauli("X1", 1))
-        assert eigenrelation_check(1, parse_pauli("Z1", 1))
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            eigenrelation_check(2, parse_pauli("X1", 1))
+        assert eigenrelation_check(parse_pauli("X1", 1))
+        assert eigenrelation_check(parse_pauli("Z1", 1))
 
 
 class TestMeasureContext:
@@ -334,21 +334,24 @@ class TestMeasureContext:
 class TestTableau:
     @staticmethod
     def assert_relations(tableau):
-        assert len(tableau.stabilizers) == len(tableau.destabilizers) == tableau.num_qubits
-        for i, s in enumerate(tableau.stabilizers):
-            assert s.is_hermitian
-            for j, d in enumerate(tableau.destabilizers):
+        m = tableau.num_qubits
+        assert len(tableau.stabilizers) == len(tableau.destabilizers) == len(tableau.signs) == m
+        stabilizers = records(tableau, tableau.stabilizers)
+        destabilizers = records(tableau, tableau.destabilizers)
+        for i, s in enumerate(stabilizers):
+            for j, d in enumerate(destabilizers):
                 assert commutes(s, d) == (i != j)
-            assert all(commutes(s, t) for t in tableau.stabilizers)
-            assert all(commutes(tableau.destabilizers[i], d) for d in tableau.destabilizers)
+            assert all(commutes(s, t) for t in stabilizers)
+            assert all(commutes(destabilizers[i], d) for d in destabilizers)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_bell_tableau_relations(self, n):
         tableau = bell_product_tableau(n)
         assert tableau.num_qubits == 2 * n
         self.assert_relations(tableau)
+        assert tableau.signs == (0,) * (2 * n) and tableau.measured == 0
         state = bell_product_state(n)
-        for s in tableau.stabilizers:
+        for s in signed_stabilizers(tableau):
             assert expectation(state, s) == pytest.approx(1.0, abs=1e-12)
 
     @staticmethod
@@ -368,6 +371,7 @@ class TestTableau:
 
     def test_ghz_tableau_matches_dense_on_every_hermitian_word(self):
         tableau = ghz_tableau()
+        assert tableau.signs == (0, 0, 1)
         self.assert_relations(tableau)
         self.assert_matches_dense_on_every_hermitian_word(tableau, ghz_state())
 
@@ -375,6 +379,7 @@ class TestTableau:
     def test_singlet_tableau_matches_dense_on_every_hermitian_word(self, n):
         tableau = singlet_product_tableau(n)
         assert tableau is singlet_product_tableau(n)
+        assert tableau == bell_product_tableau(n)._replace(signs=(1,) * (2 * n))
         self.assert_relations(tableau)
         self.assert_matches_dense_on_every_hermitian_word(tableau, singlet_product_state(n))
 
@@ -394,7 +399,7 @@ class TestTableau:
     @staticmethod
     def form_expectation(tableau, op):
         """`compile_context`'s reading: a form above 1 holds the word's own coin."""
-        (form,), _, _ = compile_context(tableau, (op,))
+        (form,), _ = compile_context(tableau, (op,))
         return 0.0 if form > 1 else 1.0 - 2.0 * form
 
     @staticmethod
@@ -403,7 +408,8 @@ class TestTableau:
         m = tableau.num_qubits
         for _ in range(count):
             yield hermitian_pauli(rng, m)
-            picked = [s for s in tableau.stabilizers if rng.random() < 0.5] or [tableau.stabilizers[0]]
+            stabilizers = signed_stabilizers(tableau)
+            picked = [s for s in stabilizers if rng.random() < 0.5] or [stabilizers[0]]
             word = picked[0]
             for s in picked[1:]:
                 word = word * s
@@ -441,31 +447,33 @@ class TestTableau:
         op = parse_pauli("Z1", 2)
         assert expectation(bell_product_state(1), op) == pytest.approx(0.0, abs=1e-12)
         assert tableau_expectation(bell_product_tableau(1), op) == 0.0
-        forms, _, _ = compile_context(bell_product_tableau(1), [op])
+        forms, post = compile_context(bell_product_tableau(1), [op])
         assert forms == (0b10,)  # the word's own coin
+        assert post.stabilizers[0] == (0, 1) and post.signs[0] == 0b10 and post.measured == 1
         assert [form_bits(forms, [draw]) for draw in (0.4999, 0.5)] == [[0], [1]]
         for draw, outcome in ((0.4999, +1), (0.5, -1)):
-            assert tableau_measure(bell_product_tableau(1), [op], SequenceDraw([draw]))[0] == [outcome]
+            assert tableau_measure(record_bell_tableau(1), [op], SequenceDraw([draw]))[0] == [outcome]
 
     @pytest.mark.parametrize("text,sign", [("X1 X2", +1), ("Z1 Z2", +1), ("Y1 Y2", -1)])
     def test_forced_outcome_matches_dense_sign(self, text, sign):
         op = parse_pauli(text, 2)
         assert expectation(bell_product_state(1), op) == pytest.approx(sign, abs=1e-12)
         assert tableau_expectation(bell_product_tableau(1), op) == sign
-        forms, post, signs = compile_context(bell_product_tableau(1), [op])
+        forms, post = compile_context(bell_product_tableau(1), [op])
         assert forms == ((1 - sign) // 2,)  # a constant: no coin bits
-        assert post == bell_product_tableau(1) and signs == (0, 0)
+        # A forced word changes no row, but it is counted.
+        assert post == bell_product_tableau(1)._replace(measured=1)
         for draw in (0.0, 0.5, 1.0 - 2.0**-53):
             outcomes, post = measure_compiled(bell_product_tableau(1), [[op]], [draw])
             assert outcomes == [sign]
-            assert post == bell_product_tableau(1)
+            assert post == bell_product_tableau(1)._replace(measured=1)
 
     def test_one_draw_per_word(self):
         """Outcome j reads the draws of words 0..j only, so each word takes one draw."""
         system = generalized_sets(5)
         for ctx in system.contexts:
-            ops = [embed(o, 5, "alice") for o in ctx.observables]
-            forms, _, _ = compile_context(bell_product_tableau(5), ops)
+            ops = [embed(o, "alice") for o in ctx.observables]
+            forms, _ = compile_context(bell_product_tableau(5), ops)
             assert len(forms) == len(ops)
             for j, form in enumerate(forms):
                 assert form < 1 << (j + 2)
@@ -485,7 +493,7 @@ class TestTableau:
                 draws.extend(step_draws)
                 fast, tableau = measure_compiled(bell_product_tableau(n), contexts, draws)
                 assert fast[-len(ops):] == slow
-                for s in tableau.stabilizers:
+                for s in signed_stabilizers(tableau):
                     assert expectation(state, s) == pytest.approx(1.0, abs=1e-9)
             for _ in range(20):
                 op = hermitian_pauli(rng, 2 * n)
@@ -502,12 +510,12 @@ class TestTableau:
         """
         system = mermin_square() if n == 2 else generalized_sets(n)
         rng = np.random.default_rng(n)
-        start, dense = bell_product_tableau(n), bell_product_state(n)
+        start, reference, dense = bell_product_tableau(n), record_bell_tableau(n), bell_product_state(n)
         for ctx in system.contexts:
-            alice = [embed(o, n, "alice") for o in ctx.observables]
-            bob = [embed(o, n, "bob") for o in ctx.observables]
-            alice_forms, post, signs = compile_context(start, alice)
-            bob_forms, _, _ = compile_context(post, bob, signs, len(alice))
+            alice = [embed(o, "alice") for o in ctx.observables]
+            bob = [embed(o, "bob") for o in ctx.observables]
+            alice_forms, post = compile_context(start, alice)
+            bob_forms, _ = compile_context(post, bob)
             forms = alice_forms + bob_forms
             for j, form in enumerate(forms):
                 # A coin is its own bit; a forced word uses earlier coins only.
@@ -518,13 +526,48 @@ class TestTableau:
                 bits = form_bits(forms, draws)
                 compiled = [1 - 2 * b for b in bits]
                 seq = SequenceDraw(draws)
-                first, tableau = tableau_measure(start, alice, seq)
+                first, tableau = tableau_measure(reference, alice, seq)
                 second, _ = tableau_measure(tableau, bob, seq)
                 assert compiled == first + second
                 seq = SequenceDraw(draws)
                 first, state = measure_context(dense, alice, seq)
                 second, _ = measure_context(state, bob, seq)
                 assert compiled == first + second
+
+    @pytest.mark.parametrize("mode", ["alone", "in_context"])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_bob_on_post_equals_one_compile(self, n, mode):
+        """Alice's words, then Bob's on the tableau she leaves, as one compile of both lists.
+
+        Both compiles number Bob's words after Alice's, so the forms and the
+        final tableau are the same, and `measured` counts every word.  Bob's
+        outcomes are forced: their forms read Alice's coins only.
+        """
+        system = mermin_square() if n == 2 else generalized_sets(n)
+        start = bell_product_tableau(n)
+        for ctx in system.contexts:
+            alice = [embed(o, "alice") for o in ctx.observables]
+            bob_lists = [[o] for o in ctx.observables] if mode == "alone" else [ctx.observables]
+            alice_forms, post = compile_context(start, alice)
+            assert post.measured == len(alice)
+            for words in bob_lists:
+                bob = [embed(o, "bob") for o in words]
+                bob_forms, final = compile_context(post, bob)
+                assert final.measured == len(alice) + len(bob)
+                assert all(form < 1 << (len(alice) + 1) for form in bob_forms)
+                assert (alice_forms + bob_forms, final) == compile_context(start, alice + bob)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_split_compile_equals_one_compile(self, n):
+        """Commuting words compiled in two parts, the second on `post`, where it too draws coins."""
+        rng = np.random.default_rng(500 + n)
+        start = bell_product_tableau(n)
+        for trial in range(30):
+            words = commuting_words(rng, 2 * n, 4)
+            k = int(rng.integers(0, 5))
+            head, post = compile_context(start, words[:k])
+            tail, final = compile_context(post, words[k:])
+            assert (head + tail, final) == compile_context(start, words)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_chained_compiles_match_reference(self, n):
@@ -534,14 +577,16 @@ class TestTableau:
             contexts = [commuting_words(rng, 2 * n, 3) for step in range(3)]
             draws = rng.random(9)
             outcomes, tableau = measure_compiled(bell_product_tableau(n), contexts, draws)
-            seq, reference, expected = SequenceDraw(draws), bell_product_tableau(n), []
+            seq, reference, expected = SequenceDraw(draws), record_bell_tableau(n), []
             for ops in contexts:
                 step, reference = tableau_measure(reference, ops, seq)
                 expected += step
             assert outcomes == expected
             # The symbolic signs, evaluated, are the reference tableau's signs.
-            # Destabilizer phases carry no information and may differ.
-            assert tableau.stabilizers == reference.stabilizers
+            # Destabilizers carry no sign, so only their masks are compared.
+            assert signed_stabilizers(tableau) == reference.stabilizers
+            assert tableau.destabilizers == masks(reference.destabilizers)
+            assert tableau.measured == 9
 
     def test_post_measurement_tableau_matches_reference(self):
         rng = np.random.default_rng(23)
@@ -549,12 +594,14 @@ class TestTableau:
             n = int(rng.integers(1, 4))
             ops = commuting_words(rng, 2 * n, 4)
             draws = rng.random(len(ops))
-            fast = measure_compiled(bell_product_tableau(n), [ops], draws)
-            slow = tableau_measure(bell_product_tableau(n), ops, SequenceDraw(draws))
-            assert fast == slow
+            outcomes, fast = measure_compiled(bell_product_tableau(n), [ops], draws)
+            expected, slow = tableau_measure(record_bell_tableau(n), ops, SequenceDraw(draws))
+            assert outcomes == expected
+            assert signed_stabilizers(fast) == slow.stabilizers
+            assert fast.destabilizers == masks(slow.destabilizers)
 
     def test_post_measurement_tableau_keeps_its_relations(self):
-        ops = [embed(o, 3, "alice") for o in generalized_sets(3).contexts[0].observables]
+        ops = [embed(o, "alice") for o in generalized_sets(3).contexts[0].observables]
         draws = shot_stream(1, 0).random(len(ops))
         _, tableau = measure_compiled(bell_product_tableau(3), [ops], draws)
         self.assert_relations(tableau)
