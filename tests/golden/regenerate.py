@@ -7,7 +7,7 @@ The commands are, in this order and each once:
   the README's own `.obs` example;
 - every command of the `verdicts` workload at benchmark seed 1, with the
   `.obs` files it generates written to `verdicts-1/`;
-- every command of `correlate-small` and `correlate-dense` at seeds 1-3;
+- every command of `correlate-small` and `correlate-dense` at seeds 1-10;
 - the refusals whose messages the CLI tests pin.
 
 Each runs with `--format json` through `cli.main` in process, from this
@@ -32,7 +32,7 @@ from test_cli import readme_examples, write_readme_obs  # noqa: E402
 from test_golden import CORPUS, run_cli  # noqa: E402
 
 VERDICTS_SEED = 1
-CORRELATE_SEEDS = (1, 2, 3)
+CORRELATE_SEEDS = tuple(range(1, 11))
 REFUSALS = [
     ["verify", "sets", "--n", "4"],
     ["correlate", "--n", "15", "--shots", "10"],
