@@ -4,25 +4,27 @@ Per round, observer A measures a full commuting context on her block of
 the Bell-product state and observer B measures one shared observable on
 his block, either by itself or inside his copy of the same context.  Both
 measure on the stabilizer tableau of the shared state (`tableau`).
-Recorded outcomes are independently flipped with probability `noise` and
-erased (inconclusive) with probability 1 - `efficiency`.
+Every recorded outcome is independently flipped with probability `noise`
+and erased (inconclusive) with probability 1 - `efficiency`.
 
 A round is compiled once into GF(2) affine forms, one per outcome:
 `tableau.compile_context` measures A's words on the Bell tableau, then
 B's on the tableau that A's measurement leaves, which numbers B's coins
-after A's.  The forms give the record bits that each of the round's
-eight statistics combines.  An experiment then evaluates the statistics
-bit-sliced: for each schedule entry, record bit r of all its
-shots is one Python int (a record plane, bit q for the entry's q-th
-shot), so a statistic is a few int XORs or ORs and the summary is
-popcounts.  The planes are drawn straight from plain-int Philox blocks
-(`rng.philox_blocks`), with no numpy, after Stim's bit-packed noise
-sampling (Gidney, Quantum 5, 497 (2021)): each entry has its own stream,
-and the block at counter (lane chunk, record bit, round, 0) gives 256
-lanes of one plane.  A coin is the bit of round 0; a flip (U < noise) or
-an erasure (U >= efficiency) compares each lane's uniform U, read one
-binary digit per round, with the binary digits of the threshold, and a
-lane is decided at the first digit where they differ (`_record_planes`).
+after A's.  The forms give the record bits that each statistic combines:
+the shared outcomes' erasures and values, and for each context measured
+(A's, and B's in "in_context" mode) its product failing and its partial
+erasure.  An experiment then evaluates the statistics bit-sliced: for
+each schedule entry, record bit r of all its shots is one Python int (a
+record plane, bit q for the entry's q-th shot), so a statistic is a few
+int XORs or ORs and the summary is popcounts.  The planes are drawn
+straight from plain-int Philox blocks (`rng.philox_blocks`), with no
+numpy, after Stim's bit-packed noise sampling (Gidney, Quantum 5, 497
+(2021)): each entry has its own stream, and the block at counter (lane
+chunk, record bit, round, 0) gives 256 lanes of one plane.  A coin is
+the bit of round 0; a flip (U < noise) or an erasure (U >= efficiency)
+compares each lane's uniform U, read one binary digit per round, with
+the binary digits of the threshold, and a lane is decided at the first
+digit where they differ (`_record_planes`).
 
 With no noise and unit efficiency the shared outcomes agree on every
 round and every fully-recorded context satisfies its product constraint
@@ -48,17 +50,6 @@ MODES = ("alone", "in_context")
 BLOCK_CHUNKS = 4
 
 
-def _noise_pair(noise) -> tuple[float, float]:
-    if isinstance(noise, (tuple, list)):
-        p_alice, p_bob = noise
-    else:
-        p_alice = p_bob = noise
-    for p in (p_alice, p_bob):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"flip probability must be in [0, 1], got {p}")
-    return float(p_alice), float(p_bob)
-
-
 def _compile_round(
     config: ExperimentConfig, alice_context_id: int, shared_observable_id: int, blocks: dict
 ) -> tuple:
@@ -72,7 +63,8 @@ def _compile_round(
     two blocks of `system.num_qubits` qubits.
     Returns (statistics columns, number of record bits, context id, the
     tests of the record bits the columns read); the outcomes are Alice's
-    words, then Bob's (see `_columns`).
+    words, then Bob's, and the measured contexts are Alice's and, in
+    "in_context" mode, Bob's (see `_columns`).
     """
     system, bob_mode = config.system, config.bob_mode
     if not 0 <= alice_context_id < len(system.contexts):
@@ -107,50 +99,46 @@ def _compile_round(
         bob_forms = blocks[key] = compile_context(post, words)[0]
     split = len(alice_forms)
     forms = alice_forms + bob_forms
-    columns = _columns(
-        forms, split, (shared_pos, split + bob_shared_pos), context.expected_sign, bob_mode
-    )
-    p_alice, p_bob = _noise_pair(config.noise)
     width = len(forms)
+    contexts = (range(split),) if bob_mode == "alone" else (range(split), range(split, width))
+    columns = _columns(forms, (shared_pos, split + bob_shared_pos), context.expected_sign, contexts)
     # Each record bit a statistic reads, with its test: a coin (record bit
-    # j + 1 for outcome j) is U >= 1/2, then outcome j's flip U < p and its
-    # erasure U >= efficiency.  A forced word's coin is never read.
+    # j + 1 for outcome j) is U >= 1/2, then outcome j's flip U < noise and
+    # its erasure U >= efficiency.  A forced word's coin is never read.
     tests = []
     for r in sorted({r for bits in columns for r in bits} - {0}):
-        j, erasure = divmod(r - 1 - width, 2)
         if r <= width:
             tests.append((r, 0.5, True))
-        elif erasure:
-            tests.append((r, float(config.efficiency), True))
+        elif (r - width) % 2:  # flip bit 1 + width + 2j
+            tests.append((r, float(config.noise), False))
         else:
-            tests.append((r, p_alice if j < split else p_bob, False))
+            tests.append((r, float(config.efficiency), True))
     return columns, 1 + 3 * width, alice_context_id, tests
 
 
-def _columns(forms, split: int, shared: tuple[int, int], expected_sign: int, bob_mode: str):
+def _columns(forms, shared: tuple[int, int], expected_sign: int, contexts):
     """The statistics of a compiled round, each as the record bits it combines.
 
     A shot's record is 1, the coin of each word (draw >= 1/2), then per
     outcome a flip bit and an erasure bit, in the order of its draws, so
-    bit r of a form is record bit r.  Returns eight tuples of record bit
-    indices: Alice's and Bob's shared outcome erased, their recorded
-    values, and their contexts failing the product, each the XOR of its
-    bits; then their contexts erased in part, each the OR of its bits.  A
-    context fails when the XOR of its recorded outcomes differs from its
-    expected product.
+    bit r of a form is record bit r.  Returns tuples of record bit
+    indices: Alice's and Bob's shared outcome erased and their recorded
+    values, each the XOR of its bits; then, for each measured context (a
+    range of outcomes), the context failing its product, the XOR of its
+    bits, and the context erased in part, the OR of its bits.  A context
+    fails when the XOR of its recorded outcomes differs from its expected
+    product.
     """
     width = len(forms)
-    contexts = (range(split), range(split, width))
     product = int(expected_sign == -1)
-    fails = [reduce(xor, (forms[j] for j in cols), product) for cols in contexts]
     flip = [1 + width + 2 * j for j in range(width)]  # each erasure bit follows its flip bit
     lost = [(flip[j] + 1,) for j in shared]
     values = [(*_bits(forms[j]), flip[j]) for j in shared]
-    failing = [(*_bits(form), *(flip[j] for j in cols)) for form, cols in zip(fails, contexts)]
-    partial = [tuple(flip[j] + 1 for j in cols) for cols in contexts]
-    if bob_mode != "in_context":
-        partial[1] = (0, *partial[1])  # Bob measures no context: the constant 1 marks it partial
-    return (*lost, *values, *failing, *partial)
+    measured = []
+    for cols in contexts:
+        fail = reduce(xor, (forms[j] for j in cols), product)
+        measured += [(*_bits(fail), *(flip[j] for j in cols)), tuple(flip[j] + 1 for j in cols)]
+    return (*lost, *values, *measured)
 
 
 def _bits(form: int) -> tuple[int, ...]:
@@ -196,19 +184,19 @@ def _record_planes(seed: int, chunk: int, entries, digits: dict) -> list[list[in
         width = 32 * len(heads)  # the bytes of a plane's blocks
         all_lanes, zero = ones.to_bytes(width, "little"), bytes(width)
         for r, p, above in tests:
+            flip = ones if above else 0  # the plane is its lanes below p XOR flip
             if digits[p]:
                 # Per p: its jobs, each the key and counter words of a plane's
-                # blocks, their width, a zero of that width and where the plane
-                # goes; and, job after job, their lanes still undecided and
-                # those found below p, one 256-bit block per chunk.
+                # blocks, their width, a zero of that width, where the plane
+                # goes and its flip; and, job after job, their lanes still
+                # undecided and those found below p, one 256-bit block per chunk.
                 jobs, undecided, below = groups.setdefault(digits[p], ([], [], []))
                 tail = r.to_bytes(8, "little")
-                jobs.append((b"".join([head + tail for head in heads]), width, zero, row, r, above, ones))
+                jobs.append((b"".join([head + tail for head in heads]), width, zero, row, r, flip))
                 undecided.append(all_lanes)
                 below.append(zero)
             else:  # p = 0 or p = 1: every lane is decided without a draw
-                value = ones if digits[p] is None else 0
-                row[r] = ones & ~value if above else value
+                row[r] = (ones if digits[p] is None else 0) ^ flip
     live, k = [(p_digits, *group) for p_digits, group in groups.items()], 0
     while live:
         blocks = philox_blocks(seed, k, b"".join([job[0] for _, jobs, _, _ in live for job in jobs]))
@@ -231,9 +219,8 @@ def _record_planes(seed: int, chunk: int, entries, digits: dict) -> list[list[in
                 j = i + job[1]
                 lanes = u[i:j]
                 if last or lanes == job[2]:  # every lane decided
-                    _, _, _, row, r, above, ones = job
-                    value = int.from_bytes(b[i:j], "little")
-                    row[r] = ones & ~value if above else value
+                    _, _, _, row, r, flip = job
+                    row[r] = int.from_bytes(b[i:j], "little") ^ flip
                 else:
                     kept[0].append(job)
                     kept[1].append(lanes)
@@ -250,16 +237,18 @@ def _counts(columns, planes: list[int]) -> list[int]:
 
     Plane 0 is all ones, one bit per shot.  Returns the comparable and
     the equal shots, Alice's shared +1 and -1 counts, Bob's, and the
-    number of fully recorded contexts and of those meeting their product.
+    number of measured contexts fully recorded and of those meeting
+    their product.
     """
     ones = planes[0]
-    lost_a, lost_b, value_a, value_b, fail_a, fail_b = (
-        reduce(xor, [planes[r] for r in bits], 0) for bits in columns[:6]
-    )
-    partial_a, partial_b = (reduce(or_, [planes[r] for r in bits], 0) for bits in columns[6:])
+    lost_a, lost_b, value_a, value_b = (reduce(xor, [planes[r] for r in bits], 0) for bits in columns[:4])
     kept_a, kept_b = ones & ~lost_a, ones & ~lost_b
-    full_a, full_b = ones & ~partial_a, ones & ~partial_b
     comparable = kept_a & kept_b
+    total = passed = 0
+    for fail_bits, partial_bits in zip(columns[4::2], columns[5::2]):
+        full = ones & ~reduce(or_, [planes[r] for r in partial_bits], 0)
+        total += full.bit_count()
+        passed += (full & ~reduce(xor, [planes[r] for r in fail_bits], 0)).bit_count()
     return [
         comparable.bit_count(),
         (comparable & ~(value_a ^ value_b)).bit_count(),
@@ -267,8 +256,8 @@ def _counts(columns, planes: list[int]) -> list[int]:
         (kept_a & value_a).bit_count(),
         (kept_b & ~value_b).bit_count(),
         (kept_b & value_b).bit_count(),
-        full_a.bit_count() + full_b.bit_count(),
-        (full_a & ~fail_a).bit_count() + (full_b & ~fail_b).bit_count(),
+        total,
+        passed,
     ]
 
 
@@ -276,7 +265,7 @@ class ExperimentConfig(NamedTuple):
     system: ContextSystem
     shots: int
     schedule: tuple[tuple[int, int], ...] | None = None  # (context id, catalog id)
-    noise: float | tuple[float, float] = 0.0
+    noise: float = 0.0
     efficiency: float = 1.0
     seed: int = 0
     bob_mode: str = "alone"
@@ -289,7 +278,7 @@ class ExperimentSummary(NamedTuple):
     conclusive_fraction: float | None
     seed: int
     bob_mode: str
-    noise: tuple[float, float]
+    noise: float
     efficiency: float
     equal_rounds: int
     comparable_rounds: int
@@ -322,7 +311,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
         raise ValueError(f"shots must be >= 0, got {config.shots}")
     if config.shots > 1 << 72:  # an entry's lane chunks are one 64-bit counter word
         raise ValueError(f"shots must be at most 2**72, got {config.shots}")
-    p_alice, p_bob = _noise_pair(config.noise)
+    if not 0.0 <= config.noise <= 1.0:
+        raise ValueError(f"flip probability must be in [0, 1], got {config.noise}")
     schedule = config.schedule or default_schedule(config.system)
     if not schedule:
         raise ValueError("schedule is empty")
@@ -344,7 +334,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     # Every entry's lanes; later entries never have more, so the entries
     # with lanes left in a block are the first few.
     lanes = [len(range(entry, config.shots, period)) for entry in range(len(rounds))]
-    digits = {p: _digits(p) for p in (0.5, p_alice, p_bob, float(config.efficiency))}
+    digits = {p: _digits(p) for p in (0.5, float(config.noise), float(config.efficiency))}
     counts = [0] * 6  # comparable, equal, Alice's +1 and -1, Bob's +1 and -1
     totals = [0] * len(config.system.contexts)
     passes = [0] * len(config.system.contexts)
@@ -370,7 +360,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
         conclusive_fraction=comparable / config.shots if config.shots else None,
         seed=config.seed,
         bob_mode=config.bob_mode,
-        noise=(p_alice, p_bob),
+        noise=float(config.noise),
         efficiency=float(config.efficiency),
         equal_rounds=equal,
         comparable_rounds=comparable,

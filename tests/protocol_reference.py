@@ -28,7 +28,7 @@ import numpy as np
 
 from oracles import bell_product_state, measure_context, relabel
 from bellcheck.pauli import PauliOperator, commutes, identity, multiply, single
-from bellcheck.protocol import MODES, ExperimentSummary, _noise_pair, default_schedule
+from bellcheck.protocol import MODES, ExperimentSummary, default_schedule
 from bellcheck.rng import check_key
 from bellcheck.tableau import _check_size, _checked_context
 
@@ -160,6 +160,12 @@ def _record(outcomes, first, width, p_flip, efficiency, lane):
     return tuple(recorded)
 
 
+def _check_flip(p):
+    """One flip probability for both observers; NaN fails both comparisons."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"flip probability must be in [0, 1], got {p}")
+
+
 def reference_round(system, ctx_id, obs_id, bob_mode, noise, efficiency, rng, backend):
     initial, measure = BACKENDS[backend]
     n = system.num_qubits
@@ -167,7 +173,7 @@ def reference_round(system, ctx_id, obs_id, bob_mode, noise, efficiency, rng, ba
         raise ValueError(f"unknown context id {ctx_id}")
     if bob_mode not in MODES:
         raise ValueError(f"bob_mode must be one of {MODES}, got {bob_mode!r}")
-    p_alice, p_bob = _noise_pair(noise)
+    _check_flip(noise)
     if not 0.0 < efficiency <= 1.0:
         raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
     context = system.contexts[ctx_id]
@@ -187,8 +193,8 @@ def reference_round(system, ctx_id, obs_id, bob_mode, noise, efficiency, rng, ba
         bob_raw, state = measure(state, _on_side(n, context.observables, "bob"), rng)
         bob_shared_pos = shared_pos
     width = len(alice_raw) + len(bob_raw)
-    alice = _record(alice_raw, 0, width, p_alice, efficiency, rng)
-    bob = _record(bob_raw, len(alice_raw), width, p_bob, efficiency, rng)
+    alice = _record(alice_raw, 0, width, noise, efficiency, rng)
+    bob = _record(bob_raw, len(alice_raw), width, noise, efficiency, rng)
     return Round(alice, bob, alice[shared_pos], bob[bob_shared_pos])
 
 
@@ -197,7 +203,7 @@ def reference_experiment(config, backend="tableau"):
         raise ValueError(f"shots must be >= 0, got {config.shots}")
     if config.shots > 2**72:
         raise ValueError(f"shots must be at most 2**72, got {config.shots}")
-    p_alice, p_bob = _noise_pair(config.noise)
+    _check_flip(config.noise)
     schedule = config.schedule or default_schedule(config.system)
     if not schedule:
         raise ValueError("schedule is empty")
@@ -214,7 +220,7 @@ def reference_experiment(config, backend="tableau"):
         lane, entry = divmod(shot, len(schedule))
         ctx_id, obs_id = schedule[entry]
         record = reference_round(
-            config.system, ctx_id, obs_id, config.bob_mode, (p_alice, p_bob),
+            config.system, ctx_id, obs_id, config.bob_mode, config.noise,
             config.efficiency, Lane(config.seed, entry, lane), backend,
         )
         if record.shared_alice is not None and record.shared_bob is not None:
@@ -240,7 +246,7 @@ def reference_experiment(config, backend="tableau"):
         conclusive_fraction=comparable / config.shots if config.shots else None,
         seed=config.seed,
         bob_mode=config.bob_mode,
-        noise=(p_alice, p_bob),
+        noise=float(config.noise),
         efficiency=float(config.efficiency),
         equal_rounds=equal,
         comparable_rounds=comparable,

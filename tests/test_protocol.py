@@ -91,15 +91,18 @@ class TestRunExperiment:
         )
         assert abs(summary.equality_rate - 0.5) < binomial_4sigma(0.5, shots)
 
-    def test_one_sided_noise_equality_is_one_minus_p(self):
+    @pytest.mark.parametrize("p", [0.1, 0.3])
+    def test_noise_on_both_sides_equality_closed_form(self, p):
+        """Both shared outcomes flip with probability p: they agree with probability 1 - 2p + 2p^2.
+
+        They agree when neither or both flip; flips on one side only would give 1 - p.
+        """
         shots = 4000
-        p = 0.3
         summary = run_experiment(
-            ExperimentConfig(
-                system=mermin_square(), shots=shots, noise=(p, 0.0), seed=6
-            )
+            ExperimentConfig(system=mermin_square(), shots=shots, noise=p, seed=6)
         )
-        assert abs(summary.equality_rate - (1.0 - p)) < binomial_4sigma(1.0 - p, shots)
+        equality = 1.0 - 2.0 * p + 2.0 * p * p
+        assert abs(summary.equality_rate - equality) < binomial_4sigma(equality, shots)
 
     def test_efficiency_gives_squared_conclusive_fraction(self):
         shots = 4000
@@ -166,11 +169,17 @@ class TestTableauAgainstDenseOracle:
     """
 
     @pytest.mark.parametrize("mode", ["alone", "in_context"])
-    # (0.0, 0.9) and ((0.0, 0.1), 1.0) sit just outside the exact regime,
-    # where the sampler draws no flip or erasure numbers.
+    # (0.0, 0.9), erasures only, and (0.1, 1.0), flips only, sit just
+    # outside the exact regime, where the sampler draws no flip or erasure
+    # numbers.  The ids "noise2" and "noise4" are pytest's names for these
+    # slots from when they held a flip probability per observer; they are
+    # kept so that the test ids do not change.
     @pytest.mark.parametrize(
         "noise,efficiency",
-        [(0.0, 1.0), (0.1, 0.8), ((0.05, 0.2), 0.95), (0.0, 0.9), ((0.0, 0.1), 1.0)],
+        [
+            (0.0, 1.0), (0.1, 0.8), pytest.param(0.2, 0.95, id="noise2-0.95"),
+            (0.0, 0.9), pytest.param(0.1, 1.0, id="noise4-1.0"),
+        ],
     )
     @pytest.mark.parametrize("n,shots", [(2, 60), (3, 40), (5, 24), (7, 8)])
     def test_summaries_equal(self, n, shots, noise, efficiency, mode):
@@ -373,7 +382,7 @@ BAD_INPUTS = [
     (mermin_square(), ((0, 0), (0, 3)), "in_context", 0.0, 1.0, 0, 5),
     (mermin_square(), None, "together", 0.0, 1.0, 0, 5),
     (mermin_square(), None, "alone", 1.5, 1.0, 0, 5),
-    (mermin_square(), None, "alone", (0.1, -0.1), 1.0, 0, 5),
+    (mermin_square(), None, "alone", -0.1, 1.0, 0, 5),
     (mermin_square(), None, "alone", 0.0, 0.0, 0, 5),
     (mermin_square(), None, "alone", 0.0, 1.0, -1, 5),
     (NON_COMMUTING, None, "alone", 0.0, 1.0, 0, 5),
