@@ -36,6 +36,34 @@ RECORDS = {
     "StateVector": lambda: bell_product_state(1),
     "StabilizerTableau": lambda: bell_product_tableau.__wrapped__(1),  # not the cached copy
 }
+# Each record's field names, in order, and its defaults.
+SHAPES = {
+    "PauliOperator": ("num_qubits x_mask z_mask phase_exponent", {}),
+    "ParityRow": ("variables rhs", {}),
+    "ParitySystem": ("variables rows", {}),
+    "SolveResult": ("satisfiable assignment certificate", {"assignment": None, "certificate": None}),
+    "Context": ("observables expected_sign", {}),
+    "ContextSystem": ("num_qubits contexts", {}),
+    "ContextCheck": (
+        "context_index commuting failing_pair product_sign expected_sign non_hermitian",
+        {"non_hermitian": None},
+    ),
+    "ValidationReport": ("checks failures", {"failures": ()}),
+    "Check": ("name passed measured expected tolerance", {"tolerance": None}),
+    "MeasurementVectors": ("a a_prime b b_prime", {}),
+    "ChshReport": ("n quantum_value lhv_bound ratio sub_classical", {}),
+    "ExperimentConfig": (
+        "system shots schedule noise efficiency seed bob_mode",
+        {"schedule": None, "noise": 0.0, "efficiency": 1.0, "seed": 0, "bob_mode": "alone"},
+    ),
+    "ExperimentSummary": (
+        "shots equality_rate product_pass_rates conclusive_fraction seed bob_mode noise"
+        " efficiency equal_rounds comparable_rounds shared_counts",
+        {},
+    ),
+    "StateVector": ("num_qubits amplitudes", {}),
+    "StabilizerTableau": ("num_qubits stabilizers destabilizers signs measured", {}),
+}
 # Records that hold a dict or an array, so they have no hash.
 UNHASHABLE = {"ExperimentSummary", "StateVector"}
 
@@ -57,6 +85,15 @@ REFUSALS = [
     (StateVector(1, np.array([1.0, 0.0])), {"amplitudes": np.ones(3)}, "expected 2 amplitudes, got (3,)"),
     (StateVector(1, np.array([1.0, 0.0])), {"amplitudes": np.ones(2)}, "state is not normalized"),
 ]
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_fields_and_defaults_keep_their_shape(name):
+    """Field names, their order, and each default with its type (so 0.0 is not 0)."""
+    fields, defaults = SHAPES[name]
+    record = RECORDS[name]()
+    assert record._fields == tuple(fields.split())
+    assert repr(record._field_defaults) == repr(defaults)
 
 
 @pytest.mark.parametrize("name", RECORDS)
