@@ -23,7 +23,6 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import NamedTuple
 
 from .pauli import PauliOperator
 from .tableau import singlet_product_tableau, tableau_expectation
@@ -155,12 +154,7 @@ def lhv_max(n: int) -> float:
     return float(per_pair) ** n
 
 
-class ChshReport(NamedTuple):
-    n: int
-    quantum_value: float
-    lhv_bound: float
-    ratio: float
-    sub_classical: bool
+ChshReport = namedtuple("ChshReport", "n quantum_value lhv_bound ratio sub_classical")
 
 
 def gap_report(n: int, vectors: MeasurementVectors | None = None) -> ChshReport:

@@ -21,19 +21,15 @@ import json
 import os
 import sys
 import time
-from typing import NamedTuple
+from collections import namedtuple
 
 # The command words, in help order.  Word `w` runs in `bellcheck.commands.w`,
 # which adds its subparser and holds its handler.
 COMMANDS = ("verify", "bks", "ghz", "correlate", "chsh", "eigencheck")
 
 
-class Check(NamedTuple):
-    name: str
-    passed: bool
-    measured: object
-    expected: object
-    tolerance: float | None = None
+# `tolerance` is None for an exact comparison (see `RunReport.check`).
+Check = namedtuple("Check", "name passed measured expected tolerance", defaults=(None,))
 
 
 class RunReport:

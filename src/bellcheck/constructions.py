@@ -11,12 +11,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
 
 from .pauli import PauliOperator, context_faults, fault_message, format_pauli, parse_pauli, product, single
-
-if TYPE_CHECKING:
-    from .parity import ParitySystem
 
 
 # The n for which `generalized_sets` builds a family: odd, 3..13.
@@ -89,13 +85,21 @@ def product_sign(context: Context) -> int:
     return +1 if acc.phase_exponent == 0 else -1
 
 
-class ContextCheck(NamedTuple):
-    context_index: int
-    commuting: bool
-    failing_pair: tuple[str, str] | None
-    product_sign: int | None
-    expected_sign: int
-    non_hermitian: str | None = None  # first member that is not an observable
+class ContextCheck(
+    namedtuple(
+        "ContextCheck",
+        "context_index commuting failing_pair product_sign expected_sign non_hermitian",
+        defaults=(None,),
+    )
+):
+    """One context's verdict.  `non_hermitian` is the text of the first
+    member that is not an observable, and `failing_pair` that of the first
+    two members that do not commute, or None.  `product_sign` is the s of a
+    product s * identity, or None where the members do not commute or the
+    product is not +-identity.
+    """
+
+    __slots__ = ()
 
     @property
     def problem(self) -> str | None:
@@ -114,9 +118,10 @@ class ContextCheck(NamedTuple):
         return self.problem is None
 
 
-class ValidationReport(NamedTuple):
-    checks: tuple[ContextCheck, ...]
-    failures: tuple[int, ...] = ()
+class ValidationReport(namedtuple("ValidationReport", "checks failures", defaults=((),))):
+    """A `ContextCheck` per context, and the indices of those that fail."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -218,8 +223,8 @@ def ghz_observables() -> tuple[tuple[PauliOperator, int], ...]:
     )
 
 
-def ghz_contexts(grouping: str) -> ParitySystem:
-    """Value-assignment parity constraints for the GHZ observables.
+def ghz_contexts(grouping: str):
+    """Value-assignment parity constraints for the GHZ observables, as a `ParitySystem`.
 
     "tripartite": one variable per single-particle component (X and Y on
     each of three particles); every equation sums three variables.

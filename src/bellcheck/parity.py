@@ -20,8 +20,7 @@ solver never names an observable; a report names each one by its text,
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Hashable
-from typing import Iterable, Mapping, NamedTuple
+from collections.abc import Hashable, Iterable, Mapping
 
 
 class ParityRow(namedtuple("ParityRow", "variables rhs")):
@@ -58,10 +57,11 @@ class ParitySystem(namedtuple("ParitySystem", "variables rows")):
         return mask
 
 
-class SolveResult(NamedTuple):
-    satisfiable: bool
-    assignment: dict[Hashable, int] | None = None
-    certificate: tuple[int, ...] | None = None
+SolveResult = namedtuple("SolveResult", "satisfiable assignment certificate", defaults=(None, None))
+SolveResult.__doc__ = """`solve`'s verdict.  A satisfiable system has an `assignment`, a dict
+from each variable to +1 or -1; an unsatisfiable one has a `certificate`,
+the ascending indices of rows that sum to 0 = 1.  The other is None.
+"""
 
 
 def build_parity_system(system) -> ParitySystem:

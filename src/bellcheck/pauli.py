@@ -36,6 +36,11 @@ class PauliSyntaxError(ValueError):
         self.position = position
 
 
+# Every record of the package is a `collections.namedtuple`: immutable, and
+# cheap to define at import, which every CLI run pays; `typing.NamedTuple`
+# would load `typing` and a dataclass `dataclasses` and `inspect`.  A record
+# with methods or checks subclasses one with `__slots__ = ()`, and runs its
+# checks in `__new__`, which its `_make`, and so `_replace`, also goes through.
 class PauliOperator(namedtuple("PauliOperator", "num_qubits x_mask z_mask phase_exponent")):
     """Immutable phased Pauli word; see module docstring for the encoding."""
 

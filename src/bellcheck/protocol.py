@@ -33,9 +33,9 @@ exactly; the summary statistics quantify how both degrade otherwise.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import reduce
 from operator import or_, xor
-from typing import NamedTuple
 
 from .constructions import ContextSystem
 from .pauli import format_pauli
@@ -261,28 +261,26 @@ def _counts(columns, planes: list[int]) -> list[int]:
     ]
 
 
-class ExperimentConfig(NamedTuple):
-    system: ContextSystem
-    shots: int
-    schedule: tuple[tuple[int, int], ...] | None = None  # (context id, catalog id)
-    noise: float = 0.0
-    efficiency: float = 1.0
-    seed: int = 0
-    bob_mode: str = "alone"
+ExperimentConfig = namedtuple(
+    "ExperimentConfig",
+    "system shots schedule noise efficiency seed bob_mode",
+    defaults=(None, 0.0, 1.0, 0, "alone"),
+)
+ExperimentConfig.__doc__ = """A run of `run_experiment`.  `schedule` is a tuple of (context id,
+catalog id) pairs, or None for `default_schedule(system)`.
+"""
 
-
-class ExperimentSummary(NamedTuple):
-    shots: int
-    equality_rate: float | None
-    product_pass_rates: dict[int, float | None]
-    conclusive_fraction: float | None
-    seed: int
-    bob_mode: str
-    noise: float
-    efficiency: float
-    equal_rounds: int
-    comparable_rounds: int
-    shared_counts: dict[str, dict[int, int]]
+ExperimentSummary = namedtuple(
+    "ExperimentSummary",
+    "shots equality_rate product_pass_rates conclusive_fraction seed bob_mode noise efficiency"
+    " equal_rounds comparable_rounds shared_counts",
+)
+ExperimentSummary.__doc__ = """What `run_experiment` counted.  `equality_rate` is None with no
+comparable round and `conclusive_fraction` with no shot;
+`product_pass_rates` maps each context id with a fully recorded round to
+its pass rate, and `shared_counts` maps "alice" and "bob" to how often
+the shared word read +1 and -1.
+"""
 
 
 def default_schedule(system: ContextSystem) -> tuple[tuple[int, int], ...]:

@@ -25,22 +25,13 @@ dense state vectors that the tests compare it with live in
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .pauli import PauliOperator, context_faults, fault_message, format_pauli, multiply, product_masks
 
 
-class StabilizerTableau(NamedTuple):
-    # Every record of the package is a named tuple: immutable, and cheap to
-    # define at import, which every CLI run pays.
-    # A record with checks subclasses one and runs them in `__new__`, which
-    # its `_make`, and so `_replace`, also goes through.
-    num_qubits: int
-    stabilizers: tuple[tuple[int, int], ...]
-    destabilizers: tuple[tuple[int, int], ...]
-    signs: tuple[int, ...]
-    measured: int
+StabilizerTableau = namedtuple("StabilizerTableau", "num_qubits stabilizers destabilizers signs measured")
 
 
 def embed(op: PauliOperator, side: str) -> PauliOperator:
