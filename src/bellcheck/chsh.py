@@ -16,8 +16,6 @@ assumes that each observer's joint outcome is the product of the
 per-pair +-1 outcomes.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from collections import namedtuple

@@ -12,12 +12,12 @@ live in its own module under `bellcheck.commands`.  `main` builds only the
 subparser of the command word it is given, so a child imports one handler
 module; each handler imports the bellcheck modules it runs, and this module
 only the stdlib.  So a child loads (and compiles) no module it does not run.
+A JSON report is written by `_json`, not by the `json` package, whose
+import (with its regexes) would cost every child about 2 ms; `json` loads
+only for a value that the writer leaves to it.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import os
 import sys
 import time
@@ -61,7 +61,7 @@ class RunReport:
         }
         payload.update(self.extras)
         payload["checks"] = [c._asdict() for c in self.checks]
-        return json.dumps(payload, indent=2)
+        return _json(payload)
 
     def to_text(self, wall_time: float) -> str:
         lines = [f"command: {self.command}"]
@@ -82,6 +82,43 @@ class RunReport:
         lines.append(f"wall time: {wall_time:.3f} s")
         lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
+
+
+def _json(value, newline: str = "\n") -> str:
+    """`json.dumps(value, indent=2)`, each line break followed by `newline`'s indent.
+
+    Dicts with `str` keys, lists, tuples, `None`, bools, ints, finite floats
+    and strings of printable ASCII with no `"` or `\\` are written here,
+    exactly as `json` writes them.  Any other value (a string to escape, a
+    non-finite float, a non-`str` key, another type) goes to `json.dumps`
+    itself, imported only then, so the bytes are its bytes.
+    """
+    kind = type(value)
+    if kind is str:
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+    elif kind is int or kind is float and value - value == 0:
+        return repr(value)
+    elif value is None:
+        return "null"
+    elif kind is bool:
+        return "true" if value else "false"
+    elif kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    elif kind is dict:
+        if not value:
+            return "{}"
+        if all(type(key) is str for key in value):
+            inner = newline + "  "
+            items = [f"{_json(key)}: {_json(item, inner)}" for key, item in value.items()]
+            return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    import json
+
+    return json.dumps(value, indent=2).replace("\n", newline)
 
 
 def _system_for(n: int, square: bool = True):

@@ -7,8 +7,6 @@ observables and how often each occurs.  Every built-in constructor
 self-validates its structural properties before returning.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import cached_property
 

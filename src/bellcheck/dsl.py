@@ -14,8 +14,6 @@ Parsing builds the contexts verbatim; structural validation (commutation,
 product signs) is deliberately left to the caller.
 """
 
-from __future__ import annotations
-
 from .constructions import Context, ContextSystem
 from .pauli import PauliOperator, PauliSyntaxError, format_pauli, parse_pauli
 

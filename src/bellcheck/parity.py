@@ -17,8 +17,6 @@ solver never names an observable; a report names each one by its text,
 `str(word)`, only where it prints it.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Hashable, Iterable, Mapping
 
@@ -67,18 +65,26 @@ the ascending indices of rows that sum to 0 = 1.  The other is None.
 def build_parity_system(system) -> ParitySystem:
     """One XOR row per context of a ContextSystem; rhs 1 iff expected sign -1.
 
+    Then one row per scalar word of the catalog, a word with no letter
+    but `I` such as `I` or `- I`, pinning it to its one eigenvalue: `I`
+    is +1 and `- I` is -1 in every assignment.  (A non-Hermitian scalar
+    fails validation.)
+
     The variables are the catalog's own words, in catalog order: no name
     is made here, so a verdict that prints none formats none.
     """
     index = system.catalog_index
-    rows = tuple(
+    rows = [
         ParityRow(
             tuple(index[obs] for obs in ctx.observables),
             0 if ctx.expected_sign == +1 else 1,
         )
         for ctx in system.contexts
-    )
-    return ParitySystem(system.catalog, rows)
+    ]
+    for i, word in enumerate(system.catalog):
+        if word.is_identity_word:
+            rows.append(ParityRow((i,), word.phase_exponent >> 1))
+    return ParitySystem(system.catalog, tuple(rows))
 
 
 def solve(ps: ParitySystem) -> SolveResult:

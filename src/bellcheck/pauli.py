@@ -14,8 +14,6 @@ Multiplication tracks phases exactly in integer arithmetic, so products
 of Pauli words are exact.
 """
 
-from __future__ import annotations
-
 import re
 from collections import namedtuple
 from itertools import combinations, islice

@@ -31,8 +31,6 @@ round and every fully-recorded context satisfies its product constraint
 exactly; the summary statistics quantify how both degrade otherwise.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import reduce
 from operator import or_, xor
@@ -48,6 +46,28 @@ MODES = ("alone", "in_context")
 # 4, 8 and 16 chunks ran 10^5 and 5 x 10^5 shots of n = 13 equally fast;
 # at 5 x 10^5 shots 4 peaked at 19 MiB RSS, 16 at 28 MiB.
 BLOCK_CHUNKS = 4
+
+
+ExperimentConfig = namedtuple(
+    "ExperimentConfig",
+    "system shots schedule noise efficiency seed bob_mode",
+    defaults=(None, 0.0, 1.0, 0, "alone"),
+)
+ExperimentConfig.__doc__ = """A run of `run_experiment`.  `schedule` is a tuple of (context id,
+catalog id) pairs, or None for `default_schedule(system)`.
+"""
+
+ExperimentSummary = namedtuple(
+    "ExperimentSummary",
+    "shots equality_rate product_pass_rates conclusive_fraction seed bob_mode noise efficiency"
+    " equal_rounds comparable_rounds shared_counts",
+)
+ExperimentSummary.__doc__ = """What `run_experiment` counted.  `equality_rate` is None with no
+comparable round and `conclusive_fraction` with no shot;
+`product_pass_rates` maps each context id with a fully recorded round to
+its pass rate, and `shared_counts` maps "alice" and "bob" to how often
+the shared word read +1 and -1.
+"""
 
 
 def _compile_round(
@@ -259,28 +279,6 @@ def _counts(columns, planes: list[int]) -> list[int]:
         total,
         passed,
     ]
-
-
-ExperimentConfig = namedtuple(
-    "ExperimentConfig",
-    "system shots schedule noise efficiency seed bob_mode",
-    defaults=(None, 0.0, 1.0, 0, "alone"),
-)
-ExperimentConfig.__doc__ = """A run of `run_experiment`.  `schedule` is a tuple of (context id,
-catalog id) pairs, or None for `default_schedule(system)`.
-"""
-
-ExperimentSummary = namedtuple(
-    "ExperimentSummary",
-    "shots equality_rate product_pass_rates conclusive_fraction seed bob_mode noise efficiency"
-    " equal_rounds comparable_rounds shared_counts",
-)
-ExperimentSummary.__doc__ = """What `run_experiment` counted.  `equality_rate` is None with no
-comparable round and `conclusive_fraction` with no shot;
-`product_pass_rates` maps each context id with a fully recorded round to
-its pass rate, and `shared_counts` maps "alice" and "bob" to how often
-the shared word read +1 and -1.
-"""
 
 
 def default_schedule(system: ContextSystem) -> tuple[tuple[int, int], ...]:

@@ -17,8 +17,6 @@ The tests check its blocks bit for bit against NumPy's own `Philox`
 read a given block it is set one below it.
 """
 
-from __future__ import annotations
-
 # Round multipliers and per-round key increments of Philox4x64.
 _MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)

@@ -23,8 +23,6 @@ dense state vectors that the tests compare it with live in
 `tests/oracles.py`.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bellcheck
 from bellcheck import cli, constructions, pauli, protocol
@@ -217,6 +218,34 @@ class TestBksSolve:
         payload = json.loads(out)
         assert payload["result"] == "UNSAT"
         assert payload["certificate"] == [0, 1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("first", ["set X1, X2, X1 X2, - I = -1", "set X1, X2, X1 X2, I"])
+    def test_square_with_a_scalar_word_is_unsat(self, capsys, tmp_path, first):
+        """`I` is +1 and `- I` is -1 in every assignment, so either file is the square."""
+        path = tmp_path / "square.obs"
+        path.write_text(
+            f"qubits 2\n{first}\n"
+            "set Z2, Z1, Z1 Z2\n"
+            "set X1 Z2, Z1 X2, Y1 Y2\n"
+            "set X1, Z2, X1 Z2\n"
+            "set X2, Z1, Z1 X2\n"
+            "set X1 X2, Z1 Z2, Y1 Y2 = -1\n"
+        )
+        code, out, _ = run(capsys, ["bks", "solve", "--file", str(path), "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["result"], payload["variables"], payload["rows"]) == ("UNSAT", 10, 7)
+        assert payload["certificate"] == [0, 1, 2, 3, 4, 5, 6]
+        assert payload["checks"][0]["passed"]
+
+    @pytest.mark.parametrize("line,word,value", [("set I", "I", 1), ("set - I = -1", "- I", -1)])
+    def test_a_lone_scalar_word_takes_its_eigenvalue(self, capsys, tmp_path, line, word, value):
+        path = tmp_path / "scalar.obs"
+        path.write_text(f"qubits 1\n{line}\n")
+        code, out, _ = run(capsys, ["bks", "solve", "--file", str(path), "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["result"], payload["rows"], payload["assignment"]) == ("SAT", 2, {word: value})
 
     @pytest.mark.parametrize(
         "text,problem",
@@ -627,6 +656,67 @@ class TestOneSubparser:
         assert built == [cli.COMMANDS]
 
 
+# Values that `cli._json` must leave to `json`, or write exactly as it does.
+AWKWARD_STRINGS = [
+    "", "plain text", "caf\u00e9", "\u2028", "\U0001f600", "\ud800", "\x00", "\x1f", "\x7f",
+    '"', "\\", "a\"b\\c", "tab\there", "line\nbreak",
+]
+AWKWARD_SCALARS = [
+    None, True, False, 0, -1, 2**64, -(2**64) - 1, 10**40,
+    0.0, -0.0, 5e-324, 1e300, 0.1, float("nan"), float("inf"), float("-inf"),
+    *AWKWARD_STRINGS,
+]
+json_scalars = st.one_of(
+    st.sampled_from(AWKWARD_SCALARS),
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(),
+    st.text(),
+)
+json_payloads = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.sampled_from(AWKWARD_STRINGS), st.text()), children, max_size=4),
+        st.dictionaries(st.one_of(st.text(), st.integers()), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    """`cli._json` is `json.dumps(value, indent=2)`, byte for byte, without loading `json`."""
+
+    @pytest.mark.parametrize("value", AWKWARD_SCALARS, ids=repr)
+    def test_awkward_scalars(self, value):
+        for payload in (value, [value], (1, [value]), {"key": value, "nested": {"deeper": [value]}}):
+            assert cli._json(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize("key", [*AWKWARD_STRINGS, 1, -2**70, 0.5, True, None], ids=repr)
+    def test_awkward_keys(self, key):
+        for payload in ({key: 1}, {"a": [{key: [], "b": {}}]}, [{"x": 1, key: (2, 3)}]):
+            assert cli._json(payload) == json.dumps(payload, indent=2)
+
+    def test_empty_and_nested_containers(self):
+        for payload in ([], (), {}, [[]], [(), {}], {"a": [], "b": {}, "c": [[], [[{}]]]}):
+            assert cli._json(payload) == json.dumps(payload, indent=2)
+
+    @given(json_payloads)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json_dumps(self, payload):
+        assert cli._json(payload) == json.dumps(payload, indent=2)
+
+    def test_every_recorded_report_is_written_without_json(self, monkeypatch):
+        """The writer gives every report of the corpus its recorded bytes without `json`."""
+        corpus = json.loads((REPO / "tests" / "golden" / "corpus.json").read_text(encoding="utf-8"))
+        recorded = [entry["stdout"] for entry in corpus if entry["stdout"]]
+        reports = [json.loads(text) for text in recorded]
+        monkeypatch.setitem(sys.modules, "json", None)  # `import json` now raises
+        assert [cli._json(report) + "\n" for report in reports] == recorded
+
+
 class TestStartup:
     @pytest.mark.parametrize("argv", VERDICTS, ids=" ".join)
     def test_verdicts_never_import_numpy(self, tmp_path, argv):
@@ -636,12 +726,17 @@ class TestStartup:
 
     def test_no_command_loads_dataclasses_inspect_or_typing(self, tmp_path):
         """Records are `collections` named tuples: `dataclasses`, with its `inspect`, costs a
-        child about 14 ms, and `typing` about 5 ms.
+        child about 14 ms, and `typing` about 5 ms.  Nor does any command load
+        `json` (about 2 ms: `cli._json` writes the reports) or `__future__`.
 
         Every command runs in one fresh interpreter started with `-S`, so no
         `.pth` file of `site` loads these modules first, and after each
         command it prints what has newly loaded since before `bellcheck.cli`.
         """
+        forbidden = {
+            "dataclasses", "inspect", "typing", "_typing",
+            "json", "json.decoder", "json.encoder", "__future__",
+        }
         write_readme_obs(tmp_path)
         runs = [[*argv, "--format", "json"] for argv in VERDICTS + SMALL_RUNS]
         script = (
@@ -652,7 +747,7 @@ class TestStartup:
             "    sys.stdout, out = io.StringIO(), sys.stdout\n"
             "    code = cli.main(argv)\n"
             "    sys.stdout = out\n"
-            "    print(code, *argv, sorted({'dataclasses', 'inspect', 'typing', '_typing'} & set(sys.modules) - before))\n"
+            f"    print(code, *argv, sorted({forbidden!r} & set(sys.modules) - before))\n"
         )
         result = subprocess.run(
             [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=fresh_env(),

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from oracles import brute_force
-from bellcheck.constructions import FAMILY_NS, generalized_sets, ghz_contexts, mermin_square
+from bellcheck.constructions import (
+    FAMILY_NS,
+    Context,
+    ContextSystem,
+    generalized_sets,
+    ghz_contexts,
+    mermin_square,
+    product_sign,
+    validate,
+)
 from bellcheck.dsl import parse_document
 from bellcheck.parity import (
     ParityRow,
@@ -15,6 +24,7 @@ from bellcheck.parity import (
     check_certificate,
     solve,
 )
+from bellcheck.pauli import PauliOperator, commutes, format_pauli, product
 
 
 def random_system(rng, max_vars=20):
@@ -197,3 +207,123 @@ class TestTypes:
     def test_row_mask_cancels_repeats(self):
         ps = ParitySystem(("a", "b"), (ParityRow((0, 1, 0), 0),))
         assert ps.row_mask(0) == 0b10
+
+
+# The magic square with a scalar word appended to its first context: `- I`
+# with that context declared -1, or `I` with it left at +1.  Both are the
+# square, so both are UNSAT.
+SQUARE_WITH_SCALAR = {
+    "- I": "set X1, X2, X1 X2, - I = -1",
+    "I": "set X1, X2, X1 X2, I",
+}
+
+
+def square_with_scalar(scalar: str) -> str:
+    return (
+        f"qubits 2\n{SQUARE_WITH_SCALAR[scalar]}\n"
+        "set Z2, Z1, Z1 Z2\n"
+        "set X1 Z2, Z1 X2, Y1 Y2\n"
+        "set X1, Z2, X1 Z2\n"
+        "set X2, Z1, Z1 X2\n"
+        "set X1 X2, Z1 Z2, Y1 Y2 = -1\n"
+    )
+
+
+def with_scalar(system, context_index: int, negative: bool):
+    """`system` with `I`, or `- I` and the context's sign flipped, appended to one context."""
+    scalar = PauliOperator(system.num_qubits, 0, 0, 2 if negative else 0)
+    contexts = list(system.contexts)
+    ctx = contexts[context_index]
+    sign = -ctx.expected_sign if negative else ctx.expected_sign
+    contexts[context_index] = Context((*ctx.observables, scalar), sign)
+    return ContextSystem(system.num_qubits, tuple(contexts))
+
+
+def random_obs_system(rng):
+    """A physical two-qubit `.obs` system of four to fifteen contexts, parsed from its text.
+
+    Each of the fifteen non-identity masks gets one word, of either sign.
+    A context is two commuting words closed by the word of their mask
+    product, as in the square, and declares its product's sign.  About one
+    system in ten holds a parity proof, which needs six contexts at least.
+    """
+    words = {
+        (x, z): PauliOperator(2, x, z, 2 * int(rng.integers(0, 2)))
+        for x in range(4)
+        for z in range(4)
+        if x or z
+    }
+    pool = list(words.values())
+    lines = []
+    contexts = int(rng.integers(4, 16))
+    while len(lines) < contexts:
+        a, b = (pool[int(i)] for i in rng.choice(len(pool), size=2, replace=False))
+        if commutes(a, b):
+            observables = (a, b, words[product((a, b))[1:3]])
+            sign = product_sign(Context(observables, +1))
+            lines.append(f"set {', '.join(map(format_pauli, observables))} = {sign:+d}")
+    system = parse_document("qubits 2\n" + "\n".join(lines) + "\n")
+    assert not validate(system).failures
+    return system
+
+
+def verdict(system) -> SolveResult:
+    """`solve`'s verdict on `system`, with its witness checked and the oracle's agreement."""
+    ps = build_parity_system(system)
+    result = solve(ps)
+    if result.satisfiable:
+        assert check_assignment(ps, result.assignment)
+    else:
+        assert check_certificate(ps, result.certificate)
+    if len(ps.variables) <= 16:
+        assert brute_force(ps).satisfiable == result.satisfiable
+    return result
+
+
+class TestScalarWords:
+    """`I` and `- I` have one eigenvalue each, +1 and -1, so no assignment may choose theirs."""
+
+    @pytest.mark.parametrize("scalar", SQUARE_WITH_SCALAR)
+    def test_square_with_a_scalar_is_unsat(self, scalar):
+        system = parse_document(square_with_scalar(scalar))
+        assert not validate(system).failures
+        ps = build_parity_system(system)
+        result = solve(ps)
+        assert not result.satisfiable
+        assert result.certificate == (0, 1, 2, 3, 4, 5, 6)
+        assert check_certificate(ps, result.certificate)
+        assert not brute_force(ps).satisfiable
+        # The scalar is the fourth catalog word; its row follows the contexts'.
+        assert format_pauli(system.catalog[3]) == scalar
+        assert ps.rows[6] == ParityRow((3,), 1 if scalar == "- I" else 0)
+
+    @pytest.mark.parametrize("text,value", [("set I", 1), ("set - I = -1", -1)])
+    def test_a_lone_scalar_takes_its_eigenvalue(self, text, value):
+        system = parse_document(f"qubits 1\n{text}\n")
+        ps = build_parity_system(system)
+        assert len(ps.rows) == 2
+        result = solve(ps)
+        assert result.assignment == {system.catalog[0]: value}
+        assert brute_force(ps) == result
+
+    @pytest.mark.parametrize("n", [2, *FAMILY_NS])
+    def test_a_scalar_never_changes_a_builtin_verdict(self, n):
+        system = mermin_square() if n == 2 else generalized_sets(n)
+        expected = verdict(system).satisfiable
+        for i in range(len(system.contexts)):
+            for negative in (False, True):
+                changed = with_scalar(system, i, negative)
+                assert not validate(changed).failures
+                assert verdict(changed).satisfiable == expected
+
+    def test_a_scalar_never_changes_a_random_verdict(self):
+        rng = np.random.default_rng(23)
+        seen = set()
+        for _ in range(150):
+            system = random_obs_system(rng)
+            expected = verdict(system).satisfiable
+            seen.add(expected)
+            for i in range(len(system.contexts)):
+                for negative in (False, True):
+                    assert verdict(with_scalar(system, i, negative)).satisfiable == expected
+        assert seen == {True, False}
