@@ -221,29 +221,29 @@ def ghz_observables() -> tuple[tuple[PauliOperator, int], ...]:
     )
 
 
+# Each grouping's observers, as the mask of the qubits each one holds.
+_GHZ_OBSERVERS = {"tripartite": (0b001, 0b010, 0b100), "bipartite": (0b001, 0b110)}
+
+
 def ghz_contexts(grouping: str):
     """Value-assignment parity constraints for the GHZ observables, as a `ParitySystem`.
 
-    "tripartite": one variable per single-particle component (X and Y on
-    each of three particles); every equation sums three variables.
-    "bipartite": particle 1 is one observer, particles 2+3 the other, so
-    the second observer only holds the four two-particle products; every
-    equation sums two variables and each product variable occurs once.
+    Each observable splits into one factor per observer of the grouping,
+    its letters on that observer's qubits ("tripartite": one observer per
+    particle; "bipartite": particle 1 and particles 2+3).  The variables
+    are the distinct factors, observer by observer, each observer's in
+    order of first use; row k sums observable k's factors, with rhs 1 iff
+    its stated eigenvalue is -1.
     """
     from .parity import ParityRow, ParitySystem  # here, so that `constructions` does not load `parity`
 
-    if grouping == "tripartite":
-        variables = ("X1", "Y1", "X2", "Y2", "X3", "Y3")
-        terms = [("X1", "Y2", "Y3"), ("Y1", "X2", "Y3"), ("Y1", "Y2", "X3"), ("X1", "X2", "X3")]
-    elif grouping == "bipartite":
-        variables = ("X1", "Y1", "Y2 Y3", "X2 Y3", "Y2 X3", "X2 X3")
-        terms = [("X1", "Y2 Y3"), ("Y1", "X2 Y3"), ("Y1", "Y2 X3"), ("X1", "X2 X3")]
-    else:
+    if grouping not in _GHZ_OBSERVERS:
         raise ValueError(f"grouping must be 'tripartite' or 'bipartite', got {grouping!r}")
-    index = {name: i for i, name in enumerate(variables)}
-    eigenvalues = [ev for _, ev in ghz_observables()]
-    rows = tuple(
-        ParityRow(tuple(index[name] for name in term), 0 if ev == +1 else 1)
-        for term, ev in zip(terms, eigenvalues)
-    )
-    return ParitySystem(variables, rows)
+    masks = _GHZ_OBSERVERS[grouping]
+    terms = [([PauliOperator(3, op.x_mask & m, op.z_mask & m) for m in masks], ev) for op, ev in ghz_observables()]
+    index: dict[PauliOperator, int] = {}
+    for j in range(len(masks)):
+        for factors, _ in terms:
+            index.setdefault(factors[j], len(index))
+    rows = tuple(ParityRow(tuple(index[f] for f in factors), 0 if ev == +1 else 1) for factors, ev in terms)
+    return ParitySystem(tuple(index), rows)

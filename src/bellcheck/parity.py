@@ -12,7 +12,7 @@ witnessed by an explicit assignment.  Both witnesses are checkable
 independently of the solver (`check_certificate`, `check_assignment`).
 
 The variables are any hashable labels, and an assignment is keyed by
-them.  For a context system they are its catalog's Pauli words, so the
+them.  In every system the package builds they are Pauli words, so the
 solver never names an observable; a report names each one by its text,
 `str(word)`, only where it prints it.
 """
@@ -68,7 +68,8 @@ def build_parity_system(system) -> ParitySystem:
     Then one row per scalar word of the catalog, a word with no letter
     but `I` such as `I` or `- I`, pinning it to its one eigenvalue: `I`
     is +1 and `- I` is -1 in every assignment.  (A non-Hermitian scalar
-    fails validation.)
+    fails validation.)  And one row per word `- A` whose `A` is also in
+    the catalog, tying the two: v(- A) = -v(A).
 
     The variables are the catalog's own words, in catalog order: no name
     is made here, so a verdict that prints none formats none.
@@ -81,9 +82,11 @@ def build_parity_system(system) -> ParitySystem:
         )
         for ctx in system.contexts
     ]
-    for i, word in enumerate(system.catalog):
-        if word.is_identity_word:
-            rows.append(ParityRow((i,), word.phase_exponent >> 1))
+    for i, (n, x, z, phase) in enumerate(system.catalog):
+        if not x | z:
+            rows.append(ParityRow((i,), phase >> 1))
+        elif phase == 2 and (n, x, z, 0) in index:  # a record equals its field tuple
+            rows.append(ParityRow((index[n, x, z, 0], i), 1))
     return ParitySystem(system.catalog, tuple(rows))
 
 

@@ -238,6 +238,25 @@ class TestBksSolve:
         assert payload["certificate"] == [0, 1, 2, 3, 4, 5, 6]
         assert payload["checks"][0]["passed"]
 
+    def test_square_with_a_negated_word_is_unsat(self, capsys, tmp_path):
+        """`- Y1 Y2` in one context and `Y1 Y2` in another are one observable, so this is the square."""
+        path = tmp_path / "square.obs"
+        path.write_text(
+            "qubits 2\n"
+            "set X1, X2, X1 X2\n"
+            "set Z2, Z1, Z1 Z2\n"
+            "set X1 Z2, Z1 X2, - Y1 Y2 = -1\n"
+            "set X1, Z2, X1 Z2\n"
+            "set X2, Z1, Z1 X2\n"
+            "set X1 X2, Z1 Z2, Y1 Y2 = -1\n"
+        )
+        code, out, _ = run(capsys, ["bks", "solve", "--file", str(path), "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["result"], payload["variables"], payload["rows"]) == ("UNSAT", 10, 7)
+        assert payload["certificate"] == [0, 1, 2, 3, 4, 5, 6]
+        assert payload["checks"][0]["passed"]
+
     @pytest.mark.parametrize("line,word,value", [("set I", "I", 1), ("set - I = -1", "- I", -1)])
     def test_a_lone_scalar_word_takes_its_eigenvalue(self, capsys, tmp_path, line, word, value):
         path = tmp_path / "scalar.obs"
@@ -738,7 +757,7 @@ class TestStartup:
             "json", "json.decoder", "json.encoder", "__future__",
         }
         write_readme_obs(tmp_path)
-        runs = [[*argv, "--format", "json"] for argv in VERDICTS + SMALL_RUNS]
+        runs = [[*argv, "--format", "json"] for argv in VERDICTS + SMALL_RUNS + [LARGE_RUN]]
         script = (
             "import io, sys\n"
             "before = set(sys.modules)\n"

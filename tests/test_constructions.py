@@ -16,7 +16,8 @@ from bellcheck.constructions import (
     product_sign,
     validate,
 )
-from bellcheck.pauli import commutes, context_faults, format_pauli, parse_pauli
+from bellcheck.pauli import commutes, context_faults, format_pauli, parse_pauli, product
+from bellcheck.tableau import ghz_tableau, tableau_expectation
 
 
 def dense_product(ops):
@@ -227,11 +228,42 @@ class TestGhz:
         assert len(ps.variables) == 6
         assert len(ps.rows) == 4
         assert all(len(row.variables) == 2 for row in ps.rows)
-        bob_vars = [i for i, name in enumerate(ps.variables) if " " in name]
+        # The second observer holds particles 2 and 3, so its words have no letter on qubit 1.
+        bob_vars = [i for i, word in enumerate(ps.variables) if not (word.x_mask | word.z_mask) & 1]
         occurrences = [
             sum(v in row.variables for row in ps.rows) for v in bob_vars
         ]
         assert occurrences == [1, 1, 1, 1]
+
+    # Each grouping's observers, as the qubits each one holds (1-based).
+    OBSERVERS = {"tripartite": ({1}, {2}, {3}), "bipartite": ({1}, {2, 3})}
+
+    @pytest.mark.parametrize("grouping", OBSERVERS)
+    def test_each_row_splits_its_observable_over_the_observers(self, grouping):
+        """Row k holds one factor per observer, on that observer's qubits, and they multiply to observable k."""
+        ps = ghz_contexts(grouping)
+        observers = self.OBSERVERS[grouping]
+        assert len(set(ps.variables)) == len(ps.variables) == 6
+        assert len(ps.rows) == len(ghz_observables())
+        for row, (op, _) in zip(ps.rows, ghz_observables()):
+            factors = [ps.variables[i] for i in row.variables]
+            assert len(factors) == len(observers)
+            assert product(factors) == op  # phase 0 included
+            for factor, qubits in zip(factors, observers):
+                assert factor.phase_exponent == 0
+                assert {q for q in (1, 2, 3) if factor.letter(q) != "I"} == qubits
+
+    @pytest.mark.parametrize("grouping", OBSERVERS)
+    def test_each_rhs_is_the_eigenvalue_on_the_ghz_state(self, grouping):
+        ps = ghz_contexts(grouping)
+        state = ghz_tableau()
+        expectations = [tableau_expectation(state, op) for op, _ in ghz_observables()]
+        assert [1 - 2 * row.rhs for row in ps.rows] == expectations
+
+    def test_bipartite_variable_order(self):
+        """The first observer's words, then the second's, each in order of first use."""
+        words = ("X1", "Y1", "Y2 Y3", "X2 Y3", "Y2 X3", "X2 X3")
+        assert ghz_contexts("bipartite").variables == tuple(parse_pauli(w, 3) for w in words)
 
     def test_unknown_grouping(self):
         with pytest.raises(ValueError, match="grouping"):

@@ -24,7 +24,7 @@ from bellcheck.parity import (
     check_certificate,
     solve,
 )
-from bellcheck.pauli import PauliOperator, commutes, format_pauli, product
+from bellcheck.pauli import PauliOperator, commutes, format_pauli, parse_pauli, product
 
 
 def random_system(rng, max_vars=20):
@@ -86,7 +86,7 @@ class TestSolve:
         assert check_assignment(ps, result.assignment)
         # The published example witness also satisfies the system.
         example = {"X1": +1, "Y1": +1, "Y2 Y3": +1, "X2 Y3": +1, "Y2 X3": +1, "X2 X3": -1}
-        assert check_assignment(ps, example)
+        assert check_assignment(ps, {parse_pauli(text, 3): value for text, value in example.items()})
 
     def test_tripartite_ghz_unsat(self):
         ps = ghz_contexts("tripartite")
@@ -130,14 +130,8 @@ class TestBruteForce:
 
     def test_bipartite_lexicographically_first_witness(self):
         result = brute_force(ghz_contexts("bipartite"))
-        assert result.assignment == {
-            "X1": +1,
-            "Y1": +1,
-            "Y2 Y3": +1,
-            "X2 Y3": +1,
-            "Y2 X3": +1,
-            "X2 X3": -1,
-        }
+        expected = {"X1": +1, "Y1": +1, "Y2 Y3": +1, "X2 Y3": +1, "Y2 X3": +1, "X2 X3": -1}
+        assert result.assignment == {parse_pauli(text, 3): value for text, value in expected.items()}
 
     def test_single_row(self):
         ps = ParitySystem(("v1",), (ParityRow((0,), 0),))
@@ -326,4 +320,73 @@ class TestScalarWords:
             for i in range(len(system.contexts)):
                 for negative in (False, True):
                     assert verdict(with_scalar(system, i, negative)).satisfiable == expected
+        assert seen == {True, False}
+
+
+# The magic square with `Y1 Y2` negated in its third row, which is declared
+# -1 for it.  `- Y1 Y2` and `Y1 Y2` are one observable, so this is the square.
+SQUARE_WITH_NEGATIVE = (
+    "qubits 2\n"
+    "set X1, X2, X1 X2\n"
+    "set Z2, Z1, Z1 Z2\n"
+    "set X1 Z2, Z1 X2, - Y1 Y2 = -1\n"
+    "set X1, Z2, X1 Z2\n"
+    "set X2, Z1, Z1 X2\n"
+    "set X1 X2, Z1 Z2, Y1 Y2 = -1\n"
+)
+
+
+def with_negated(system, context_index: int, position: int):
+    """`system` with one occurrence of a word negated and its context's sign flipped."""
+    contexts = list(system.contexts)
+    ctx = contexts[context_index]
+    observables = list(ctx.observables)
+    n, x, z, phase = observables[position]
+    observables[position] = PauliOperator(n, x, z, phase + 2)
+    contexts[context_index] = Context(tuple(observables), -ctx.expected_sign)
+    return ContextSystem(system.num_qubits, tuple(contexts))
+
+
+class TestNegatedWords:
+    """`A` and `- A` are one observable, so v(- A) = -v(A) in every assignment."""
+
+    def test_square_with_a_negated_word_is_unsat(self):
+        system = parse_document(SQUARE_WITH_NEGATIVE)
+        assert not validate(system).failures
+        ps = build_parity_system(system)
+        assert (len(ps.variables), len(ps.rows)) == (10, 7)
+        result = solve(ps)
+        assert not result.satisfiable
+        assert check_certificate(ps, result.certificate)
+        assert not brute_force(ps).satisfiable
+        # `- Y1 Y2` is the ninth catalog word and `Y1 Y2` the tenth; their row follows the contexts'.
+        assert [format_pauli(word) for word in system.catalog[8:]] == ["- Y1 Y2", "Y1 Y2"]
+        assert ps.rows[6] == ParityRow((9, 8), 1)
+
+    def test_a_negative_without_its_word_adds_no_row(self):
+        text = SQUARE_WITH_NEGATIVE.replace("Z1 Z2, Y1 Y2 = -1", "Z1 Z2, - Y1 Y2")
+        ps = build_parity_system(parse_document(text))
+        assert (len(ps.variables), len(ps.rows)) == (9, 6)
+        assert not solve(ps).satisfiable
+
+    @pytest.mark.parametrize("n", [2, *FAMILY_NS])
+    def test_a_negated_word_never_changes_a_builtin_verdict(self, n):
+        system = mermin_square() if n == 2 else generalized_sets(n)
+        expected = verdict(system).satisfiable
+        for i, ctx in enumerate(system.contexts):
+            for k in range(len(ctx.observables)):
+                changed = with_negated(system, i, k)
+                assert not validate(changed).failures
+                assert verdict(changed).satisfiable == expected
+
+    def test_a_negated_word_never_changes_a_random_verdict(self):
+        rng = np.random.default_rng(29)
+        seen = set()
+        for _ in range(150):
+            system = random_obs_system(rng)
+            expected = verdict(system).satisfiable
+            seen.add(expected)
+            for i, ctx in enumerate(system.contexts):
+                for k in range(len(ctx.observables)):
+                    assert verdict(with_negated(system, i, k)).satisfiable == expected
         assert seen == {True, False}
