@@ -26,7 +26,8 @@ def run(args) -> RunReport:
         from ..dsl import parse_document  # only `--file` reads `.obs` text
 
         report = RunReport("bks solve", {"file": args.file})
-        with open(args.file, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that some editors write.
+        with open(args.file, "r", encoding="utf-8-sig") as fh:
             system = parse_document(fh.read())
         # A verdict on contexts that are not physical would be meaningless.
         for check in validate(system).checks:

@@ -24,7 +24,9 @@ chunk, record bit, round, 0) gives 256 lanes of one plane.  A coin is
 the bit of round 0; a flip (U < noise) or an erasure (U >= efficiency)
 compares each lane's uniform U, read one binary digit per round, with
 the binary digits of the threshold, and a lane is decided at the first
-digit where they differ (`_record_planes`).
+digit where they differ.  Each plane that needs draws is a job of its
+own: one call per digit draws the blocks of every live job, and a job
+retires once its lanes are decided (`_record_planes`).
 
 With no noise and unit efficiency the shared outcomes agree on every
 round and every fully-recorded context satisfies its product constraint
@@ -81,10 +83,10 @@ def _compile_round(
     (its forms and post-measurement tableau) and of Bob's words on that
     tableau, shared by every entry that reaches them.  The register has
     two blocks of `system.num_qubits` qubits.
-    Returns (statistics columns, number of record bits, context id, the
-    tests of the record bits the columns read); the outcomes are Alice's
-    words, then Bob's, and the measured contexts are Alice's and, in
-    "in_context" mode, Bob's (see `_columns`).
+    Returns (statistics columns, context id, the tests of the record bits
+    the columns read); the outcomes are Alice's words, then Bob's, and
+    the measured contexts are Alice's and, in "in_context" mode, Bob's
+    (see `_columns`).
     """
     system, bob_mode = config.system, config.bob_mode
     if not 0 <= alice_context_id < len(system.contexts):
@@ -122,18 +124,12 @@ def _compile_round(
     width = len(forms)
     contexts = (range(split),) if bob_mode == "alone" else (range(split), range(split, width))
     columns = _columns(forms, (shared_pos, split + bob_shared_pos), context.expected_sign, contexts)
-    # Each record bit a statistic reads, with its test: a coin (record bit
-    # j + 1 for outcome j) is U >= 1/2, then outcome j's flip U < noise and
-    # its erasure U >= efficiency.  A forced word's coin is never read.
-    tests = []
-    for r in sorted({r for bits in columns for r in bits} - {0}):
-        if r <= width:
-            tests.append((r, 0.5, True))
-        elif (r - width) % 2:  # flip bit 1 + width + 2j
-            tests.append((r, float(config.noise), False))
-        else:
-            tests.append((r, float(config.efficiency), True))
-    return columns, 1 + 3 * width, alice_context_id, tests
+    # The test of record bit r is layout[r - 1]: a coin (record bit j + 1
+    # for outcome j) is U >= 1/2, then outcome j's flip U < noise and its
+    # erasure U >= efficiency.  A forced word's coin is never read.
+    layout = [(0.5, True)] * width + [(float(config.noise), False), (float(config.efficiency), True)] * width
+    tests = [(r, *layout[r - 1]) for r in sorted({r for bits in columns for r in bits} - {0})]
+    return columns, alice_context_id, tests
 
 
 def _columns(forms, shared: tuple[int, int], expected_sign: int, contexts):
@@ -177,83 +173,66 @@ def _digits(p: float) -> str | None:
     return format(numerator, "b").zfill(denominator.bit_length() - 1) if numerator else ""
 
 
-def _record_planes(seed: int, chunk: int, entries, digits: dict) -> list[list[int]]:
+def _record_planes(seed: int, chunk: int, entries, digits: dict) -> list[dict]:
     """The record planes of each entry's lanes from lane 256 * chunk on.
 
-    Entry (key, lanes, size, tests) gives `size` planes of `lanes` bits:
-    plane 0 is all ones, and plane r is record bit r for each test (r, p,
-    above), the lanes whose U is below p, or with `above` the others;
-    planes no test names stay 0.  Lane q's U is the binary fraction
-    0.u1 u2 ..., digit k the bit of lane q in the block of the entry's
-    stream at counter (chunk + q // 256, r, k - 1, 0).  Digit by digit, a
-    lane is decided where its digit differs from p's (`digits[p]`): below
-    p where p's is 1, above where it is 0.  Lanes equal to p up to p's
-    last 1 are not below it.
+    Entry (key, lanes, tests) gives a dict of planes of `lanes` bits, by
+    record bit: plane 0 is all ones, and plane r is record bit r for each
+    test (r, p, above), the lanes whose U is below p, or with `above` the
+    others.  Lane q's U is the binary fraction 0.u1 u2 ..., digit k the
+    bit of lane q in the block of the entry's stream at counter
+    (chunk + q // 256, r, k - 1, 0).  Digit by digit, a lane is decided
+    where its digit differs from p's (`digits[p]`): below p where p's is
+    1, above where it is 0.  Lanes equal to p up to p's last 1 are not
+    below it.
 
-    Each round draws one block per chunk of every plane with a lane still
-    undecided, for all entries at once (`rng.philox_blocks`).  The planes
-    of one p share p's digits, so each round updates all their lanes with
-    a few big-int operations, 256 bits per block.
+    Each plane that needs draws is a job that holds its own undecided
+    lanes and those found below p.  Each round draws one block per chunk
+    of every live job, for all entries at once (`rng.philox_blocks`), and
+    a job retires once all its lanes are decided.
     """
-    planes, groups = [], {}
-    for key, lanes, size, tests in entries:
+    planes, live = [], []
+    for key, lanes, tests in entries:
         ones = (1 << lanes) - 1
-        row = [ones] + [0] * (size - 1)
+        row = {0: ones}
         planes.append(row)
         heads = [key.to_bytes(8, "little") + c.to_bytes(8, "little") for c in range(chunk, chunk - (-lanes // 256))]
-        width = 32 * len(heads)  # the bytes of a plane's blocks
-        all_lanes, zero = ones.to_bytes(width, "little"), bytes(width)
         for r, p, above in tests:
             flip = ones if above else 0  # the plane is its lanes below p XOR flip
             if digits[p]:
-                # Per p: its jobs, each the key and counter words of a plane's
-                # blocks, their width, a zero of that width, where the plane
-                # goes and its flip; and, job after job, their lanes still
-                # undecided and those found below p, one 256-bit block per chunk.
-                jobs, undecided, below = groups.setdefault(digits[p], ([], [], []))
-                tail = r.to_bytes(8, "little")
-                jobs.append((b"".join([head + tail for head in heads]), width, zero, row, r, flip))
-                undecided.append(all_lanes)
-                below.append(zero)
+                # A job: the key and counter words of its blocks, the bytes
+                # those blocks fill, p's digits, where the plane goes and its
+                # flip, then its lanes still undecided and those found below p.
+                words = b"".join([head + r.to_bytes(8, "little") for head in heads])
+                live.append([words, 32 * len(heads), digits[p], row, r, flip, ones, 0])
             else:  # p = 0 or p = 1: every lane is decided without a draw
                 row[r] = (ones if digits[p] is None else 0) ^ flip
-    live, k = [(p_digits, *group) for p_digits, group in groups.items()], 0
+    k, from_bytes = 0, int.from_bytes
     while live:
-        blocks = philox_blocks(seed, k, b"".join([job[0] for _, jobs, _, _ in live for job in jobs]))
-        start, survivors = 0, []
-        for p_digits, jobs, undecided, below in live:
-            undecided, below = b"".join(undecided), b"".join(below)
-            size = len(undecided)
-            bits = int.from_bytes(blocks[start : start + size], "little")
-            undecided, below = int.from_bytes(undecided, "little"), int.from_bytes(below, "little")
-            start += size
+        blocks = philox_blocks(seed, k, b"".join([job[0] for job in live]))
+        end, survivors = 0, []
+        for job in live:
+            _, size, p_digits, row, r, flip, undecided, below = job
+            start = end
+            end += size
+            bits = from_bytes(blocks[start:end], "little")
             if p_digits[k] == "1":
                 below |= undecided & ~bits
                 undecided &= bits
             else:
                 undecided &= ~bits
-            last = k + 1 == len(p_digits)
-            u, b = undecided.to_bytes(size, "little"), below.to_bytes(size, "little")
-            kept, i = ([], [], []), 0
-            for job in jobs:
-                j = i + job[1]
-                lanes = u[i:j]
-                if last or lanes == job[2]:  # every lane decided
-                    _, _, _, row, r, flip = job
-                    row[r] = int.from_bytes(b[i:j], "little") ^ flip
-                else:
-                    kept[0].append(job)
-                    kept[1].append(lanes)
-                    kept[2].append(b[i:j])
-                i = j
-            if kept[0]:
-                survivors.append((p_digits, *kept))
+            if undecided and k + 1 < len(p_digits):
+                job[6] = undecided
+                job[7] = below
+                survivors.append(job)
+            else:
+                row[r] = below ^ flip
         live, k = survivors, k + 1
     return planes
 
 
-def _counts(columns, planes: list[int]) -> list[int]:
-    """The summary counts of one entry's shots, from their record planes.
+def _counts(columns, planes: dict) -> list[int]:
+    """The summary counts of one entry's shots, from their record planes by record bit.
 
     Plane 0 is all ones, one bit per shot.  Returns the comparable and
     the equal shots, Alice's shared +1 and -1 counts, Bob's, and the
@@ -309,7 +288,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
         raise ValueError(f"shots must be at most 2**72, got {config.shots}")
     if not 0.0 <= config.noise <= 1.0:
         raise ValueError(f"flip probability must be in [0, 1], got {config.noise}")
-    schedule = config.schedule or default_schedule(config.system)
+    schedule = default_schedule(config.system) if config.schedule is None else config.schedule
     if not schedule:
         raise ValueError("schedule is empty")
     period = len(schedule)
@@ -337,12 +316,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     step = 256 * BLOCK_CHUNKS
     for first in range(0, lanes[0] if lanes else 0, step):
         entries = [
-            (entry, min(n - first, step), size, tests)
-            for entry, (n, (_, size, _, tests)) in enumerate(zip(lanes, rounds))
+            (entry, min(n - first, step), tests)
+            for entry, (n, (_, _, tests)) in enumerate(zip(lanes, rounds))
             if n > first
         ]
         planes = _record_planes(config.seed, first // 256, entries, digits)
-        for (columns, _, ctx_id, _), entry in zip(rounds, planes):
+        for (columns, ctx_id, _), entry in zip(rounds, planes):
             *shared, total, passed = _counts(columns, entry)
             counts = [a + b for a, b in zip(counts, shared)]
             totals[ctx_id] += total

@@ -204,7 +204,7 @@ def reference_experiment(config, backend="tableau"):
     if config.shots > 2**72:
         raise ValueError(f"shots must be at most 2**72, got {config.shots}")
     _check_flip(config.noise)
-    schedule = config.schedule or default_schedule(config.system)
+    schedule = default_schedule(config.system) if config.schedule is None else config.schedule
     if not schedule:
         raise ValueError("schedule is empty")
     check_key(config.seed, 0)

@@ -257,6 +257,25 @@ class TestBksSolve:
         assert payload["certificate"] == [0, 1, 2, 3, 4, 5, 6]
         assert payload["checks"][0]["passed"]
 
+    def test_square_with_a_byte_order_mark_and_crlf_is_unsat(self, capsys, tmp_path):
+        """A UTF-8 file as Windows editors write it: a byte-order mark and CRLF line ends."""
+        path = tmp_path / "square.obs"
+        text = (
+            "qubits 2\r\n"
+            "set X1, X2, X1 X2\r\n"
+            "set Z2, Z1, Z1 Z2\r\n"
+            "set X1 Z2, Z1 X2, Y1 Y2\r\n"
+            "set X1, Z2, X1 Z2\r\n"
+            "set X2, Z1, Z1 X2\r\n"
+            "set X1 X2, Z1 Z2, Y1 Y2 = -1\r\n"
+        )
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        code, out, err = run(capsys, ["bks", "solve", "--file", str(path), "--format", "json"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["result"], payload["certificate"]) == ("UNSAT", [0, 1, 2, 3, 4, 5])
+        assert payload["checks"][0]["passed"]
+
     @pytest.mark.parametrize("line,word,value", [("set I", "I", 1), ("set - I = -1", "- I", -1)])
     def test_a_lone_scalar_word_takes_its_eigenvalue(self, capsys, tmp_path, line, word, value):
         path = tmp_path / "scalar.obs"

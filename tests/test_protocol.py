@@ -296,15 +296,16 @@ def test_prefix_stability(monkeypatch):
     digits = {p: protocol._digits(p) for p in (0.5, 0.05, 0.9, 2**-40)}
 
     def planes(chunk, lanes):
-        return protocol._record_planes(11, chunk, [(3, lanes, 6, tests)], digits)[0]
+        return protocol._record_planes(11, chunk, [(3, lanes, tests)], digits)[0]
 
     whole = planes(0, 700)
     for lanes in (0, 1, 63, 256, 257, 699):
-        assert planes(0, lanes) == [plane & ((1 << lanes) - 1) for plane in whole]
+        assert planes(0, lanes) == {r: plane & ((1 << lanes) - 1) for r, plane in whole.items()}
     monkeypatch.setattr(rng, "PACKED_LANES", 1)
     for chunk in range(3):  # blocks of one chunk, each Philox block a pass of its own
         lanes = min(256, 700 - 256 * chunk)
-        assert planes(chunk, lanes) == [plane >> 256 * chunk & ((1 << lanes) - 1) for plane in whole]
+        expected = {r: plane >> 256 * chunk & ((1 << lanes) - 1) for r, plane in whole.items()}
+        assert planes(chunk, lanes) == expected
 
 
 # Flip probabilities and efficiencies at the edges of the 53-bit draw grid.
@@ -324,10 +325,10 @@ def test_integer_thresholds_equal_the_float_comparison(p):
     """
     seed, chunk = 2**64 - 1, 3
     tests = [(1, 0.5, True), (2, p, False), (3, p, True)]
-    entries = [(0, 300, 4, tests), (7, 45, 4, tests), (2**64 - 1, 0, 4, tests)]
+    entries = [(0, 300, tests), (7, 45, tests), (2**64 - 1, 0, tests)]
     digits = {q: protocol._digits(q) for q in (0.5, p)}
     planes = protocol._record_planes(seed, chunk, entries, digits)
-    for (key, lanes, _, _), row in zip(entries, planes):
+    for (key, lanes, _), row in zip(entries, planes):
         reads = [Lane(seed, key, 256 * chunk + q) for q in range(lanes)]
         expected = [
             [1] * lanes,
@@ -335,14 +336,47 @@ def test_integer_thresholds_equal_the_float_comparison(p):
             [lane.below(2, Fraction(p)) for lane in reads],
             [not lane.below(3, Fraction(p)) for lane in reads],
         ]
-        assert row == [sum(bit << q for q, bit in enumerate(bits)) for bits in expected]
+        assert row == {r: sum(bit << q for q, bit in enumerate(bits)) for r, bits in enumerate(expected)}
 
 
 def test_planes_of_no_shots():
     tests = [(1, 0.5, True), (2, 0.1, False), (3, 0.9, True)]
     digits = {q: protocol._digits(q) for q in (0.5, 0.1, 0.9)}
-    assert protocol._record_planes(1, 0, [(0, 0, 7, tests)], digits) == [[0] * 7]
+    assert protocol._record_planes(1, 0, [(0, 0, tests)], digits) == [dict.fromkeys(range(4), 0)]
     assert protocol._record_planes(1, 0, [], digits) == []
+
+
+@pytest.mark.parametrize(
+    "seed,n,shots,noise,efficiency,blocks",
+    [
+        (0, 5, 200, 0.023, 0.863, 4062),
+        (0, 7, 50, 0.05, 0.9, 3379),
+        (1, 13, 200, 0.05, 0.9, 11194),
+        (1, 2, 300, 0.0, 1.0, 48),
+    ],
+)
+def test_blocks_drawn(monkeypatch, seed, n, shots, noise, efficiency, blocks):
+    """The Philox blocks a run draws, summed over both Bob modes.
+
+    Equal summaries do not show that the sampler draws no extra blocks, so
+    the counts are pinned: each round draws one block per chunk of every
+    plane with a lane still undecided, and no other.
+    """
+    drawn = []
+
+    def counting(seed, c2, lanes):
+        drawn.append(len(lanes) // 24)
+        return rng.philox_blocks(seed, c2, lanes)
+
+    monkeypatch.setattr(protocol, "philox_blocks", counting)
+    for mode in MODES:
+        run_experiment(
+            ExperimentConfig(
+                system=system_for(n), shots=shots, noise=noise,
+                efficiency=efficiency, seed=seed, bob_mode=mode,
+            )
+        )
+    assert sum(drawn) == blocks
 
 
 @pytest.mark.parametrize("p", THRESHOLDS)
@@ -431,6 +465,15 @@ class TestBadInputs:
         with monkeypatch.context() as patch:
             patch.setattr(protocol, "philox_blocks", drew_first)
             assert self.error(run_experiment, config) == expected
+
+    @pytest.mark.parametrize("shots", [0, 5])
+    def test_empty_schedule_raises_before_any_draw(self, monkeypatch, shots):
+        """Only None selects the default schedule: an empty one is refused, not replaced."""
+        config = ExperimentConfig(system=mermin_square(), shots=shots, schedule=())
+        assert self.error(reference_experiment, config) == "schedule is empty"
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "philox_blocks", drew_first)
+            assert self.error(run_experiment, config) == "schedule is empty"
 
     @pytest.mark.parametrize("shots", [2**72 + 1, 10**30])
     def test_shots_past_the_counter_range_raise_before_any_entry(self, monkeypatch, shots):
