@@ -122,14 +122,14 @@ def _json(value, newline: str = "\n") -> str:
 
 
 def _system_for(n: int, square: bool = True):
-    """The generalized family for odd n in 3..13, and the square for n = 2 if `square`."""
+    """The generalized family for n in `constructions.FAMILY_NS`, and the square for n = 2 if `square`."""
     from .constructions import FAMILY_NS, generalized_sets, mermin_square
 
     if square and n == 2:
         return mermin_square()
     if n not in FAMILY_NS:
         allowed = "2 (square) or odd" if square else "odd"
-        raise UsageError(f"--n must be {allowed} in 3..13, got {n}")
+        raise UsageError(f"--n must be {allowed} in {FAMILY_NS[0]}..{FAMILY_NS[-1]}, got {n}")
     return generalized_sets(n)
 
 

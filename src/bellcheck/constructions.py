@@ -13,7 +13,7 @@ from functools import cached_property
 from .pauli import PauliOperator, context_faults, fault_message, format_pauli, parse_pauli, product, single
 
 
-# The n for which `generalized_sets` builds a family: odd, 3..13.
+# The odd n for which `generalized_sets` builds a family.
 FAMILY_NS = range(3, 14, 2)
 
 
@@ -44,7 +44,10 @@ class ContextSystem(namedtuple("ContextSystem", "num_qubits contexts")):
 
     @property
     def occurrence_counts(self) -> tuple[int, ...]:
-        """Number of contexts containing each catalog entry, catalog order."""
+        """How often each catalog entry occurs over all contexts, catalog order.
+
+        An entry that a context lists twice counts twice there.
+        """
         return self._catalog_counts[1]
 
     @property
@@ -188,7 +191,7 @@ def generalized_sets(n: int) -> ContextSystem:
     occurring in exactly two sets.
     """
     if n not in FAMILY_NS:
-        raise ValueError(f"n must be odd and within 3..13, got {n}")
+        raise ValueError(f"n must be odd and within {FAMILY_NS[0]}..{FAMILY_NS[-1]}, got {n}")
 
     def wrap(i: int) -> int:
         return (i - 1) % n + 1

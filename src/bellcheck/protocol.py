@@ -7,30 +7,34 @@ measure on the stabilizer tableau of the shared state (`tableau`).
 Every recorded outcome is independently flipped with probability `noise`
 and erased (inconclusive) with probability 1 - `efficiency`.
 
-A round is compiled once into GF(2) affine forms, one per outcome:
-`tableau.compile_context` measures A's words on the Bell tableau, then
-B's on the tableau that A's measurement leaves, which numbers B's coins
-after A's.  The forms give the record bits that each statistic combines:
-the shared outcomes' erasures and values, and for each context measured
-(A's, and B's in "in_context" mode) its product failing and its partial
-erasure.  An experiment then evaluates the statistics bit-sliced: for
-each schedule entry, record bit r of all its shots is one Python int (a
-record plane, bit q for the entry's q-th shot), so a statistic is a few
-int XORs or ORs and the summary is popcounts.  The planes are drawn
-straight from plain-int Philox blocks (`rng.philox_blocks`), with no
-numpy, after Stim's bit-packed noise sampling (Gidney, Quantum 5, 497
-(2021)): each entry has its own stream, and the block at counter (lane
-chunk, record bit, round, 0) gives 256 lanes of one plane.  A coin is
-the bit of round 0; a flip (U < noise) or an erasure (U >= efficiency)
-compares each lane's uniform U, read one binary digit per round, with
-the binary digits of the threshold, and a lane is decided at the first
-digit where they differ.  Each plane that needs draws is a job of its
-own: one call per digit draws the blocks of every live job, and a job
-retires once its lanes are decided (`_record_planes`).
+The module has two layers.  The compile layer (`compile_schedule`)
+measures each schedule entry's round once into GF(2) affine forms, one
+per outcome, with no noise, efficiency or seed: `tableau.compile_context`
+measures A's words on the Bell tableau, then B's on the tableau that A's
+measurement leaves, which numbers B's coins after A's.  The sampling
+layer maps those forms to record bits (`_columns`, the one place that
+knows the record-bit layout): the shared outcomes' erasures and values,
+and for each context measured (A's, and B's in "in_context" mode) its
+product failing and its partial erasure.  An experiment then evaluates
+the statistics bit-sliced: for each schedule entry, record bit r of all
+its shots is one Python int (a record plane, bit q for the entry's q-th
+shot), so a statistic is a few int XORs or ORs and the summary is
+popcounts.  The planes are drawn straight from plain-int Philox blocks
+(`rng.philox_blocks`), with no numpy, after Stim's bit-packed noise
+sampling (Gidney, Quantum 5, 497 (2021)): each entry has its own
+stream, and the block at counter (lane chunk, record bit, round, 0)
+gives 256 lanes of one plane.  A coin is the bit of round 0; a flip
+(U < noise) or an erasure (U >= efficiency) compares each lane's uniform
+U, read one binary digit per round, with the binary digits of the
+threshold, and a lane is decided at the first digit where they differ.
+Each plane that needs draws is a job of its own: one call per digit
+draws the blocks of every live job, and a job retires once its lanes
+are decided (`_record_planes`).
 
-With no noise and unit efficiency the shared outcomes agree on every
-round and every fully-recorded context satisfies its product constraint
-exactly; the summary statistics quantify how both degrade otherwise.
+The forms show the exact regime: Bob's shared form is Alice's and a
+context's forms XOR to its sign's bit, so with no noise and unit
+efficiency the shared outcomes agree and every context meets its
+product; the summary statistics quantify how both degrade otherwise.
 """
 
 from collections import namedtuple
@@ -72,89 +76,86 @@ the shared word read +1 and -1.
 """
 
 
-def _compile_round(
-    config: ExperimentConfig, alice_context_id: int, shared_observable_id: int, blocks: dict
-) -> tuple:
-    """Check one schedule entry and compile its round into statistics columns.
+CompiledRound = namedtuple("CompiledRound", "context_id alice bob shared sign")
+CompiledRound.__doc__ = """One schedule entry measured symbolically (`compile_schedule`).
 
-    Runs the checks of the entry itself (`run_experiment` has checked the
-    rest) before compiling it, so a bad entry raises before any draw.
-    `blocks` holds the symbolic measurement of each context's Alice block
-    (its forms and post-measurement tableau) and of Bob's words on that
-    tableau, shared by every entry that reaches them.  The register has
-    two blocks of `system.num_qubits` qubits.
-    Returns (statistics columns, context id, the tests of the record bits
-    the columns read); the outcomes are Alice's words, then Bob's, and
-    the measured contexts are Alice's and, in "in_context" mode, Bob's
-    (see `_columns`).
+`alice` and `bob` are the outcome forms of the words each measures
+(`tableau.compile_context`), Bob's coins numbered after Alice's;
+`shared` is the shared word's position in each, and `sign` is the
+context's expected sign.
+"""
+
+
+def _check_mode(bob_mode: str) -> None:
+    if bob_mode not in MODES:
+        raise ValueError(f"bob_mode must be one of {MODES}, got {bob_mode!r}")
+
+
+def compile_schedule(system: ContextSystem, schedule, bob_mode: str = "alone") -> list:
+    """Every schedule entry's round as GF(2) affine forms, one `CompiledRound` each.
+
+    On the register of two blocks of `system.num_qubits` qubits, Alice
+    measures her context on the Bell tableau, then Bob his words (the
+    shared word in "alone" mode, his copy of the context in "in_context"
+    mode) on the tableau that hers leaves.  Each entry is checked before
+    it is compiled, so the first bad entry raises; each context's Alice
+    block, and each Bob block, is compiled once per call.
     """
-    system, bob_mode = config.system, config.bob_mode
-    if not 0 <= alice_context_id < len(system.contexts):
-        raise ValueError(f"unknown context id {alice_context_id}")
-    context = system.contexts[alice_context_id]
+    _check_mode(bob_mode)
     catalog = system.catalog
-    if not 0 <= shared_observable_id < len(catalog):
-        raise ValueError(f"unknown observable id {shared_observable_id}")
-    shared = catalog[shared_observable_id]
-    try:
-        shared_pos = context.observables.index(shared)
-    except ValueError:
-        raise ValueError(
-            f"shared observable {format_pauli(shared)} is not in context "
-            f"{alice_context_id}"
-        ) from None
-
-    alice = blocks.get(alice_context_id)
-    if alice is None:
-        words = [embed(o, "alice") for o in context.observables]
-        alice = blocks[alice_context_id] = compile_context(bell_product_tableau(system.num_qubits), words)
-    alice_forms, post = alice
-    if bob_mode == "alone":
-        key = (alice_context_id, shared_observable_id)
-        bob_words, bob_shared_pos = (shared,), 0
-    else:
-        key = (alice_context_id, None)
-        bob_words, bob_shared_pos = context.observables, shared_pos
-    bob_forms = blocks.get(key)
-    if bob_forms is None:
-        words = [embed(o, "bob") for o in bob_words]
-        bob_forms = blocks[key] = compile_context(post, words)[0]
-    split = len(alice_forms)
-    forms = alice_forms + bob_forms
-    width = len(forms)
-    contexts = (range(split),) if bob_mode == "alone" else (range(split), range(split, width))
-    columns = _columns(forms, (shared_pos, split + bob_shared_pos), context.expected_sign, contexts)
-    # The test of record bit r is layout[r - 1]: a coin (record bit j + 1
-    # for outcome j) is U >= 1/2, then outcome j's flip U < noise and its
-    # erasure U >= efficiency.  A forced word's coin is never read.
-    layout = [(0.5, True)] * width + [(float(config.noise), False), (float(config.efficiency), True)] * width
-    tests = [(r, *layout[r - 1]) for r in sorted({r for bits in columns for r in bits} - {0})]
-    return columns, alice_context_id, tests
+    alice_blocks, bob_blocks, rounds = {}, {}, []
+    for ctx_id, obs_id in schedule:
+        if not 0 <= ctx_id < len(system.contexts):
+            raise ValueError(f"unknown context id {ctx_id}")
+        context = system.contexts[ctx_id]
+        if not 0 <= obs_id < len(catalog):
+            raise ValueError(f"unknown observable id {obs_id}")
+        word = catalog[obs_id]
+        try:
+            position = context.observables.index(word)
+        except ValueError:
+            raise ValueError(f"shared observable {format_pauli(word)} is not in context {ctx_id}") from None
+        if ctx_id not in alice_blocks:
+            words = [embed(o, "alice") for o in context.observables]
+            alice_blocks[ctx_id] = compile_context(bell_product_tableau(system.num_qubits), words)
+        alice, post = alice_blocks[ctx_id]
+        if bob_mode == "alone":
+            key, bob_words, shared = (ctx_id, obs_id), (word,), (position, 0)
+        else:
+            key, bob_words, shared = ctx_id, context.observables, (position, position)
+        if key not in bob_blocks:
+            bob_blocks[key] = compile_context(post, [embed(o, "bob") for o in bob_words])[0]
+        rounds.append(CompiledRound(ctx_id, alice, bob_blocks[key], shared, context.expected_sign))
+    return rounds
 
 
-def _columns(forms, shared: tuple[int, int], expected_sign: int, contexts):
-    """The statistics of a compiled round, each as the record bits it combines.
+def _columns(compiled: CompiledRound, bob_mode: str, noise: float, efficiency: float) -> tuple:
+    """The statistics of a compiled round as record bits, and the test of each bit read.
 
-    A shot's record is 1, the coin of each word (draw >= 1/2), then per
-    outcome a flip bit and an erasure bit, in the order of its draws, so
-    bit r of a form is record bit r.  Returns tuples of record bit
-    indices: Alice's and Bob's shared outcome erased and their recorded
-    values, each the XOR of its bits; then, for each measured context (a
-    range of outcomes), the context failing its product, the XOR of its
-    bits, and the context erased in part, the OR of its bits.  A context
-    fails when the XOR of its recorded outcomes differs from its expected
-    product.
+    A shot's record is 1, the coin of each outcome (Alice's, then Bob's),
+    then per outcome a flip bit and an erasure bit, so bit r of a form is
+    record bit r.  The columns are tuples of record bits: Alice's and
+    Bob's shared outcome erased and their recorded values, each the XOR
+    of its bits; then, for each measured context (Alice's, and Bob's in
+    "in_context" mode), the context failing its product, the XOR of its
+    bits, and the context erased in part, the OR of its bits.  The tests
+    are (r, p, above) for each record bit r > 0 the columns read: a coin
+    is U >= 1/2, a flip U < noise and an erasure U >= efficiency.  A
+    forced word's coin is never read.
     """
-    width = len(forms)
-    product = int(expected_sign == -1)
+    forms = compiled.alice + compiled.bob
+    split, width = len(compiled.alice), len(forms)
     flip = [1 + width + 2 * j for j in range(width)]  # each erasure bit follows its flip bit
+    shared = (compiled.shared[0], split + compiled.shared[1])
     lost = [(flip[j] + 1,) for j in shared]
     values = [(*_bits(forms[j]), flip[j]) for j in shared]
     measured = []
-    for cols in contexts:
-        fail = reduce(xor, (forms[j] for j in cols), product)
+    for cols in (range(split),) if bob_mode == "alone" else (range(split), range(split, width)):
+        fail = reduce(xor, (forms[j] for j in cols), int(compiled.sign == -1))
         measured += [(*_bits(fail), *(flip[j] for j in cols)), tuple(flip[j] + 1 for j in cols)]
-    return (*lost, *values, *measured)
+    columns = (*lost, *values, *measured)
+    tests = [(0.5, True)] * width + [(float(noise), False), (float(efficiency), True)] * width
+    return columns, [(r, *tests[r - 1]) for r in sorted({r for bits in columns for r in bits} - {0})]
 
 
 def _bits(form: int) -> tuple[int, ...]:
@@ -295,16 +296,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     # A bad seed fails before any entry is checked.
     check_key(config.seed, period - 1)
     # Checked here, not per entry, so that they hold even when no shot runs.
-    if config.bob_mode not in MODES:
-        raise ValueError(f"bob_mode must be one of {MODES}, got {config.bob_mode!r}")
+    _check_mode(config.bob_mode)
     if not 0.0 < config.efficiency <= 1.0:
         raise ValueError(f"efficiency must be in (0, 1], got {config.efficiency}")
 
-    blocks: dict = {}
-    rounds = [
-        _compile_round(config, ctx_id, obs_id, blocks)
-        for ctx_id, obs_id in schedule[: min(period, config.shots)]
-    ]
+    compiled = compile_schedule(config.system, schedule[: min(period, config.shots)], config.bob_mode)
+    rounds = [_columns(c, config.bob_mode, config.noise, config.efficiency) for c in compiled]
 
     # Every entry's lanes; later entries never have more, so the entries
     # with lanes left in a block are the first few.
@@ -317,15 +314,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     for first in range(0, lanes[0] if lanes else 0, step):
         entries = [
             (entry, min(n - first, step), tests)
-            for entry, (n, (_, _, tests)) in enumerate(zip(lanes, rounds))
+            for entry, (n, (_, tests)) in enumerate(zip(lanes, rounds))
             if n > first
         ]
         planes = _record_planes(config.seed, first // 256, entries, digits)
-        for (columns, ctx_id, _), entry in zip(rounds, planes):
+        for c, (columns, _), entry in zip(compiled, rounds, planes):
             *shared, total, passed = _counts(columns, entry)
             counts = [a + b for a, b in zip(counts, shared)]
-            totals[ctx_id] += total
-            passes[ctx_id] += passed
+            totals[c.context_id] += total
+            passes[c.context_id] += passed
 
     comparable, equal, alice_plus, alice_minus, bob_plus, bob_minus = counts
     return ExperimentSummary(

@@ -16,6 +16,7 @@ from bellcheck.constructions import (
     product_sign,
     validate,
 )
+from bellcheck.dsl import parse_document
 from bellcheck.pauli import commutes, context_faults, format_pauli, parse_pauli, product
 from bellcheck.tableau import ghz_tableau, tableau_expectation
 
@@ -194,6 +195,12 @@ class TestCatalogCache:
         system = generalized_sets(5)
         assert system.catalog is system.catalog
         assert system.occurrence_counts is system.occurrence_counts
+
+    def test_counts_occurrences_not_contexts(self):
+        """A word that a context lists twice counts twice: X1 occurs 3 times in 2 contexts."""
+        system = parse_document("qubits 2\nset X1, X1, Z2, Z2\nset X1, X2, X1 X2\n")
+        assert [format_pauli(word) for word in system.catalog] == ["X1", "Z2", "X2", "X1 X2"]
+        assert system.occurrence_counts == (3, 2, 1, 1)
 
     def test_index_gives_catalog_positions(self):
         system = generalized_sets(7)

@@ -2,13 +2,17 @@
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import xor
+from pathlib import Path
 
 import pytest
 
 from bellcheck import protocol, rng
-from bellcheck.constructions import Context, ContextSystem, generalized_sets, mermin_square
+from bellcheck.constructions import FAMILY_NS, Context, ContextSystem, generalized_sets, mermin_square
+from bellcheck.dsl import parse_document
 from bellcheck.pauli import PauliOperator, parse_pauli
-from bellcheck.protocol import MODES, ExperimentConfig, default_schedule, run_experiment
+from bellcheck.protocol import MODES, ExperimentConfig, compile_schedule, default_schedule, run_experiment
 from protocol_reference import Lane, reference_experiment, reference_round
 
 
@@ -480,7 +484,7 @@ class TestBadInputs:
         """An entry addresses 2**64 chunks of 256 lanes, so the run is refused at once."""
         config = ExperimentConfig(system=mermin_square(), shots=shots)
         with monkeypatch.context() as patch:
-            for name in ("_compile_round", "philox_blocks"):
+            for name in ("compile_schedule", "philox_blocks"):
                 patch.setattr(protocol, name, drew_first)
             message = self.error(run_experiment, config)
         assert message == f"shots must be at most 2**72, got {shots}"
@@ -496,3 +500,65 @@ class TestBadInputs:
             run_experiment(
                 ExperimentConfig(system=mermin_square(), shots=0, bob_mode="together")
             )
+
+
+VERDICT_FILES = sorted((Path(__file__).resolve().parent / "golden" / "verdicts-1").glob("*.obs"))
+
+
+class TestCompiledForms:
+    """The exact regime read off the compiled forms, for every seed and shot count.
+
+    With no noise and unit efficiency, Bob's shared outcome equals Alice's
+    on every shot because his shared form is hers, and a measured context
+    meets its product on every shot because its forms XOR to the constant
+    of its sign.  Sampled rates show this only for the seeds that ran.
+    """
+
+    @staticmethod
+    def assert_exact(rounds, mode):
+        for r in rounds:
+            assert r.alice[r.shared[0]] == r.bob[r.shared[1]]
+            assert reduce(xor, r.alice) == int(r.sign == -1)
+            if mode == "in_context":
+                assert reduce(xor, r.bob) == int(r.sign == -1)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", [2, *FAMILY_NS])
+    def test_default_schedule(self, n, mode):
+        system = system_for(n)
+        rounds = compile_schedule(system, default_schedule(system), mode)
+        assert len(rounds) == len(default_schedule(system))
+        self.assert_exact(rounds, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("path", VERDICT_FILES, ids=lambda path: path.stem)
+    def test_large_registers(self, path, mode):
+        """Up to 1,664 qubits, where no dense state vector reaches."""
+        system = parse_document(path.read_text())
+        self.assert_exact(compile_schedule(system, default_schedule(system)[:24], mode), mode)
+
+    def test_fields(self):
+        """Square, context 0 (X1, X2, X1 X2), shared word X2: Bob's coin follows Alice's two."""
+        alone, in_context = (compile_schedule(mermin_square(), ((0, 1),), mode)[0] for mode in MODES)
+        assert alone == (0, (0b10, 0b100, 0b110), (0b100,), (1, 0), +1)
+        assert in_context == (0, (0b10, 0b100, 0b110), (0b10, 0b100, 0b110), (1, 1), +1)
+
+    @pytest.mark.parametrize("mode,calls", [("alone", 6 + 18), ("in_context", 6 + 6)])
+    def test_each_block_is_compiled_once(self, monkeypatch, mode, calls):
+        """One Alice block per context, and one Bob block per shared word or context."""
+        compiled, compile_context = [], protocol.compile_context
+
+        def counting(tableau, words):
+            compiled.append(words)
+            return compile_context(tableau, words)
+
+        monkeypatch.setattr(protocol, "compile_context", counting)
+        system = mermin_square()
+        compile_schedule(system, default_schedule(system) * 2, mode)
+        assert len(compiled) == calls
+
+    def test_checks_its_own_mode_and_the_first_bad_entry(self):
+        with pytest.raises(ValueError, match="^bob_mode must be one of"):
+            compile_schedule(mermin_square(), (), "together")
+        with pytest.raises(ValueError, match="^unknown context id 17$"):
+            compile_schedule(mermin_square(), ((0, 0), (17, 0), (0, 99)))

@@ -12,7 +12,7 @@ from bellcheck.cli import Check
 from bellcheck.constructions import Context, mermin_square, validate
 from bellcheck.parity import ParityRow, ParitySystem, build_parity_system, solve
 from bellcheck.pauli import PauliOperator, parse_pauli
-from bellcheck.protocol import ExperimentConfig, run_experiment
+from bellcheck.protocol import ExperimentConfig, compile_schedule, run_experiment
 from bellcheck.tableau import bell_product_tableau
 
 Z_HAT = (0.0, 0.0, 1.0)
@@ -33,6 +33,7 @@ RECORDS = {
     "ChshReport": lambda: gap_report(2),
     "ExperimentConfig": lambda: ExperimentConfig(system=mermin_square(), shots=4, seed=3),
     "ExperimentSummary": lambda: run_experiment(ExperimentConfig(system=mermin_square(), shots=4)),
+    "CompiledRound": lambda: compile_schedule(mermin_square(), ((5, 8),), "in_context")[0],
     "StateVector": lambda: bell_product_state(1),
     "StabilizerTableau": lambda: bell_product_tableau.__wrapped__(1),  # not the cached copy
 }
@@ -61,6 +62,7 @@ SHAPES = {
         " efficiency equal_rounds comparable_rounds shared_counts",
         {},
     ),
+    "CompiledRound": ("context_id alice bob shared sign", {}),
     "StateVector": ("num_qubits amplitudes", {}),
     "StabilizerTableau": ("num_qubits stabilizers destabilizers signs measured", {}),
 }
