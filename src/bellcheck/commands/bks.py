@@ -31,7 +31,7 @@ def run(args) -> RunReport:
             system = parse_document(fh.read())
         # A verdict on contexts that are not physical would be meaningless.
         for check in validate(system).checks:
-            if not check.ok:
+            if check.problem is not None:
                 raise UsageError(f"{args.file}: context {check.context_index}: {check.problem}")
     ps = build_parity_system(system)
     _verdict(report, ps, solve(ps), variables=len(ps.variables), rows=len(ps.rows))

@@ -86,41 +86,16 @@ def product_sign(context: Context) -> int:
     return +1 if acc.phase_exponent == 0 else -1
 
 
-class ContextCheck(
-    namedtuple(
-        "ContextCheck",
-        "context_index commuting failing_pair product_sign expected_sign non_hermitian",
-        defaults=(None,),
-    )
-):
-    """One context's verdict.  `non_hermitian` is the text of the first
-    member that is not an observable, and `failing_pair` that of the first
-    two members that do not commute, or None.  `product_sign` is the s of a
-    product s * identity, or None where the members do not commute or the
-    product is not +-identity.
-    """
-
-    __slots__ = ()
-
-    @property
-    def problem(self) -> str | None:
-        """Why the context is not a physical one, or None when it is."""
-        fault = fault_message(self.non_hermitian, self.failing_pair)
-        if fault is not None:
-            return fault
-        if self.product_sign is None:
-            return "product is not +-identity"
-        if self.product_sign != self.expected_sign:
-            return f"product is {self.product_sign:+d} * identity, declared {self.expected_sign:+d}"
-        return None
-
-    @property
-    def ok(self) -> bool:
-        return self.problem is None
+ContextCheck = namedtuple("ContextCheck", "context_index commuting product_sign expected_sign problem")
+ContextCheck.__doc__ = """One context's verdict (`validate`).  `product_sign` is the s of a
+product s * identity, or None where the members do not commute or the
+product is not +-identity; `problem` is why the context is not a physical
+one, or None when it is.
+"""
 
 
-class ValidationReport(namedtuple("ValidationReport", "checks failures", defaults=((),))):
-    """A `ContextCheck` per context, and the indices of those that fail."""
+class ValidationReport(namedtuple("ValidationReport", "checks failures")):
+    """A `ContextCheck` per context, and the indices of those that have a problem."""
 
     __slots__ = ()
 
@@ -132,10 +107,13 @@ class ValidationReport(namedtuple("ValidationReport", "checks failures", default
 def validate(system: ContextSystem) -> ValidationReport:
     """Check Hermiticity, pairwise commutation and product sign of every context.
 
-    The report carries a per-context verdict; it never raises on a mismatch.
+    A context's `problem` is the first of: a member that is not Hermitian,
+    a pair of members that do not commute, a product that is not
+    +-identity, and a product sign other than the declared one.  A context
+    that is not physical is reported, not raised; only members acting on
+    different registers raise ValueError.
     """
     checks = []
-    failures = []
     for idx, ctx in enumerate(system.contexts):
         non_hermitian, failing = context_faults(ctx.observables)
         sign = None
@@ -143,12 +121,14 @@ def validate(system: ContextSystem) -> ValidationReport:
             try:
                 sign = product_sign(ctx)
             except ConstructionError:
-                sign = None
-        check = ContextCheck(idx, failing is None, failing, sign, ctx.expected_sign, non_hermitian)
-        checks.append(check)
-        if not check.ok:
-            failures.append(idx)
-    return ValidationReport(checks=tuple(checks), failures=tuple(failures))
+                pass
+        problem = fault_message(non_hermitian, failing)
+        if problem is None and sign is None:
+            problem = "product is not +-identity"
+        elif problem is None and sign != ctx.expected_sign:
+            problem = f"product is {sign:+d} * identity, declared {ctx.expected_sign:+d}"
+        checks.append(ContextCheck(idx, failing is None, sign, ctx.expected_sign, problem))
+    return ValidationReport(tuple(checks), tuple(c.context_index for c in checks if c.problem is not None))
 
 
 def _validated(system: ContextSystem, what: str) -> ContextSystem:

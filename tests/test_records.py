@@ -44,11 +44,8 @@ SHAPES = {
     "SolveResult": ("satisfiable assignment certificate", {"assignment": None, "certificate": None}),
     "Context": ("observables expected_sign", {}),
     "ContextSystem": ("num_qubits contexts", {}),
-    "ContextCheck": (
-        "context_index commuting failing_pair product_sign expected_sign non_hermitian",
-        {"non_hermitian": None},
-    ),
-    "ValidationReport": ("checks failures", {"failures": ()}),
+    "ContextCheck": ("context_index commuting product_sign expected_sign problem", {}),
+    "ValidationReport": ("checks failures", {}),
     "Check": ("name passed measured expected tolerance", {"tolerance": None}),
     "MeasurementVectors": ("a a_prime b b_prime", {}),
     "ChshReport": ("n quantum_value lhv_bound ratio sub_classical", {}),
