@@ -7,25 +7,44 @@ invocations and seeds, so they diff cleanly in CI; wall time is shown
 only in text output for that reason.
 
 This module holds what every command shares: the report, the error
-handling, the parser and `main`.  Each command's subparser and handler
-live in its own module under `bellcheck.commands`.  `main` builds only the
-subparser of the command word it is given, so a child imports one handler
-module; each handler imports the bellcheck modules it runs, and this module
-only the stdlib.  So a child loads (and compiles) no module it does not run.
-A JSON report is written by `_json`, not by the `json` package, whose
-import (with its regexes) would cost every child about 2 ms; `json` loads
-only for a value that the writer leaves to it.
+handling, the command-line readers and `main`.  Each command word's
+options (a `Command` of `Option`s) and handler live in its own module
+under `bellcheck.commands`, and that one declaration feeds two readers.
+`_read` takes a plain command line, `<word> [<subword>] (--flag value)*`
+with every flag in full and once, and returns what argparse would; any
+other command line, `--help` included, goes to the argparse parser that
+`build_parser` builds, so every help, usage and error byte is argparse's.
+Only `build_parser` imports argparse, which with the `gettext` and
+`locale` it loads costs each child 4-5 ms; a well-formed run loads none
+of them.  Either way `main` imports only the handler module of the
+command word it is given; each handler imports the bellcheck modules it
+runs, and this module only the stdlib.  So a child loads (and compiles)
+no module it does not run.  A JSON report is written by `_json`, not by
+the `json` package, whose import (with its regexes) would cost every
+child about 2 ms; `json` loads only for a value that the writer leaves
+to it.
 """
 
-import argparse
 import os
 import sys
 import time
 from collections import namedtuple
+from types import SimpleNamespace
 
 # The command words, in help order.  Word `w` runs in `bellcheck.commands.w`,
-# which adds its subparser and holds its handler.
+# whose `COMMAND` declares its options and names its handler.
 COMMANDS = ("verify", "bks", "ghz", "correlate", "chsh", "eigencheck")
+
+# One option: `flag` takes one value, converted by `type` (None keeps the
+# text) and checked against `choices`; if it is not `required`, a command
+# line without it gets `default`.
+Option = namedtuple("Option", "flag type default required choices help", defaults=(None, None, False, None, None))
+# A command word.  Either `run` handles it, with `options` and `--format`,
+# or it takes a subcommand word, stored as `dest`, that picks one `Command`
+# of the dict `words`.
+Command = namedtuple("Command", "help options run dest words", defaults=((), None, None, None))
+# Every command that runs takes this option, after its own.
+FORMAT = Option("--format", choices=("text", "json"), default="text")
 
 
 # `tolerance` is None for an exact comparison (see `RunReport.check`).
@@ -170,43 +189,105 @@ def _error(message: str) -> None:
         _to_devnull(sys.stderr)
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument errors end in one `error:` line and exit 2, like every other failure.
+def _command(word: str) -> Command:
+    """The `Command` of a command word, from its handler module."""
+    # The builtin import, unlike `importlib.import_module`, shows in `-X importtime`.
+    return __import__(f"{__package__}.commands.{word}", fromlist=("COMMAND",)).COMMAND
 
-    Subparsers are built from the same class, so they inherit this.
+
+def _read(argv):
+    """What `build_parser().parse_args(argv)` returns, for a plain command line; else None.
+
+    A plain command line is `<word> [<subword>] (--flag value)*` where each
+    flag is one of its command's, written in full and given once, no value
+    starts with `-`, each value converts with its option's type and lies in
+    its choices, and every required flag is given.  Help, abbreviations,
+    `--flag=value` and every error are left to argparse.
     """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    values = {"command": argv[0]}
+    command, rest = _command(argv[0]), argv[1:]
+    if command.words is not None:
+        if not rest or rest[0] not in command.words:
+            return None
+        values[command.dest] = rest[0]
+        command, rest = command.words[rest[0]], rest[1:]
+    if len(rest) % 2:
+        return None
+    options = {option.flag: option for option in (*command.options, FORMAT)}
+    given = {}
+    for flag, text in zip(rest[::2], rest[1::2]):
+        option = options.get(flag)
+        if option is None or flag in given or text.startswith("-"):
+            return None
+        try:
+            value = text if option.type is None else option.type(text)
+        except ValueError:
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        given[flag] = value
+    for flag, option in options.items():
+        if option.required and flag not in given:
+            return None
+        values[flag[2:]] = given.get(flag, option.default)
+    values["func"] = command.run
+    return SimpleNamespace(**values)
 
-    def error(self, message: str):
-        _error(message)
-        raise SystemExit(2)
 
+def build_parser(words=COMMANDS):
+    """The argparse `bellcheck` parser, with the subparser of each command word in `words`."""
+    import argparse
 
-def _add_format(parser) -> None:
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    class Parser(argparse.ArgumentParser):
+        """Argument errors end in one `error:` line and exit 2, like every other failure.
 
+        Subparsers are built from the same class, so they inherit this.
+        """
 
-def build_parser(words=COMMANDS) -> argparse.ArgumentParser:
-    """The `bellcheck` parser with the subparser of each command word in `words`."""
-    parser = _Parser(
+        def error(self, message: str):
+            _error(message)
+            raise SystemExit(2)
+
+    parser = Parser(
         prog="bellcheck",
         description="Verify commuting-set constructions, value-assignment "
         "impossibility, shared-state correlations, and CHSH bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for word in words:
-        # The builtin import, unlike `importlib.import_module`, shows in `-X importtime`.
-        __import__(f"{__package__}.commands.{word}", fromlist=("add_parser",)).add_parser(sub)
+        _add_command(sub, word, _command(word))
     return parser
+
+
+def _add_command(sub, word: str, command: Command) -> None:
+    """Add `word`'s subparser, built from its `Command`, to the subparsers action `sub`."""
+    parser = sub.add_parser(word, help=command.help)
+    if command.words is not None:
+        inner = parser.add_subparsers(dest=command.dest, required=True)
+        for subword, subcommand in command.words.items():
+            _add_command(inner, subword, subcommand)
+        return
+    for option in (*command.options, FORMAT):
+        parser.add_argument(
+            option.flag, type=option.type, default=option.default, required=option.required,
+            choices=option.choices, help=option.help,
+        )
+    parser.set_defaults(func=command.run)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # A run of one command builds only its subparser.  Help, a missing or
-    # unknown command word, or an option first gets every subparser, so its
-    # usage and `error:` lines are those of the full parser.
-    word = argv[0] if argv else None
-    args = build_parser((word,) if word in COMMANDS else COMMANDS).parse_args(argv)
+    args = _read(argv)
+    if args is None:
+        # argparse builds only the subparser of the command word it is
+        # given.  Help, a missing or unknown command word, or an option first
+        # gets every subparser, so its usage and `error:` lines are those of
+        # the full parser.
+        word = argv[0] if argv else None
+        args = build_parser((word,) if word in COMMANDS else COMMANDS).parse_args(argv)
     started = time.perf_counter()
     try:
         report = args.func(args)

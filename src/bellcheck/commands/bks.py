@@ -1,16 +1,6 @@
 """`bellcheck bks solve`: the value-assignment verdict on a family or an `.obs` file."""
 
-from ..cli import RunReport, UsageError, _add_format, _system_for, _verdict
-
-
-def add_parser(sub) -> None:
-    bks = sub.add_parser("bks", help="value-assignment solver")
-    actions = bks.add_subparsers(dest="action", required=True)
-    solve_p = actions.add_parser("solve", help="solve a parity system")
-    solve_p.add_argument("--n", type=int)
-    solve_p.add_argument("--file", help="path to a .obs file")
-    _add_format(solve_p)
-    solve_p.set_defaults(func=run)
+from ..cli import Command, Option, RunReport, UsageError, _system_for, _verdict
 
 
 def run(args) -> RunReport:
@@ -36,3 +26,14 @@ def run(args) -> RunReport:
     ps = build_parity_system(system)
     _verdict(report, ps, solve(ps), variables=len(ps.variables), rows=len(ps.rows))
     return report
+
+
+COMMAND = Command(
+    "value-assignment solver",
+    dest="action",
+    words={
+        "solve": Command(
+            "solve a parity system", (Option("--n", int), Option("--file", help="path to a .obs file")), run
+        ),
+    },
+)

@@ -2,17 +2,9 @@
 
 import math
 
-from ..cli import RunReport, UsageError, _add_format
+from ..cli import Command, Option, RunReport, UsageError
 
 REL_TOL = 1e-9
-
-
-def add_parser(sub) -> None:
-    chsh_p = sub.add_parser("chsh", help="quantum vs local-realist gap")
-    chsh_p.add_argument("--n", type=int, required=True)
-    chsh_p.add_argument("--seed", type=int, default=0)
-    _add_format(chsh_p)
-    chsh_p.set_defaults(func=run)
 
 
 def run(args) -> RunReport:
@@ -52,3 +44,8 @@ def run(args) -> RunReport:
         True,
     )
     return report
+
+
+COMMAND = Command(
+    "quantum vs local-realist gap", (Option("--n", int, required=True), Option("--seed", int, 0)), run
+)

@@ -1,23 +1,12 @@
 """`bellcheck correlate`: two-observer protocol statistics on shared Bell pairs."""
 
-from ..cli import RunReport, _add_format, _system_for
+from ..cli import Command, Option, RunReport, _system_for
 
 # The most shots `correlate` accepts, checked before any work.  On a 2-core
 # Xeon VM 10**7 shots of `--n 13 --noise 0.05 --efficiency 0.9` (the
 # slowest regime) take 37 s at 21 MiB peak RSS, so this cap stands for
 # about six minutes; a larger count is refused, not left to run for hours.
 MAX_SHOTS = 10**8
-
-
-def add_parser(sub) -> None:
-    corr = sub.add_parser("correlate", help="two-observer protocol statistics")
-    corr.add_argument("--n", type=int, required=True)
-    corr.add_argument("--shots", type=int, required=True)
-    corr.add_argument("--noise", type=float, default=0.0)
-    corr.add_argument("--efficiency", type=float, default=1.0)
-    corr.add_argument("--seed", type=int, default=0)
-    _add_format(corr)
-    corr.set_defaults(func=run)
 
 
 def run(args) -> RunReport:
@@ -54,3 +43,16 @@ def run(args) -> RunReport:
                 [1.0],
             )
     return report
+
+
+COMMAND = Command(
+    "two-observer protocol statistics",
+    (
+        Option("--n", int, required=True),
+        Option("--shots", int, required=True),
+        Option("--noise", float, 0.0),
+        Option("--efficiency", float, 1.0),
+        Option("--seed", int, 0),
+    ),
+    run,
+)

@@ -1,13 +1,6 @@
 """`bellcheck eigencheck`: each mirrored observable pair fixes the shared Bell state."""
 
-from ..cli import RunReport, _add_format, _system_for
-
-
-def add_parser(sub) -> None:
-    eig = sub.add_parser("eigencheck", help="mirrored-observable eigenrelations")
-    eig.add_argument("--n", type=int, required=True)
-    _add_format(eig)
-    eig.set_defaults(func=run)
+from ..cli import Command, Option, RunReport, _system_for
 
 
 def run(args) -> RunReport:
@@ -23,3 +16,6 @@ def run(args) -> RunReport:
             True,
         )
     return report
+
+
+COMMAND = Command("mirrored-observable eigenrelations", (Option("--n", int, required=True),), run)

@@ -1,13 +1,6 @@
 """`bellcheck ghz`: the GHZ observables on the GHZ state, and each grouping's verdict."""
 
-from ..cli import RunReport, _add_format, _verdict
-
-
-def add_parser(sub) -> None:
-    ghz = sub.add_parser("ghz", help="three-particle observable checks")
-    ghz.add_argument("--grouping", choices=("tripartite", "bipartite"), required=True)
-    _add_format(ghz)
-    ghz.set_defaults(func=run)
+from ..cli import Command, Option, RunReport, _verdict
 
 
 def run(args) -> RunReport:
@@ -37,3 +30,10 @@ def run(args) -> RunReport:
     report.check("value assignment exists", result.satisfiable, expect_sat)
     _verdict(report, ps, result)
     return report
+
+
+COMMAND = Command(
+    "three-particle observable checks",
+    (Option("--grouping", choices=("tripartite", "bipartite"), required=True),),
+    run,
+)

@@ -5,19 +5,7 @@ parity system must have no value assignment, refuted by a certificate of
 the expected size.
 """
 
-from ..cli import RunReport, _add_format, _system_for
-
-
-def add_parser(sub) -> None:
-    verify = sub.add_parser("verify", help="validate a built-in observable family")
-    targets = verify.add_subparsers(dest="target", required=True)
-    vs = targets.add_parser("square", help="the 3x3 two-qubit square")
-    _add_format(vs)
-    vs.set_defaults(func=square)
-    vn = targets.add_parser("sets", help="the n-qubit commuting-set family")
-    vn.add_argument("--n", type=int, required=True)
-    _add_format(vn)
-    vn.set_defaults(func=sets)
+from ..cli import Command, Option, RunReport, _system_for
 
 
 def _validation_checks(report: RunReport, system) -> None:
@@ -67,3 +55,13 @@ def sets(args) -> RunReport:
     report.check("occurrences per observable", sorted(set(system.occurrence_counts)), [2])
     _parity_checks(report, system, expect_rows=n + 2)
     return report
+
+
+COMMAND = Command(
+    "validate a built-in observable family",
+    dest="target",
+    words={
+        "square": Command("the 3x3 two-qubit square", run=square),
+        "sets": Command("the n-qubit commuting-set family", (Option("--n", int, required=True),), sets),
+    },
+)

@@ -107,11 +107,12 @@ class ValidationReport(namedtuple("ValidationReport", "checks failures")):
 def validate(system: ContextSystem) -> ValidationReport:
     """Check Hermiticity, pairwise commutation and product sign of every context.
 
-    A context's `problem` is the first of: a member that is not Hermitian,
-    a pair of members that do not commute, a product that is not
-    +-identity, and a product sign other than the declared one.  A context
-    that is not physical is reported, not raised; only members acting on
-    different registers raise ValueError.
+    A context's `problem` is the first of: members on a register other
+    than the system's, a member that is not Hermitian, a pair of members
+    that do not commute, a product that is not +-identity, and a product
+    sign other than the declared one.  A context that is not physical is
+    reported, not raised; only members acting on different registers from
+    each other raise ValueError.
     """
     checks = []
     for idx, ctx in enumerate(system.contexts):
@@ -122,7 +123,11 @@ def validate(system: ContextSystem) -> ValidationReport:
                 sign = product_sign(ctx)
             except ConstructionError:
                 pass
-        problem = fault_message(non_hermitian, failing)
+        width = ctx.observables[0].num_qubits
+        if width != system.num_qubits:
+            problem = f"acts on {width} qubits, system has {system.num_qubits}"
+        else:
+            problem = fault_message(non_hermitian, failing)
         if problem is None and sign is None:
             problem = "product is not +-identity"
         elif problem is None and sign != ctx.expected_sign:

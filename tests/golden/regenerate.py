@@ -12,6 +12,8 @@ The commands are, in this order and each once:
 
 Each runs with `--format json` through `cli.main` in process, from this
 directory, and `corpus.json` records its argv, exit code, stdout and stderr.
+`help.json` records every `--help` page at `COLUMNS=80` and the Python
+minor version that laid them out.
 The commands and `.obs` files come from `bench/workloads.py`, which only
 this script imports; `tests/test_golden.py` reads what it wrote.
 """
@@ -29,7 +31,7 @@ sys.path[:0] = [str(REPO / "src"), str(REPO / "tests"), str(REPO / "bench")]
 
 import workloads  # noqa: E402
 from test_cli import readme_examples, write_readme_obs  # noqa: E402
-from test_golden import CORPUS, run_cli  # noqa: E402
+from test_golden import CORPUS, HELP, record_help, run_cli  # noqa: E402
 
 VERDICTS_SEED = 1
 CORRELATE_SEEDS = tuple(range(1, 11))
@@ -63,6 +65,10 @@ def main() -> None:
     entries = [run_cli([*argv, "--format", "json"]) for argv in commands()]
     CORPUS.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     print(f"{len(entries)} commands written to {CORPUS.relative_to(REPO)}")
+    os.environ["COLUMNS"] = "80"
+    pages = record_help()
+    HELP.write_text(json.dumps(pages, indent=1) + "\n", encoding="utf-8")
+    print(f"{len(pages['pages'])} help pages written to {HELP.relative_to(REPO)}")
 
 
 if __name__ == "__main__":

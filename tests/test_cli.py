@@ -765,7 +765,9 @@ class TestStartup:
     def test_no_command_loads_dataclasses_inspect_or_typing(self, tmp_path):
         """Records are `collections` named tuples: `dataclasses`, with its `inspect`, costs a
         child about 14 ms, and `typing` about 5 ms.  Nor does any command load
-        `json` (about 2 ms: `cli._json` writes the reports) or `__future__`.
+        `json` (about 2 ms: `cli._json` writes the reports) or `__future__`,
+        nor, on these well-formed command lines, `argparse` with the `gettext`
+        and `locale` it loads (4-5 ms: `cli._read` reads them).
 
         Every command runs in one fresh interpreter started with `-S`, so no
         `.pth` file of `site` loads these modules first, and after each
@@ -773,7 +775,7 @@ class TestStartup:
         """
         forbidden = {
             "dataclasses", "inspect", "typing", "_typing",
-            "json", "json.decoder", "json.encoder", "__future__",
+            "json", "json.decoder", "json.encoder", "__future__", "argparse", "gettext", "locale",
         }
         write_readme_obs(tmp_path)
         runs = [[*argv, "--format", "json"] for argv in VERDICTS + SMALL_RUNS + [LARGE_RUN]]
@@ -829,7 +831,10 @@ class TestStartup:
         assert result.stdout.splitlines() == expected
 
     def test_importtime_lists_the_handler_module(self):
-        """`-X importtime` reports the command's handler module, which `main` imports on the builtin path."""
+        """`-X importtime` reports the command's handler module, which `main` imports on the builtin path.
+
+        A well-formed command line is read without argparse, so it is not listed.
+        """
         result = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "bellcheck", "verify", "square"],
             capture_output=True, text=True, env=fresh_env(), timeout=120,
@@ -837,6 +842,7 @@ class TestStartup:
         assert result.returncode == 0
         imported = [line.rpartition("|")[2].strip() for line in result.stderr.splitlines()]
         assert "bellcheck.commands.verify" in imported
+        assert "argparse" not in imported
 
     def test_large_noisy_run_without_numpy_exits_zero(self):
         """Where numpy cannot be imported, every `correlate` run still samples and reports."""

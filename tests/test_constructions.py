@@ -174,6 +174,23 @@ class TestValidateFaultInjection:
         with pytest.raises(ValueError, match="mismatch: 2 vs 3"):
             validate(ContextSystem(2, (Context((parse_pauli("Z1", 2), parse_pauli("Z1", 3)), +1),)))
 
+    def test_context_on_another_register_is_flagged_first(self):
+        # A physical context on 3 qubits, and a non-Hermitian one, in a 2-qubit system.
+        system = ContextSystem(
+            2,
+            (
+                Context((parse_pauli("Z1", 3), parse_pauli("Z1", 3)), +1),
+                Context((parse_pauli("i X1", 3), parse_pauli("-i X1", 3)), -1),
+                Context((parse_pauli("Z1", 2), parse_pauli("Z1", 2)), +1),
+            ),
+        )
+        report = validate(system)
+        assert [check.problem for check in report.checks] == [
+            "acts on 3 qubits, system has 2", "acts on 3 qubits, system has 2", None,
+        ]
+        assert report.checks[0].commuting and report.checks[0].product_sign == +1
+        assert report.failures == (0, 1)
+
     def test_problem_names_wrong_and_missing_signs(self):
         system = ContextSystem(
             1,

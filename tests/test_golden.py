@@ -5,6 +5,10 @@ and stderr, as `golden/regenerate.py` recorded them.  The commands run from
 `golden/`, so a `--file` argument is a path relative to it, and the report,
 which echoes that path, does not depend on where the checkout lives.  Only
 `--format json` reports are recorded: a text report shows its wall time.
+`golden/help.json` holds the `--help` page of the parser and of every
+command and subcommand word at `COLUMNS=80`, with the Python minor version
+that recorded it: argparse lays out its help differently from one version
+to the next.
 
 The corpus pins behaviour; it is not an oracle for the physics.  A change
 that alters a report regenerates the corpus and names each changed command
@@ -14,12 +18,18 @@ in CHANGES.md.
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
+
+import pytest
 
 from bellcheck import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = GOLDEN / "corpus.json"
+HELP = GOLDEN / "help.json"
+# The words whose `--help` pages `help.json` records.
+HELP_WORDS = [[], *([word] for word in cli.COMMANDS), ["verify", "square"], ["verify", "sets"], ["bks", "solve"]]
 
 
 def run_cli(argv: list[str]) -> dict:
@@ -28,6 +38,24 @@ def run_cli(argv: list[str]) -> dict:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
     return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def help_page(words: list[str]) -> str:
+    """The stdout of `bellcheck <words> --help`, run through `cli.main` in process.
+
+    The width comes from `COLUMNS`, which the caller sets to 80.
+    """
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        cli.main([*words, "--help"])
+    assert exc.value.code == 0
+    return out.getvalue()
+
+
+def record_help() -> dict:
+    """`help.json`'s content: the Python minor version and each word's help page."""
+    python = "{}.{}".format(*sys.version_info)
+    return {"python": python, "pages": {" ".join(words): help_page(words) for words in HELP_WORDS}}
 
 
 def load_corpus() -> list[dict]:
@@ -45,3 +73,11 @@ def test_report_is_unchanged(entry, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     assert run_cli(entry["argv"]) == entry
 
+
+def test_help_is_unchanged(monkeypatch):
+    recorded = json.loads(HELP.read_text(encoding="utf-8"))
+    python = "{}.{}".format(*sys.version_info)
+    if python != recorded["python"]:
+        pytest.skip(f"help.json was recorded on Python {recorded['python']}, whose argparse layout may differ")
+    monkeypatch.setenv("COLUMNS", "80")
+    assert record_help() == recorded
