@@ -14,6 +14,8 @@ under `bellcheck.commands`, and that one declaration feeds two readers.
 with every flag in full and once, and returns what argparse would; any
 other command line, `--help` included, goes to the argparse parser that
 `build_parser` builds, so every help, usage and error byte is argparse's.
+The declaration also names the report: `main` builds it, echoing the
+options given (`_report`), and the handler, `run(args, report)`, fills it.
 Only `build_parser` imports argparse, which with the `gettext` and
 `locale` it loads costs each child 4-5 ms; a well-formed run loads none
 of them.  Either way `main` imports only the handler module of the
@@ -39,9 +41,9 @@ COMMANDS = ("verify", "bks", "ghz", "correlate", "chsh", "eigencheck")
 # text) and checked against `choices`; if it is not `required`, a command
 # line without it gets `default`.
 Option = namedtuple("Option", "flag type default required choices help", defaults=(None, None, False, None, None))
-# A command word.  Either `run` handles it, with `options` and `--format`,
-# or it takes a subcommand word, stored as `dest`, that picks one `Command`
-# of the dict `words`.
+# A command word.  Either `run(args, report)` handles it, with `options`
+# and `--format`, or it takes a subcommand word, stored as `dest`, that
+# picks one `Command` of the dict `words`.
 Command = namedtuple("Command", "help options run dest words", defaults=((), None, None, None))
 # Every command that runs takes this option, after its own.
 FORMAT = Option("--format", choices=("text", "json"), default="text")
@@ -148,7 +150,7 @@ def _system_for(n: int, square: bool = True):
         return mermin_square()
     if n not in FAMILY_NS:
         allowed = "2 (square) or odd" if square else "odd"
-        raise UsageError(f"--n must be {allowed} in {FAMILY_NS[0]}..{FAMILY_NS[-1]}, got {n}")
+        raise ValueError(f"--n must be {allowed} in {FAMILY_NS[0]}..{FAMILY_NS[-1]}, got {n}")
     return generalized_sets(n)
 
 
@@ -164,10 +166,6 @@ def _verdict(report: RunReport, ps, result, **sizes) -> None:
     elif result.certificate is not None:
         report.extras["certificate"] = list(result.certificate)
         report.check("certificate verifies", check_certificate(ps, result.certificate), True)
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _to_devnull(stream) -> None:
@@ -236,6 +234,28 @@ def _read(argv):
     return SimpleNamespace(**values)
 
 
+def _report(args) -> RunReport:
+    """The empty report of what `args` runs, echoing the options given.
+
+    It is named by the command words; `--seed` is its seed, and each other
+    declared option whose value is not None a parameter, in declaration order.
+    """
+    name = args.command
+    command = _command(name)
+    if command.words is not None:
+        word = getattr(args, command.dest)
+        name, command = f"{name} {word}", command.words[word]
+    parameters, seed = {}, None
+    for option in command.options:
+        key = option.flag[2:]
+        value = getattr(args, key)
+        if key == "seed":
+            seed = value
+        elif value is not None:
+            parameters[key] = value
+    return RunReport(name, parameters, seed)
+
+
 def build_parser(words=COMMANDS):
     """The argparse `bellcheck` parser, with the subparser of each command word in `words`."""
     import argparse
@@ -288,9 +308,10 @@ def main(argv: list[str] | None = None) -> int:
         # the full parser.
         word = argv[0] if argv else None
         args = build_parser((word,) if word in COMMANDS else COMMANDS).parse_args(argv)
+    report = _report(args)
     started = time.perf_counter()
     try:
-        report = args.func(args)
+        args.func(args, report)
     except (ValueError, OSError) as err:
         _error(str(err))
         return 2

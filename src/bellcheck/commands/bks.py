@@ -1,31 +1,28 @@
 """`bellcheck bks solve`: the value-assignment verdict on a family or an `.obs` file."""
 
-from ..cli import Command, Option, RunReport, UsageError, _system_for, _verdict
+from ..cli import Command, Option, _system_for, _verdict
 
 
-def run(args) -> RunReport:
+def run(args, report) -> None:
     from ..constructions import validate
     from ..parity import build_parity_system, solve
 
     if (args.n is None) == (args.file is None):
-        raise UsageError("bks solve needs exactly one of --n or --file")
+        raise ValueError("bks solve needs exactly one of --n or --file")
     if args.n is not None:
-        report = RunReport("bks solve", {"n": args.n})
         system = _system_for(args.n, square=False)
     else:
         from ..dsl import parse_document  # only `--file` reads `.obs` text
 
-        report = RunReport("bks solve", {"file": args.file})
         # utf-8-sig drops the byte-order mark that some editors write.
         with open(args.file, "r", encoding="utf-8-sig") as fh:
             system = parse_document(fh.read())
         # A verdict on contexts that are not physical would be meaningless.
         for check in validate(system).checks:
             if check.problem is not None:
-                raise UsageError(f"{args.file}: context {check.context_index}: {check.problem}")
+                raise ValueError(f"{args.file}: context {check.context_index}: {check.problem}")
     ps = build_parity_system(system)
     _verdict(report, ps, solve(ps), variables=len(ps.variables), rows=len(ps.rows))
-    return report
 
 
 COMMAND = Command(

@@ -2,22 +2,21 @@
 
 import math
 
-from ..cli import Command, Option, RunReport, UsageError
+from ..cli import Command, Option
 
 REL_TOL = 1e-9
 
 
-def run(args) -> RunReport:
+def run(args, report) -> None:
     import random
 
     from .. import chsh as chsh_mod
 
     n = args.n
     if not 1 <= n <= chsh_mod.MAX_PAIRS:
-        raise UsageError(f"--n must be in 1..{chsh_mod.MAX_PAIRS}, got {n}")
+        raise ValueError(f"--n must be in 1..{chsh_mod.MAX_PAIRS}, got {n}")
     if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    report = RunReport("chsh", {"n": n}, seed=args.seed)
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     vectors = chsh_mod.optimal_vectors()
     target = (2.0 * math.sqrt(2.0)) ** n
     gap = chsh_mod.gap_report(n, vectors)  # the factorized value
@@ -43,7 +42,6 @@ def run(args) -> RunReport:
         worst <= 2.0 * math.sqrt(2.0) + 1e-9,
         True,
     )
-    return report
 
 
 COMMAND = Command(

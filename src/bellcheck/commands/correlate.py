@@ -1,6 +1,6 @@
 """`bellcheck correlate`: two-observer protocol statistics on shared Bell pairs."""
 
-from ..cli import Command, Option, RunReport, _system_for
+from ..cli import Command, Option, _system_for
 
 # The most shots `correlate` accepts, checked before any work.  On a 2-core
 # Xeon VM 10**7 shots of `--n 13 --noise 0.05 --efficiency 0.9` (the
@@ -9,24 +9,14 @@ from ..cli import Command, Option, RunReport, _system_for
 MAX_SHOTS = 10**8
 
 
-def run(args) -> RunReport:
+def run(args, report) -> None:
     if args.shots > MAX_SHOTS:
         raise ValueError(f"--shots must be at most {MAX_SHOTS}, got {args.shots}")
-    from ..protocol import run_experiment
+    from ..protocol import MODES, run_experiment
 
     system = _system_for(args.n)
-    report = RunReport(
-        "correlate",
-        {
-            "n": args.n,
-            "shots": args.shots,
-            "noise": args.noise,
-            "efficiency": args.efficiency,
-        },
-        seed=args.seed,
-    )
     exact_regime = args.noise == 0.0 and args.efficiency == 1.0
-    for mode in ("alone", "in_context"):
+    for mode in MODES:
         summary = run_experiment(
             system, args.shots, noise=args.noise, efficiency=args.efficiency, seed=args.seed, bob_mode=mode
         )
@@ -42,7 +32,6 @@ def run(args) -> RunReport:
                 sorted(set(summary.product_pass_rates.values())),
                 [1.0],
             )
-    return report
 
 
 COMMAND = Command(

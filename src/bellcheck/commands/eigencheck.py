@@ -1,21 +1,19 @@
 """`bellcheck eigencheck`: each mirrored observable pair fixes the shared Bell state."""
 
-from ..cli import Command, Option, RunReport, _system_for
+from ..cli import Command, Option, _system_for
 
 
-def run(args) -> RunReport:
+def run(args, report) -> None:
     from ..pauli import format_pauli
     from ..tableau import eigenrelation_check
 
     system = _system_for(args.n)
-    report = RunReport("eigencheck", {"n": args.n})
     for op in system.catalog:
         report.check(
             f"mirrored {format_pauli(op)} fixes the shared state",
             eigenrelation_check(op),
             True,
         )
-    return report
 
 
 COMMAND = Command("mirrored-observable eigenrelations", (Option("--n", int, required=True),), run)

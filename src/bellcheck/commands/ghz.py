@@ -1,15 +1,14 @@
 """`bellcheck ghz`: the GHZ observables on the GHZ state, and each grouping's verdict."""
 
-from ..cli import Command, Option, RunReport, _verdict
+from ..cli import Command, Option, _verdict
 
 
-def run(args) -> RunReport:
+def run(args, report) -> None:
     from ..constructions import ghz_contexts, ghz_observables
     from ..parity import solve
     from ..pauli import PauliOperator, format_pauli, product
     from ..tableau import ghz_tableau, tableau_expectation
 
-    report = RunReport("ghz", {"grouping": args.grouping})
     observables = ghz_observables()
     report.check(
         "operator product",
@@ -29,7 +28,6 @@ def run(args) -> RunReport:
     expect_sat = args.grouping == "bipartite"
     report.check("value assignment exists", result.satisfiable, expect_sat)
     _verdict(report, ps, result)
-    return report
 
 
 COMMAND = Command(

@@ -33,28 +33,24 @@ def _parity_checks(report: RunReport, system, expect_rows: int) -> None:
         report.extras["certificate"] = list(result.certificate)
 
 
-def square(args) -> RunReport:
+def square(args, report) -> None:
     from ..constructions import mermin_square
 
-    report = RunReport("verify square", {})
     system = mermin_square()
     _validation_checks(report, system)
     report.check("distinct observables", len(system.catalog), 9)
     report.check("occurrences per observable", sorted(set(system.occurrence_counts)), [2])
     _parity_checks(report, system, expect_rows=6)
-    return report
 
 
-def sets(args) -> RunReport:
+def sets(args, report) -> None:
     n = args.n
-    report = RunReport("verify sets", {"n": n})
     system = _system_for(n, square=False)
     _validation_checks(report, system)
     report.check("context count", len(system.contexts), n + 2)
     report.check("distinct observables", len(system.catalog), 3 * n + 1)
     report.check("occurrences per observable", sorted(set(system.occurrence_counts)), [2])
     _parity_checks(report, system, expect_rows=n + 2)
-    return report
 
 
 COMMAND = Command(

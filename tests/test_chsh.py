@@ -216,6 +216,8 @@ class TestLhv:
     def test_bound_powers(self):
         assert lhv_max(1) == 2.0
         assert lhv_max(4) == 16.0
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            lhv_max(0)
 
     @pytest.mark.parametrize("n", range(1, MAX_PRODUCT_PAIRS + 1))
     def test_product_strategy_enumeration_matches_bound(self, n):

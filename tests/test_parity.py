@@ -1,5 +1,7 @@
 """GF(2) solver and its exhaustive oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,45 @@ class TestWitnessChecks:
             check_assignment(ps, {"v1": 0})
         with pytest.raises(ValueError):
             check_assignment(ps, {})
+
+    def test_assignment_check_matches_each_contexts_product(self):
+        # The oracle reads the contexts, not the rows: an assignment passes
+        # iff each context's values multiply to its declared sign.  A random
+        # system's words are distinct masks, so its rows are its contexts.
+        rng = np.random.default_rng(31)
+        seen = set()
+        for _ in range(100):
+            system = random_obs_system(rng)
+            ps = build_parity_system(system)
+            assert len(ps.rows) == len(system.contexts)
+            result = solve(ps)
+            base = result.assignment or {v: +1 for v in ps.variables}
+            # The solution (or all +1) itself, then five random flips of it.
+            for flips in [np.zeros(len(ps.variables)), *rng.integers(0, 2, size=(5, len(ps.variables)))]:
+                assignment = {v: -base[v] if flip else base[v] for v, flip in zip(ps.variables, flips)}
+                expected = all(
+                    math.prod(assignment[obs] for obs in ctx.observables) == ctx.expected_sign
+                    for ctx in system.contexts
+                )
+                seen.add(expected)
+                assert check_assignment(ps, assignment) == expected
+        assert seen == {True, False}
+
+    def test_flipping_an_odd_variable_of_a_solution_fails(self):
+        rng = np.random.default_rng(37)
+        systems = [ghz_contexts("bipartite")]
+        while len(systems) < 40:
+            ps = build_parity_system(random_obs_system(rng))
+            if solve(ps).satisfiable:
+                systems.append(ps)
+        for ps in systems:
+            assignment = solve(ps).assignment
+            assert check_assignment(ps, assignment)
+            odd = {v for row in ps.rows for v in row.variables if row.variables.count(v) % 2}
+            assert odd
+            for v in odd:
+                flipped = {**assignment, ps.variables[v]: -assignment[ps.variables[v]]}
+                assert not check_assignment(ps, flipped)
 
     def test_all_rows_always_certify_generalized_family(self):
         # Every observable occurs in exactly two contexts, so XORing every

@@ -383,7 +383,24 @@ class TestFormat:
         assert parse_pauli(format_pauli(op), op.num_qubits) == op
 
 
+# Refusals outside the parser's syntax errors: a call and its exact message.
+REFUSALS = [
+    (lambda: single("Q", 1, 2), "unknown Pauli letter 'Q'"),
+    (lambda: single("X", 0, 2), "qubit index 0 out of range 1..2"),
+    (lambda: single("Z", 3, 2), "qubit index 3 out of range 1..2"),
+    (lambda: PauliOperator(2, 0, 0, 0).letter(0), "qubit index 0 out of range"),
+    (lambda: PauliOperator(2, 0, 0, 0).letter(3), "qubit index 3 out of range"),
+    (lambda: parse_pauli("X1", 0), "num_qubits must be >= 1, got 0"),
+]
+
+
 class TestConstruction:
+    @pytest.mark.parametrize("call,message", REFUSALS, ids=[message for _, message in REFUSALS])
+    def test_refusal_message(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             PauliOperator(0, 0, 0, 0)

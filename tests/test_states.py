@@ -621,3 +621,17 @@ class TestTableau:
             compile_context(bell_product_tableau(1), [parse_pauli("X1", 4)])
         with pytest.raises(ValueError, match="qubits"):
             tableau_expectation(bell_product_tableau(2), parse_pauli("X1", 2))
+
+    def test_swapped_destabilizers_are_a_tableau_bug(self):
+        # X1 X3 is a stabilizer; with Z1 and Z2 exchanged among the
+        # destabilizers it names X2 X4 instead, which is not the word.
+        good = bell_product_tableau(2)
+        destabilizers = list(good.destabilizers)
+        destabilizers[0], destabilizers[1] = destabilizers[1], destabilizers[0]
+        swapped = good._replace(destabilizers=tuple(destabilizers))
+        op = parse_pauli("X1 X3", 4)
+        assert tableau_expectation(good, op) == 1.0
+        with pytest.raises(RuntimeError, match="tableau bug"):
+            tableau_expectation(swapped, op)
+        with pytest.raises(RuntimeError, match="tableau bug"):
+            compile_context(swapped, [op])
