@@ -6,25 +6,25 @@ usage or input error.  JSON reports are byte-identical for identical
 invocations and seeds, so they diff cleanly in CI; wall time is shown
 only in text output for that reason.
 
-This module holds what every command shares: the report, the error
-handling, the command-line readers and `main`.  Each command word's
-options (a `Command` of `Option`s) and handler live in its own module
-under `bellcheck.commands`, and that one declaration feeds two readers.
-`_read` takes a plain command line, `<word> [<subword>] (--flag value)*`
-with every flag in full and once, and returns what argparse would; any
-other command line, `--help` included, goes to the argparse parser that
-`build_parser` builds, so every help, usage and error byte is argparse's.
-The declaration also names the report: `main` builds it, echoing the
-options given (`_report`), and the handler, `run(args, report)`, fills it.
-Only `build_parser` imports argparse, which with the `gettext` and
-`locale` it loads costs each child 4-5 ms; a well-formed run loads none
-of them.  Either way `main` imports only the handler module of the
-command word it is given; each handler imports the bellcheck modules it
-runs, and this module only the stdlib.  So a child loads (and compiles)
-no module it does not run.  A JSON report is written by `_json`, not by
-the `json` package, whose import (with its regexes) would cost every
-child about 2 ms; `json` loads only for a value that the writer leaves
-to it.
+This module holds what every run executes: the declaration types, the
+report and its JSON writer, the plain command-line reader, the error
+handling and `main`.  Each command word's options (a `Command` of
+`Option`s) and handler live in its own module under `bellcheck.commands`,
+and that one declaration feeds two readers.  `_read` takes a plain
+command line, `<word> [<subword>] (--flag value)*` with every flag in full
+and once, and returns what argparse would; any other command line,
+`--help` included, goes to the argparse parser of `bellcheck.usage`, so
+every help, usage and error byte is argparse's.  The declaration also
+names the report: `main` builds it, echoing the options given
+(`_report`), and the handler, `run(args, report)`, fills it.  Only
+`bellcheck.usage` imports argparse, which with the `gettext` and `locale`
+it loads costs each child 4-5 ms; a well-formed run loads none of them.
+Either way `main` imports only the handler module of the command word it
+is given; each handler imports the bellcheck modules it runs, and this
+module only the stdlib.  So a child loads (and compiles) no module it
+does not run.  A JSON report is written by `_json`, not by the `json`
+package, whose import (with its regexes) would cost every child about
+2 ms; `json` loads only for a value that the writer leaves to it.
 """
 
 import os
@@ -142,32 +142,6 @@ def _json(value, newline: str = "\n") -> str:
     return json.dumps(value, indent=2).replace("\n", newline)
 
 
-def _system_for(n: int, square: bool = True):
-    """The generalized family for n in `constructions.FAMILY_NS`, and the square for n = 2 if `square`."""
-    from .constructions import FAMILY_NS, generalized_sets, mermin_square
-
-    if square and n == 2:
-        return mermin_square()
-    if n not in FAMILY_NS:
-        allowed = "2 (square) or odd" if square else "odd"
-        raise ValueError(f"--n must be {allowed} in {FAMILY_NS[0]}..{FAMILY_NS[-1]}, got {n}")
-    return generalized_sets(n)
-
-
-def _verdict(report: RunReport, ps, result, **sizes) -> None:
-    """Report SAT/UNSAT, then `sizes`, then the witness and its check."""
-    from .parity import check_assignment, check_certificate
-
-    report.extras["result"] = "SAT" if result.satisfiable else "UNSAT"
-    report.extras.update(sizes)
-    if result.satisfiable:
-        report.extras["assignment"] = {str(v): result.assignment[v] for v in ps.variables}
-        report.check("assignment verifies", check_assignment(ps, result.assignment), True)
-    elif result.certificate is not None:
-        report.extras["certificate"] = list(result.certificate)
-        report.check("certificate verifies", check_certificate(ps, result.certificate), True)
-
-
 def _to_devnull(stream) -> None:
     """Point a stream whose reader closed the pipe at devnull, so the flush at exit cannot raise."""
     devnull = os.open(os.devnull, os.O_WRONLY)
@@ -194,7 +168,7 @@ def _command(word: str) -> Command:
 
 
 def _read(argv):
-    """What `build_parser().parse_args(argv)` returns, for a plain command line; else None.
+    """What `usage.build_parser().parse_args(argv)` returns, for a plain command line; else None.
 
     A plain command line is `<word> [<subword>] (--flag value)*` where each
     flag is one of its command's, written in full and given once, no value
@@ -256,58 +230,15 @@ def _report(args) -> RunReport:
     return RunReport(name, parameters, seed)
 
 
-def build_parser(words=COMMANDS):
-    """The argparse `bellcheck` parser, with the subparser of each command word in `words`."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        """Argument errors end in one `error:` line and exit 2, like every other failure.
-
-        Subparsers are built from the same class, so they inherit this.
-        """
-
-        def error(self, message: str):
-            _error(message)
-            raise SystemExit(2)
-
-    parser = Parser(
-        prog="bellcheck",
-        description="Verify commuting-set constructions, value-assignment "
-        "impossibility, shared-state correlations, and CHSH bounds.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for word in words:
-        _add_command(sub, word, _command(word))
-    return parser
-
-
-def _add_command(sub, word: str, command: Command) -> None:
-    """Add `word`'s subparser, built from its `Command`, to the subparsers action `sub`."""
-    parser = sub.add_parser(word, help=command.help)
-    if command.words is not None:
-        inner = parser.add_subparsers(dest=command.dest, required=True)
-        for subword, subcommand in command.words.items():
-            _add_command(inner, subword, subcommand)
-        return
-    for option in (*command.options, FORMAT):
-        parser.add_argument(
-            option.flag, type=option.type, default=option.default, required=option.required,
-            choices=option.choices, help=option.help,
-        )
-    parser.set_defaults(func=command.run)
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _read(argv)
     if args is None:
-        # argparse builds only the subparser of the command word it is
-        # given.  Help, a missing or unknown command word, or an option first
-        # gets every subparser, so its usage and `error:` lines are those of
-        # the full parser.
-        word = argv[0] if argv else None
-        args = build_parser((word,) if word in COMMANDS else COMMANDS).parse_args(argv)
+        # Help, `--flag=value`, an abbreviation or an error: argparse prints it.
+        from .usage import build_parser
+
+        args = build_parser().parse_args(argv)
     report = _report(args)
     started = time.perf_counter()
     try:

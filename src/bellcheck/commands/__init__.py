@@ -1,11 +1,43 @@
-"""One handler module per `bellcheck` command word.
+"""One handler module per `bellcheck` command word, and the helpers some of them share.
 
 Module `bellcheck.commands.<word>` declares the `<word>` command line as
 data, a `cli.Command` of `cli.Option`s named `COMMAND`, and holds the code
 that runs it, `run(args, report)`, which fills the report that `cli`
 built from `COMMAND`.  So a child that runs one command compiles only that
-command's handler.  `cli` reads a plain command line from `COMMAND` itself
-and builds its argparse subparser from it for anything else.  A package
-rather than flat modules beside `cli`, because the `chsh` command's
-handler cannot share its name with the `chsh` library module.
+command's handler.  `cli` reads a plain command line from `COMMAND` itself,
+and `bellcheck.usage` builds its argparse subparser from it for anything
+else.  A package rather than flat modules beside `cli`, because the `chsh`
+command's handler cannot share its name with the `chsh` library module.
+
+This module, which every handler loads with its package, holds the two
+helpers that only some handlers call, so that `cli` compiles neither:
+`_system_for` picks a built-in family from `--n`, and `_verdict` reports
+a parity system's SAT/UNSAT verdict with its witness.  Each imports the
+library modules it runs only when called.
 """
+
+
+def _system_for(n: int, square: bool = True):
+    """The generalized family for n in `constructions.FAMILY_NS`, and the square for n = 2 if `square`."""
+    from ..constructions import FAMILY_NS, generalized_sets, mermin_square
+
+    if square and n == 2:
+        return mermin_square()
+    if n not in FAMILY_NS:
+        allowed = "2 (square) or odd" if square else "odd"
+        raise ValueError(f"--n must be {allowed} in {FAMILY_NS[0]}..{FAMILY_NS[-1]}, got {n}")
+    return generalized_sets(n)
+
+
+def _verdict(report, ps, result, **sizes) -> None:
+    """Report SAT/UNSAT, then `sizes`, then the witness and its check."""
+    from ..parity import check_assignment, check_certificate
+
+    report.extras["result"] = "SAT" if result.satisfiable else "UNSAT"
+    report.extras.update(sizes)
+    if result.satisfiable:
+        report.extras["assignment"] = {str(v): result.assignment[v] for v in ps.variables}
+        report.check("assignment verifies", check_assignment(ps, result.assignment), True)
+    elif result.certificate is not None:
+        report.extras["certificate"] = list(result.certificate)
+        report.check("certificate verifies", check_certificate(ps, result.certificate), True)

@@ -1,6 +1,7 @@
 """`bellcheck bks solve`: the value-assignment verdict on a family or an `.obs` file."""
 
-from ..cli import Command, Option, _system_for, _verdict
+from ..cli import Command, Option
+from . import _system_for, _verdict
 
 
 def run(args, report) -> None:

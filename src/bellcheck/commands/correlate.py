@@ -1,6 +1,7 @@
 """`bellcheck correlate`: two-observer protocol statistics on shared Bell pairs."""
 
-from ..cli import Command, Option, _system_for
+from ..cli import Command, Option
+from . import _system_for
 
 # The most shots `correlate` accepts, checked before any work.  On a 2-core
 # Xeon VM 10**7 shots of `--n 13 --noise 0.05 --efficiency 0.9` (the

@@ -1,6 +1,7 @@
 """`bellcheck eigencheck`: each mirrored observable pair fixes the shared Bell state."""
 
-from ..cli import Command, Option, _system_for
+from ..cli import Command, Option
+from . import _system_for
 
 
 def run(args, report) -> None:

@@ -1,6 +1,7 @@
 """`bellcheck ghz`: the GHZ observables on the GHZ state, and each grouping's verdict."""
 
-from ..cli import Command, Option, _verdict
+from ..cli import Command, Option
+from . import _verdict
 
 
 def run(args, report) -> None:

@@ -5,10 +5,11 @@ parity system must have no value assignment, refuted by a certificate of
 the expected size.
 """
 
-from ..cli import Command, Option, RunReport, _system_for
+from ..cli import Command, Option
+from . import _system_for
 
 
-def _validation_checks(report: RunReport, system) -> None:
+def _validation_checks(report, system) -> None:
     from ..constructions import validate
 
     result = validate(system)
@@ -21,7 +22,7 @@ def _validation_checks(report: RunReport, system) -> None:
         )
 
 
-def _parity_checks(report: RunReport, system, expect_rows: int) -> None:
+def _parity_checks(report, system, expect_rows: int) -> None:
     from ..parity import build_parity_system, check_certificate, solve
 
     ps = build_parity_system(system)

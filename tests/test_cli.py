@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bellcheck
-from bellcheck import cli, constructions, pauli, protocol
+from bellcheck import cli, constructions, pauli, protocol, usage
 from bellcheck.commands import correlate as correlate_command
 from bellcheck.constructions import Context, ContextSystem, mermin_square
 
@@ -646,7 +646,7 @@ class TestUsage:
 
 
 class TestOneSubparser:
-    """A command word builds only its own subparser, and prints what the full parser prints."""
+    """Whatever the plain reader declines, `main` prints and exits as the full argparse parser does."""
 
     ERRORS = [
         ["correlate", "--n", "3"],  # a required option missing
@@ -656,19 +656,9 @@ class TestOneSubparser:
         ["verify"],  # no target
     ]
 
-    @pytest.fixture
-    def built(self, monkeypatch):
-        """The command words of each parser built, in order."""
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
-        words_built = []
-        build = cli.build_parser
-
-        def recording(words=cli.COMMANDS):
-            words_built.append(tuple(words))
-            return build(words)
-
-        monkeypatch.setattr(cli, "build_parser", recording)
-        return words_built
 
     @staticmethod
     def exit_and_output(capsys, parse, argv):
@@ -679,19 +669,18 @@ class TestOneSubparser:
     @pytest.mark.parametrize(
         "argv", [*([word, "--help"] for word in cli.COMMANDS), *ERRORS], ids=" ".join
     )
-    def test_command_word_output_is_the_full_parsers(self, capsys, built, argv):
-        full = self.exit_and_output(capsys, cli.build_parser().parse_args, argv)
+    def test_command_word_output_is_the_full_parsers(self, capsys, argv):
+        full = self.exit_and_output(capsys, usage.build_parser().parse_args, argv)
         assert self.exit_and_output(capsys, cli.main, argv) == full
-        assert built == [cli.COMMANDS, (argv[0],)]
         if argv[-1] == "--help":
             assert full[0] == 0 and full[1].startswith(f"usage: bellcheck {argv[0]} ")
         else:
             assert full[0] == 2 and full[2].startswith("error: ")
 
     @pytest.mark.parametrize("argv", [["--help"], [], ["nosuch"], ["--format", "json"]], ids=repr)
-    def test_anything_else_builds_the_full_parser(self, capsys, built, argv):
-        self.exit_and_output(capsys, cli.main, argv)
-        assert built == [cli.COMMANDS]
+    def test_anything_else_builds_the_full_parser(self, capsys, argv):
+        full = self.exit_and_output(capsys, usage.build_parser().parse_args, argv)
+        assert self.exit_and_output(capsys, cli.main, argv) == full
 
 
 # Values that `cli._json` must leave to `json`, or write exactly as it does.
@@ -767,7 +756,8 @@ class TestStartup:
         child about 14 ms, and `typing` about 5 ms.  Nor does any command load
         `json` (about 2 ms: `cli._json` writes the reports) or `__future__`,
         nor, on these well-formed command lines, `argparse` with the `gettext`
-        and `locale` it loads (4-5 ms: `cli._read` reads them).
+        and `locale` it loads (4-5 ms: `cli._read` reads them), or the
+        argparse parser's module `bellcheck.usage`.
 
         Every command runs in one fresh interpreter started with `-S`, so no
         `.pth` file of `site` loads these modules first, and after each
@@ -776,6 +766,7 @@ class TestStartup:
         forbidden = {
             "dataclasses", "inspect", "typing", "_typing",
             "json", "json.decoder", "json.encoder", "__future__", "argparse", "gettext", "locale",
+            "bellcheck.usage",
         }
         write_readme_obs(tmp_path)
         runs = [[*argv, "--format", "json"] for argv in VERDICTS + SMALL_RUNS + [LARGE_RUN]]
@@ -829,6 +820,35 @@ class TestStartup:
             modules += ["dsl"] * ("--file" in argv)
             expected.append(f"0 {' '.join(argv)} | {' '.join(sorted(modules))}")
         assert result.stdout.splitlines() == expected
+
+    def test_cli_import_loads_only_cli(self):
+        """A fresh `import bellcheck.cli`, what the benchmark's `setup_s` times, loads no other bellcheck module."""
+        script = "import sys, bellcheck.cli\nprint(sorted(m for m in sys.modules if m.startswith('bellcheck')))\n"
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=fresh_env(), timeout=120
+        )
+        assert (result.stderr, result.stdout) == ("", "['bellcheck', 'bellcheck.cli']\n")
+
+    def test_argparse_form_loads_the_parser_module_and_prints_the_same_report(self):
+        """`--format=json` goes to `bellcheck.usage`'s parser and prints the bytes of `--format json`."""
+        argv = ["correlate", "--n", "3", "--shots", "100"]
+        runs = [[*argv, "--format", "json"], [*argv, "--format=json"]]
+        script = (
+            "import io, sys\n"
+            "from bellcheck import cli\n"
+            f"for argv in {runs!r}:\n"
+            "    sys.stdout, out = io.StringIO(), sys.stdout\n"
+            "    code = cli.main(argv)\n"
+            "    sys.stdout, report = out, sys.stdout.getvalue()\n"
+            "    print(repr((code, 'bellcheck.usage' in sys.modules, report)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=fresh_env(), timeout=120
+        )
+        assert result.stderr == ""
+        plain, equals = map(ast.literal_eval, result.stdout.splitlines())
+        assert plain[:2] == (0, False) and plain[2].startswith('{\n  "command": "correlate",')
+        assert equals == (0, True, plain[2])
 
     def test_importtime_lists_the_handler_module(self):
         """`-X importtime` reports the command's handler module, which `main` imports on the builtin path.
@@ -914,6 +934,20 @@ OLD_NAMESPACE = {
 }
 
 
+def absolute_imports():
+    """(file, its tree, the import node, the top-level packages it names) of each absolute import in `src`."""
+    for path in sorted((REPO / "src" / "bellcheck").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            yield path, tree, node, {module.split(".")[0] for module in modules}
+
+
 class TestPackage:
     def test_every_name_resolves_to_its_submodule_object(self):
         names = []
@@ -941,22 +975,23 @@ class TestPackage:
 
     def test_no_module_imports_numpy(self):
         """numpy is a test dependency: no module imports it, at any depth, and none is required."""
-        for path in sorted((REPO / "src" / "bellcheck").rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-                if isinstance(node, ast.Import):
-                    modules = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    modules = [node.module]
-                else:
-                    continue
-                where = f"{path.relative_to(REPO)}:{node.lineno}"
-                assert all(m.split(".")[0] != "numpy" for m in modules), where
+        for path, _, node, packages in absolute_imports():
+            assert "numpy" not in packages, f"{path.relative_to(REPO)}:{node.lineno}"
         try:
             import tomllib
         except ModuleNotFoundError:  # Python 3.10
             return
         project = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))["project"]
         assert project["dependencies"] == []
+
+    def test_only_the_parser_module_imports_argparse(self):
+        """argparse costs a child 4-5 ms: only `usage`, which `main` loads for help and errors, imports it."""
+        found = [
+            (path.relative_to(REPO).as_posix(), node in tree.body)
+            for path, tree, node, packages in absolute_imports()
+            if "argparse" in packages
+        ]
+        assert found == [("src/bellcheck/usage.py", True)]
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
