@@ -26,6 +26,8 @@ from .pauli import PauliOperator
 from .tableau import singlet_product_tableau, tableau_expectation
 
 VTOL = 1e-12
+# The float slack of a CHSH value (a sum of products of doubles) against its target.
+REL_TOL = 1e-9
 MAX_TABLEAU_PAIRS = 5
 # Largest n for which (2*sqrt(2))^n, the optimal quantum value, is a finite
 # float64; beyond it the values overflow.
@@ -170,5 +172,5 @@ def gap_report(n: int, vectors: MeasurementVectors | None = None) -> ChshReport:
         quantum_value=qv,
         lhv_bound=bound,
         ratio=qv / bound,
-        sub_classical=abs(qv) <= bound * (1.0 + 1e-9),
+        sub_classical=abs(qv) <= bound * (1.0 + REL_TOL),
     )

@@ -23,7 +23,7 @@ def run(args, report) -> None:
             if check.problem is not None:
                 raise ValueError(f"{args.file}: context {check.context_index}: {check.problem}")
     ps = build_parity_system(system)
-    _verdict(report, ps, solve(ps), variables=len(ps.variables), rows=len(ps.rows))
+    _verdict(report, ps, solve(ps))
 
 
 COMMAND = Command(

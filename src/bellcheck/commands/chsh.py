@@ -4,8 +4,6 @@ import math
 
 from ..cli import Command, Option
 
-REL_TOL = 1e-9
-
 
 def run(args, report) -> None:
     import random
@@ -20,12 +18,12 @@ def run(args, report) -> None:
     vectors = chsh_mod.optimal_vectors()
     target = (2.0 * math.sqrt(2.0)) ** n
     gap = chsh_mod.gap_report(n, vectors)  # the factorized value
-    report.check("quantum value (factorized)", gap.quantum_value, target, tolerance=REL_TOL)
+    report.check("quantum value (factorized)", gap.quantum_value, target, tolerance=chsh_mod.REL_TOL)
     if n <= chsh_mod.MAX_TABLEAU_PAIRS:
         tableau_value = chsh_mod.quantum_value(n, vectors, method="tableau")
-        report.check("quantum value (tableau)", tableau_value, gap.quantum_value, tolerance=REL_TOL)
+        report.check("quantum value (tableau)", tableau_value, gap.quantum_value, tolerance=chsh_mod.REL_TOL)
     report.check("local-realist bound", gap.lhv_bound, 2.0 ** n)
-    report.check("ratio", gap.ratio, math.sqrt(2.0) ** n, tolerance=REL_TOL)
+    report.check("ratio", gap.ratio, math.sqrt(2.0) ** n, tolerance=chsh_mod.REL_TOL)
     rng = random.Random(args.seed)
     worst = 0.0
     for _ in range(200):
@@ -39,7 +37,7 @@ def run(args, report) -> None:
     report.extras["random_sweep_max"] = worst
     report.check(
         "random settings stay within quantum bound",
-        worst <= 2.0 * math.sqrt(2.0) + 1e-9,
+        worst <= 2.0 * math.sqrt(2.0) + chsh_mod.REL_TOL,
         True,
     )
 

@@ -22,7 +22,6 @@ def run(args, report) -> None:
             f"eigenvalue of {format_pauli(op)}",
             tableau_expectation(state, op),
             float(indicated),
-            tolerance=1e-12,
         )
     ps = ghz_contexts(args.grouping)
     result = solve(ps)

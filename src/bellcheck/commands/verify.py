@@ -1,57 +1,45 @@
 """`bellcheck verify square|sets`: the built-in families, validated and refuted.
 
-Each family's contexts must commute and multiply to their signs, and its
-parity system must have no value assignment, refuted by a certificate of
-the expected size.
+Each family's contexts must commute and multiply to their signs, it must
+have the family's shape, and its verdict, reported by `commands._verdict`,
+must be UNSAT, with a certificate that uses each of its contexts once.
 """
 
 from ..cli import Command, Option
-from . import _system_for
+from . import _system_for, _verdict
 
 
-def _validation_checks(report, system) -> None:
+def _family(report, system, contexts: int, observables: int) -> None:
+    """Validate `system`, check its shape, and report its verdict."""
     from ..constructions import validate
+    from ..parity import build_parity_system, solve
 
-    result = validate(system)
-    for check in result.checks:
+    for check in validate(system).checks:
         report.check(f"context {check.context_index} commuting", check.commuting, True)
         report.check(
             f"context {check.context_index} product sign",
             check.product_sign,
             check.expected_sign,
         )
-
-
-def _parity_checks(report, system, expect_rows: int) -> None:
-    from ..parity import build_parity_system, check_certificate, solve
-
+    report.check("context count", len(system.contexts), contexts)
+    report.check("distinct observables", len(system.catalog), observables)
+    report.check("occurrences per observable", sorted(set(system.occurrence_counts)), [2])
     ps = build_parity_system(system)
     result = solve(ps)
     report.check("value assignment exists", result.satisfiable, False)
-    if result.certificate is not None:
-        report.check("certificate rows", len(result.certificate), expect_rows)
-        report.check("certificate verifies", check_certificate(ps, result.certificate), True)
-        report.extras["certificate"] = list(result.certificate)
+    _verdict(report, ps, result)
+    if not result.satisfiable:
+        report.check("certificate rows", len(result.certificate), contexts)
 
 
 def square(args, report) -> None:
     from ..constructions import mermin_square
 
-    system = mermin_square()
-    _validation_checks(report, system)
-    report.check("distinct observables", len(system.catalog), 9)
-    report.check("occurrences per observable", sorted(set(system.occurrence_counts)), [2])
-    _parity_checks(report, system, expect_rows=6)
+    _family(report, mermin_square(), 6, 9)
 
 
 def sets(args, report) -> None:
-    n = args.n
-    system = _system_for(n, square=False)
-    _validation_checks(report, system)
-    report.check("context count", len(system.contexts), n + 2)
-    report.check("distinct observables", len(system.catalog), 3 * n + 1)
-    report.check("occurrences per observable", sorted(set(system.occurrence_counts)), [2])
-    _parity_checks(report, system, expect_rows=n + 2)
+    _family(report, _system_for(args.n, square=False), args.n + 2, 3 * args.n + 1)
 
 
 COMMAND = Command(

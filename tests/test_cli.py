@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 import bellcheck
 from bellcheck import cli, constructions, pauli, protocol, usage
 from bellcheck.commands import correlate as correlate_command
-from bellcheck.constructions import Context, ContextSystem, mermin_square
+from bellcheck.constructions import Context, ContextSystem, generalized_sets, ghz_contexts, mermin_square
+from bellcheck.dsl import parse_document
+from bellcheck.parity import build_parity_system, check_assignment, solve
 
 REPO = Path(__file__).resolve().parents[1]
 README = REPO / "README.md"
@@ -166,15 +168,33 @@ class TestVerify:
         assert payload["certificate"] == [0, 1, 2, 3, 4, 5]
         assert all(c["passed"] for c in payload["checks"])
 
-    def test_failure_exits_one(self, capsys, monkeypatch):
-        good = mermin_square()
-        contexts = list(good.contexts)
+    @pytest.fixture
+    def tampered(self, monkeypatch):
+        """The square with context 0 declared -1, which `verify square` then checks."""
+        contexts = list(mermin_square().contexts)
         contexts[0] = Context(contexts[0].observables, -1)
-        tampered = ContextSystem(2, tuple(contexts))
-        monkeypatch.setattr(constructions, "mermin_square", lambda: tampered)
+        system = ContextSystem(2, tuple(contexts))
+        monkeypatch.setattr(constructions, "mermin_square", lambda: system)
+        return system
+
+    def test_failure_exits_one(self, capsys, tampered):
         code, out, _ = run(capsys, ["verify", "square"])
         assert code == 1
         assert "FAIL" in out
+
+    def test_failure_reports_its_assignment(self, capsys, tampered):
+        """Two contexts declared -1 have a value assignment, and the report shows it."""
+        code, out, _ = run(capsys, ["verify", "square", "--format", "json"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["result"] == "SAT"
+        ps = build_parity_system(tampered)
+        assert list(payload["assignment"]) == [str(v) for v in ps.variables]
+        assert check_assignment(ps, {v: payload["assignment"][str(v)] for v in ps.variables})
+        checks = {c["name"]: c["passed"] for c in payload["checks"]}
+        assert checks["value assignment exists"] is False
+        assert checks["assignment verifies"] is True
+        assert "certificate rows" not in checks
 
 
 class TestBksSolve:
@@ -184,8 +204,6 @@ class TestBksSolve:
         payload = json.loads(out)
         assert payload["result"] == "UNSAT"
         assert payload["certificate"] == [0, 1, 2, 3, 4, 5, 6]
-        # The key order is part of the report's bytes.
-        assert list(payload)[4:] == ["result", "variables", "rows", "certificate", "checks"]
         assert (payload["variables"], payload["rows"]) == (16, 7)
 
     def test_builtin_family_rejects_even_n(self, capsys):
@@ -355,6 +373,42 @@ class TestBksSolve:
         assert json.loads(out)["assignment"] == {"Z1": 1, "Z2": 1, "Z1 Z2": 1}
 
 
+# Every SAT/UNSAT report, with the parity system it decides, built here.
+VERDICT_REPORTS = [
+    pytest.param(argv, system, id=" ".join(argv))
+    for argv, system in (
+        (["verify", "square"], lambda: build_parity_system(mermin_square())),
+        (["verify", "sets", "--n", "3"], lambda: build_parity_system(generalized_sets(3))),
+        (["bks", "solve", "--n", "3"], lambda: build_parity_system(generalized_sets(3))),
+        (["bks", "solve", "--file", "my.obs"], lambda: build_parity_system(parse_document(readme_obs()))),
+        (["ghz", "--grouping", "tripartite"], lambda: ghz_contexts("tripartite")),
+        (["ghz", "--grouping", "bipartite"], lambda: ghz_contexts("bipartite")),
+    )
+]
+
+
+class TestVerdictShape:
+    """Every SAT/UNSAT report has one shape: its verdict, its sizes, then its witness and one check of it."""
+
+    @pytest.mark.parametrize("argv,system", VERDICT_REPORTS)
+    def test_one_shape(self, capsys, tmp_path, monkeypatch, argv, system):
+        write_readme_obs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, [*argv, "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        ps = system()
+        result = "SAT" if solve(ps).satisfiable else "UNSAT"
+        witness = "assignment" if result == "SAT" else "certificate"
+        # The key order is part of the report's bytes.
+        keys = list(payload)
+        assert keys[keys.index("passed") + 1:][:4] == ["result", "variables", "rows", witness]
+        verdict = (payload["result"], payload["variables"], payload["rows"])
+        assert verdict == (result, len(ps.variables), len(ps.rows))
+        verified = [c["name"] for c in payload["checks"] if c["name"].endswith(" verifies") and c["passed"]]
+        assert verified == [f"{witness} verifies"]
+
+
 class TestNameTraffic:
     """A verdict names a variable (`format_pauli` of its word) only where its report prints it."""
 
@@ -394,8 +448,6 @@ class TestGhz:
         payload = json.loads(out)
         assert payload["result"] == result
         assert payload["passed"] is True
-        witness = "assignment" if result == "SAT" else "certificate"
-        assert list(payload)[4:] == ["result", witness, "checks"]
 
     def test_grouping_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
