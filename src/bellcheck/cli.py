@@ -14,9 +14,9 @@ and that one declaration feeds two readers.  `_read` takes a plain
 command line, `<word> [<subword>] (--flag value)*` with every flag in full
 and once, and returns what argparse would; any other command line,
 `--help` included, goes to the argparse parser of `bellcheck.usage`, so
-every help, usage and error byte is argparse's.  The declaration also
-names the report: `main` builds it, echoing the options given
-(`_report`), and the handler, `run(args, report)`, fills it.  Only
+every help, usage and error byte is argparse's.  Either reader returns
+only the options; `_report` reads the report's name and the handler from
+the declaration, and `main` runs that `run(args, report)` to fill it.  Only
 `bellcheck.usage` imports argparse, which with the `gettext` and `locale`
 it loads costs each child 4-5 ms; a well-formed run loads none of them.
 Either way `main` imports only the handler module of the command word it
@@ -204,12 +204,11 @@ def _read(argv):
         if option.required and flag not in given:
             return None
         values[flag[2:]] = given.get(flag, option.default)
-    values["func"] = command.run
     return SimpleNamespace(**values)
 
 
-def _report(args) -> RunReport:
-    """The empty report of what `args` runs, echoing the options given.
+def _report(args):
+    """The handler of what `args` runs, and its empty report, echoing the options given.
 
     It is named by the command words; `--seed` is its seed, and each other
     declared option whose value is not None a parameter, in declaration order.
@@ -227,7 +226,7 @@ def _report(args) -> RunReport:
             seed = value
         elif value is not None:
             parameters[key] = value
-    return RunReport(name, parameters, seed)
+    return command.run, RunReport(name, parameters, seed)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -239,10 +238,10 @@ def main(argv: list[str] | None = None) -> int:
         from .usage import build_parser
 
         args = build_parser().parse_args(argv)
-    report = _report(args)
+    run, report = _report(args)
     started = time.perf_counter()
     try:
-        args.func(args, report)
+        run(args, report)
     except (ValueError, OSError) as err:
         _error(str(err))
         return 2

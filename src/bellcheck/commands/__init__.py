@@ -11,11 +11,11 @@ command's handler cannot share its name with the `chsh` library module.
 
 This module, which every handler loads with its package, holds the two
 helpers that only some handlers call, so that `cli` compiles neither:
-`_system_for` picks a built-in family from `--n`, and `_verdict` reports
-a parity system's SAT/UNSAT verdict with its sizes and its witness.
-Every SAT/UNSAT report, of `verify`, `bks solve` and `ghz`, is written
-by `_verdict`, so all of them have one shape.  Each helper imports the
-library modules it runs only when called.
+`_system_for` picks a built-in family from `--n`, and `_verdict` solves a
+parity system, checks the verdict the paper expects, if given, and reports
+it with its sizes and witness.  Every SAT/UNSAT report, of `verify`, `bks
+solve` and `ghz`, is solved and written by `_verdict`, so all have one
+shape.  Each helper imports the library modules it runs only when called.
 """
 
 
@@ -31,16 +31,20 @@ def _system_for(n: int, square: bool = True):
     return generalized_sets(n)
 
 
-def _verdict(report, ps, result) -> None:
-    """Report SAT/UNSAT, `ps`'s variable and row counts, then the witness and its check."""
-    from ..parity import check_assignment, check_certificate
+def _verdict(report, ps, expected=None):
+    """Solve `ps`; report SAT/UNSAT, its sizes, the `expected` verdict if given, the witness and its check."""
+    from ..parity import check_assignment, check_certificate, solve
 
+    result = solve(ps)
     report.extras["result"] = "SAT" if result.satisfiable else "UNSAT"
     report.extras["variables"] = len(ps.variables)
     report.extras["rows"] = len(ps.rows)
+    if expected is not None:
+        report.check("value assignment exists", result.satisfiable, expected)
     if result.satisfiable:
         report.extras["assignment"] = {str(v): result.assignment[v] for v in ps.variables}
         report.check("assignment verifies", check_assignment(ps, result.assignment), True)
     else:
         report.extras["certificate"] = list(result.certificate)
         report.check("certificate verifies", check_certificate(ps, result.certificate), True)
+    return result

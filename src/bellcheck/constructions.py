@@ -10,7 +10,7 @@ self-validates its structural properties before returning.
 from collections import namedtuple
 from functools import cached_property
 
-from .pauli import PauliOperator, context_faults, fault_message, format_pauli, parse_pauli, product, single
+from .pauli import PauliOperator, context_fault, format_pauli, parse_pauli, product, single
 
 
 # The odd n for which `generalized_sets` builds a family.
@@ -116,9 +116,9 @@ def validate(system: ContextSystem) -> ValidationReport:
     """
     checks = []
     for idx, ctx in enumerate(system.contexts):
-        non_hermitian, failing = context_faults(ctx.observables)
+        fault, commuting = context_fault(ctx.observables)
         sign = None
-        if failing is None:
+        if commuting:
             try:
                 sign = product_sign(ctx)
             except ConstructionError:
@@ -127,12 +127,12 @@ def validate(system: ContextSystem) -> ValidationReport:
         if width != system.num_qubits:
             problem = f"acts on {width} qubits, system has {system.num_qubits}"
         else:
-            problem = fault_message(non_hermitian, failing)
+            problem = fault
         if problem is None and sign is None:
             problem = "product is not +-identity"
         elif problem is None and sign != ctx.expected_sign:
             problem = f"product is {sign:+d} * identity, declared {ctx.expected_sign:+d}"
-        checks.append(ContextCheck(idx, failing is None, sign, ctx.expected_sign, problem))
+        checks.append(ContextCheck(idx, commuting, sign, ctx.expected_sign, problem))
     return ValidationReport(tuple(checks), tuple(c.context_index for c in checks if c.problem is not None))
 
 

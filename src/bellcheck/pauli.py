@@ -18,12 +18,11 @@ import re
 from collections import namedtuple
 from itertools import combinations, islice
 _LETTERS = {0: "I", 1: "X", 2: "Z", 3: "Y"}  # index = x_bit + 2*z_bit
+# Each letter's (x, z) bits on its site.
+_SITE_BITS = {letter: (index & 1, index >> 1) for index, letter in _LETTERS.items()}
 
 _PHASE_LABEL = {0: "+", 1: "i", 2: "-", 3: "-i"}
 _LABEL_PHASE = {v: k for k, v in _PHASE_LABEL.items()}
-
-# Each letter's (x, z) bits on its site.
-_SITE_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
 
 class PauliSyntaxError(ValueError):
@@ -85,14 +84,12 @@ def identity(num_qubits: int) -> PauliOperator:
 
 def single(letter: str, index: int, num_qubits: int) -> PauliOperator:
     """Single-letter word: `letter` at 1-based `index`, identity elsewhere."""
-    if letter not in ("I", "X", "Y", "Z"):
+    site = _SITE_BITS.get(letter)
+    if site is None:
         raise ValueError(f"unknown Pauli letter {letter!r}")
     if not 1 <= index <= num_qubits:
         raise ValueError(f"qubit index {index} out of range 1..{num_qubits}")
-    bit = 0 if letter == "I" else 1 << (index - 1)
-    x = bit if letter in ("X", "Y") else 0
-    z = bit if letter in ("Z", "Y") else 0
-    return PauliOperator(num_qubits, x, z, 0)
+    return PauliOperator(num_qubits, site[0] << (index - 1), site[1] << (index - 1), 0)
 
 
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
@@ -107,12 +104,9 @@ def product(words) -> PauliOperator:
     for the result.
     """
     words = list(words)
-    if not words:
+    n = _register(words)
+    if n is None:
         raise ValueError("product needs at least one word")
-    n = words[0].num_qubits
-    for word in words:
-        if word.num_qubits != n:
-            raise ValueError(f"qubit-count mismatch: {n} vs {word.num_qubits}")
     return PauliOperator(n, *product_masks(word[1:] for word in words))  # (x, z, phase)
 
 
@@ -140,39 +134,38 @@ def product_masks(rows) -> tuple[int, int, int]:
 
 def commutes(a: PauliOperator, b: PauliOperator) -> bool:
     """Symplectic commutation test: |a.x & b.z| + |a.z & b.x| even."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError(
-            f"qubit-count mismatch: {a.num_qubits} vs {b.num_qubits}"
-        )
+    _register((a, b))
     return ((a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()) % 2 == 0
 
 
-def context_faults(observables) -> tuple[str | None, tuple[str, str] | None]:
-    """The first non-Hermitian member and the first non-commuting pair, as text.
+def context_fault(words) -> tuple[str | None, bool]:
+    """Why `words` cannot be measured together (None if they can), and whether they commute.
 
-    Pairs are tried in `combinations` order; either part is None when the
-    context has no such fault.  Members on different registers raise
+    A non-Hermitian member is named first, else the first non-commuting
+    pair in `combinations` order.  Words on different registers raise
     ValueError.
     """
-    for o in observables:
-        if o.num_qubits != observables[0].num_qubits:
-            raise ValueError(f"qubit-count mismatch: {observables[0].num_qubits} vs {o.num_qubits}")
-    non_hermitian = next((format_pauli(o) for o in observables if not o.is_hermitian), None)
+    _register(words)
     # `commutes`'s symplectic test, on the masks.
-    rows = [(o.x_mask, o.z_mask, o) for o in observables]
-    for (ax, az, a), (bx, bz, b) in combinations(rows, 2):
-        if ((ax & bz) ^ (az & bx)).bit_count() & 1:
-            return non_hermitian, (format_pauli(a), format_pauli(b))
-    return non_hermitian, None
-
-
-def fault_message(non_hermitian: str | None, failing_pair: tuple[str, str] | None) -> str | None:
-    """Why a context's words are not jointly measurable; Hermiticity goes first."""
+    rows = [(o.x_mask, o.z_mask, o) for o in words]
+    failing = next(
+        ((a, b) for (ax, az, a), (bx, bz, b) in combinations(rows, 2) if ((ax & bz) ^ (az & bx)).bit_count() & 1),
+        None,
+    )
+    non_hermitian = next((o for o in words if not o.is_hermitian), None)
     if non_hermitian is not None:
-        return f"observable {non_hermitian} is not Hermitian"
-    if failing_pair is not None:
-        return f"observables {failing_pair[0]} and {failing_pair[1]} do not commute"
-    return None
+        return f"observable {format_pauli(non_hermitian)} is not Hermitian", failing is None
+    if failing is not None:
+        return f"observables {format_pauli(failing[0])} and {format_pauli(failing[1])} do not commute", False
+    return None, True
+
+
+def _register(words) -> int | None:
+    """The qubit count that all of `words` share, None for no words; different counts raise ValueError."""
+    for word in words:
+        if word.num_qubits != words[0].num_qubits:
+            raise ValueError(f"qubit-count mismatch: {words[0].num_qubits} vs {word.num_qubits}")
+    return words[0].num_qubits if words else None
 
 
 def format_pauli(op: PauliOperator) -> str:

@@ -26,7 +26,7 @@ dense state vectors that the tests compare it with live in
 from collections import namedtuple
 from functools import lru_cache
 
-from .pauli import PauliOperator, context_faults, fault_message, format_pauli, multiply, product_masks
+from .pauli import PauliOperator, context_fault, multiply, product_masks
 
 
 StabilizerTableau = namedtuple("StabilizerTableau", "num_qubits stabilizers destabilizers signs measured")
@@ -82,7 +82,7 @@ def ghz_tableau() -> StabilizerTableau:
 
 def _checked_context(context_ops) -> list[PauliOperator]:
     ops = list(context_ops)
-    fault = fault_message(*context_faults(ops))
+    fault, _ = context_fault(ops)
     if fault is not None:
         raise ValueError(fault)
     return ops
@@ -123,7 +123,7 @@ def tableau_expectation(tableau: StabilizerTableau, op: PauliOperator) -> float:
     No row is rewritten.
     """
     if not op.is_hermitian:
-        raise ValueError(fault_message(format_pauli(op), None))
+        raise ValueError(context_fault((op,))[0])
     _check_size(op, tableau)
     _, x, z, phase = op
     for sx, sz in tableau.stabilizers:

@@ -51,4 +51,3 @@ def _add_command(sub, word: str, command: Command) -> None:
             option.flag, type=option.type, default=option.default, required=option.required,
             choices=option.choices, help=option.help,
         )
-    parser.set_defaults(func=command.run)

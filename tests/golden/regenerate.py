@@ -12,6 +12,9 @@ The commands are, in this order and each once:
 
 Each runs with `--format json` through `cli.main` in process, from this
 directory, and `corpus.json` records its argv, exit code, stdout and stderr.
+The script prints the argv of each entry whose exit code, stdout or stderr
+differs from the `corpus.json` it replaces (a new entry counts as changed),
+and how many did not change: the commands a change must name.
 `help.json` records every `--help` page at `COLUMNS=80` and the Python
 minor version that laid them out.
 The commands and `.obs` files come from `bench/workloads.py`, which only
@@ -31,7 +34,7 @@ sys.path[:0] = [str(REPO / "src"), str(REPO / "tests"), str(REPO / "bench")]
 
 import workloads  # noqa: E402
 from test_cli import readme_examples, write_readme_obs  # noqa: E402
-from test_golden import CORPUS, HELP, record_help, run_cli  # noqa: E402
+from test_golden import CORPUS, HELP, load_corpus, record_help, run_cli  # noqa: E402
 
 VERDICTS_SEED = 1
 CORRELATE_SEEDS = tuple(range(1, 11))
@@ -62,9 +65,14 @@ def commands() -> list[list[str]]:
 
 def main() -> None:
     os.chdir(HERE)  # `--file` paths are relative to this directory
+    old = {tuple(entry["argv"]): entry for entry in load_corpus()}
     entries = [run_cli([*argv, "--format", "json"]) for argv in commands()]
     CORPUS.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     print(f"{len(entries)} commands written to {CORPUS.relative_to(REPO)}")
+    changed = [entry["argv"] for entry in entries if old.get(tuple(entry["argv"])) != entry]
+    for argv in changed:
+        print("changed: bellcheck " + " ".join(argv))
+    print(f"{len(entries) - len(changed)} unchanged, {len(changed)} changed")
     os.environ["COLUMNS"] = "80"
     pages = record_help()
     HELP.write_text(json.dumps(pages, indent=1) + "\n", encoding="utf-8")

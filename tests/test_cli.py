@@ -407,6 +407,12 @@ class TestVerdictShape:
         assert verdict == (result, len(ps.variables), len(ps.rows))
         verified = [c["name"] for c in payload["checks"] if c["name"].endswith(" verifies") and c["passed"]]
         assert verified == [f"{witness} verifies"]
+        # The paper's expectation, where there is one, is checked once, just before the witness.
+        names = [c["name"] for c in payload["checks"]]
+        expectation = [] if argv[0] == "bks" else ["value assignment exists"]
+        assert [name for name in names if name == "value assignment exists"] == expectation
+        if expectation:
+            assert names[names.index(f"{witness} verifies") - 1] == "value assignment exists"
 
 
 class TestNameTraffic:

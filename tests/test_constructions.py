@@ -17,8 +17,8 @@ from bellcheck.constructions import (
     validate,
 )
 from bellcheck.dsl import parse_document
-from bellcheck.pauli import PauliOperator, commutes, context_faults, format_pauli, parse_pauli, product
-from bellcheck.tableau import ghz_tableau, tableau_expectation
+from bellcheck.pauli import PauliOperator, commutes, context_fault, format_pauli, parse_pauli, product
+from bellcheck.tableau import bell_product_tableau, compile_context, ghz_tableau, tableau_expectation
 
 
 def dense_product(ops):
@@ -164,11 +164,35 @@ class TestValidateFaultInjection:
         for _ in range(300):
             n = int(rng.integers(1, 4))
             words = [random_pauli(rng, n) for _ in range(int(rng.integers(1, 6)))]
-            expected = next(
-                ((format_pauli(a), format_pauli(b)) for a, b in combinations(words, 2) if not commutes(a, b)),
-                None,
-            )
-            assert context_faults(words)[1] == expected
+            # Phase 0 or 2 makes each word Hermitian, so the message names the pair.
+            hermitian = [w._replace(phase_exponent=w.phase_exponent & 2) for w in words]
+            pair = next(((a, b) for a, b in combinations(hermitian, 2) if not commutes(a, b)), None)
+            message = None if pair is None else f"observables {format_pauli(pair[0])} and {format_pauli(pair[1])} do not commute"
+            assert context_fault(hermitian) == (message, pair is None)
+            assert context_fault(words)[1] is (pair is None)
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            [parse_pauli("i X1", 2)],
+            [parse_pauli("X1", 2), parse_pauli("Z1", 2)],
+            [parse_pauli("Z1", 2), parse_pauli("Z1", 3)],
+        ],
+        ids=["non-hermitian", "non-commuting", "two registers"],
+    )
+    def test_every_refusal_gives_the_one_fault_message(self, words):
+        try:
+            message = validate(ContextSystem(2, (Context(tuple(words), +1),))).checks[0].problem
+        except ValueError as err:
+            message = str(err)
+        assert message is not None
+        with pytest.raises(ValueError) as compiled:
+            compile_context(bell_product_tableau(1), words)
+        assert str(compiled.value) == message
+        if len(words) == 1:
+            with pytest.raises(ValueError) as expectation:
+                tableau_expectation(bell_product_tableau(1), words[0])
+            assert str(expectation.value) == message
 
     def test_members_on_different_registers_raise(self):
         with pytest.raises(ValueError, match="mismatch: 2 vs 3"):
