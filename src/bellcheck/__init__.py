@@ -8,7 +8,7 @@ dense numpy oracles that the tests compare it with live in
 `tests/oracles.py`.
 """
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"
 
 # Submodule -> the public names this package re-exports from it.
 _EXPORTS = {

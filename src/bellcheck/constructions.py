@@ -220,8 +220,8 @@ def ghz_contexts(grouping: str):
     its letters on that observer's qubits ("tripartite": one observer per
     particle; "bipartite": particle 1 and particles 2+3).  The variables
     are the distinct factors, observer by observer, each observer's in
-    order of first use; row k sums observable k's factors, with rhs 1 iff
-    its stated eigenvalue is -1.
+    order of first use; row k's mask XORs the bits of observable k's
+    factors, with rhs 1 iff its stated eigenvalue is -1.
     """
     from .parity import ParityRow, ParitySystem  # here, so that `constructions` does not load `parity`
 
@@ -233,5 +233,10 @@ def ghz_contexts(grouping: str):
     for j in range(len(masks)):
         for factors, _ in terms:
             index.setdefault(factors[j], len(index))
-    rows = tuple(ParityRow(tuple(index[f] for f in factors), 0 if ev == +1 else 1) for factors, ev in terms)
-    return ParitySystem(tuple(index), rows)
+    rows = []
+    for factors, ev in terms:
+        mask = 0
+        for f in factors:
+            mask ^= 1 << index[f]
+        rows.append(ParityRow(mask, 0 if ev == +1 else 1))
+    return ParitySystem(tuple(index), tuple(rows))

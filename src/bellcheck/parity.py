@@ -6,8 +6,13 @@ into one XOR equation: the bits of the member observables must sum to 0
 for sign +1 and to 1 for sign -1.  Deciding whether an assignment exists
 is then plain Gaussian elimination over GF(2).
 
+A row is stored as `(mask, rhs)`: an int bitmask whose bit j stands for
+variable j, and the right-hand side.  The solver and both witness checks
+read it as stored.  A word listed twice in one context cancels, so a row
+whose words all cancel has mask 0, and holds iff its rhs is 0.
+
 Unsatisfiability is witnessed by a certificate: a subset of rows whose
-XOR has empty variable support but right-hand side 1.  Satisfiability is
+masks XOR to 0 but whose right-hand sides XOR to 1.  Satisfiability is
 witnessed by an explicit assignment.  Both witnesses are checkable
 independently of the solver (`check_certificate`, `check_assignment`).
 
@@ -21,15 +26,15 @@ from collections import namedtuple
 from collections.abc import Hashable, Iterable, Mapping
 
 
-class ParityRow(namedtuple("ParityRow", "variables rhs")):
+class ParityRow(namedtuple("ParityRow", "mask rhs")):
     __slots__ = ()
 
-    def __new__(cls, variables: tuple[int, ...], rhs: int):
+    def __new__(cls, mask: int, rhs: int):
         if rhs not in (0, 1):
             raise ValueError(f"rhs must be 0 or 1, got {rhs}")
-        if not variables:
-            raise ValueError("parity row needs at least one variable")
-        return tuple.__new__(cls, (variables, rhs))
+        if mask < 0:
+            raise ValueError(f"row mask must be non-negative, got {mask}")
+        return tuple.__new__(cls, (mask, rhs))
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 
@@ -39,20 +44,11 @@ class ParitySystem(namedtuple("ParitySystem", "variables rows")):
 
     def __new__(cls, variables: tuple[Hashable, ...], rows: tuple[ParityRow, ...]):
         for row in rows:
-            for v in row.variables:
-                if not 0 <= v < len(variables):
-                    raise ValueError(f"row variable index {v} out of range")
+            if row.mask >> len(variables):
+                raise ValueError(f"row variable index {row.mask.bit_length() - 1} out of range")
         return tuple.__new__(cls, (variables, rows))
 
     _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def row_mask(self, index: int) -> int:
-        """Row's variable set as an int bitset (bit j = variable j), with
-        repeated indices cancelling mod 2."""
-        mask = 0
-        for v in self.rows[index].variables:
-            mask ^= 1 << v
-        return mask
 
 
 SolveResult = namedtuple("SolveResult", "satisfiable assignment certificate", defaults=(None, None))
@@ -75,18 +71,17 @@ def build_parity_system(system) -> ParitySystem:
     is made here, so a verdict that prints none formats none.
     """
     index = system.catalog_index
-    rows = [
-        ParityRow(
-            tuple(index[obs] for obs in ctx.observables),
-            0 if ctx.expected_sign == +1 else 1,
-        )
-        for ctx in system.contexts
-    ]
+    rows = []
+    for ctx in system.contexts:
+        mask = 0
+        for obs in ctx.observables:
+            mask ^= 1 << index[obs]  # a word listed twice cancels
+        rows.append(ParityRow(mask, 0 if ctx.expected_sign == +1 else 1))
     for i, (n, x, z, phase) in enumerate(system.catalog):
         if not x | z:
-            rows.append(ParityRow((i,), phase >> 1))
+            rows.append(ParityRow(1 << i, phase >> 1))
         elif phase == 2 and (n, x, z, 0) in index:  # a record equals its field tuple
-            rows.append(ParityRow((index[n, x, z, 0], i), 1))
+            rows.append(ParityRow(1 << index[n, x, z, 0] | 1 << i, 1))
     return ParitySystem(system.catalog, tuple(rows))
 
 
@@ -99,9 +94,7 @@ def solve(ps: ParitySystem) -> SolveResult:
     yields its certificate.  On success, free variables default to +1.
     """
     pivots: dict[int, tuple[int, int, int]] = {}  # var -> (mask, rhs, history)
-    for ridx in range(len(ps.rows)):
-        mask = ps.row_mask(ridx)
-        rhs = ps.rows[ridx].rhs
+    for ridx, (mask, rhs) in enumerate(ps.rows):
         history = 1 << ridx
         while mask:
             low = (mask & -mask).bit_length() - 1
@@ -138,21 +131,18 @@ def check_certificate(ps: ParitySystem, certificate: Iterable[int]) -> bool:
     for ridx in certificate:
         if not 0 <= ridx < len(ps.rows):
             raise ValueError(f"certificate row index {ridx} out of range")
-        mask ^= ps.row_mask(ridx)
+        mask ^= ps.rows[ridx].mask
         rhs ^= ps.rows[ridx].rhs
     return mask == 0 and rhs == 1
 
 
 def check_assignment(ps: ParitySystem, assignment: Mapping[Hashable, int]) -> bool:
     """True iff every row's value product matches its sign."""
-    values = [assignment.get(v) for v in ps.variables]
-    for v, value in zip(ps.variables, values):
+    negative = 0  # bit j set iff variable j is -1
+    for j, v in enumerate(ps.variables):
+        value = assignment.get(v)
         if value not in (+1, -1):
             raise ValueError(f"assignment must map {str(v)!r} to +1 or -1")
-    for row in ps.rows:
-        product = 1
-        for i in row.variables:
-            product *= values[i]
-        if product != (1 - 2 * row.rhs):
-            return False
-    return True
+        if value == -1:
+            negative |= 1 << j
+    return all((row.mask & negative).bit_count() & 1 == row.rhs for row in ps.rows)

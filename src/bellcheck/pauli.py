@@ -14,9 +14,8 @@ Multiplication tracks phases exactly in integer arithmetic, so products
 of Pauli words are exact.
 """
 
-import re
 from collections import namedtuple
-from itertools import combinations, islice
+from itertools import combinations
 _LETTERS = {0: "I", 1: "X", 2: "Z", 3: "Y"}  # index = x_bit + 2*z_bit
 # Each letter's (x, z) bits on its site.
 _SITE_BITS = {letter: (index & 1, index >> 1) for index, letter in _LETTERS.items()}
@@ -248,5 +247,8 @@ def parse_pauli(text: str, num_qubits: int) -> PauliOperator:
 
 def _token_error(text: str, k: int, message: str) -> PauliSyntaxError:
     """`message` at the start of the k-th whitespace-separated token of `text`."""
-    match = next(islice(re.finditer(r"\S+", text), k, None))
-    return PauliSyntaxError(message, match.start())
+    start = end = 0
+    for token in text.split()[: k + 1]:
+        start = text.index(token, end)  # a token holds no whitespace, so it is found where it starts
+        end = start + len(token)
+    return PauliSyntaxError(message, start)

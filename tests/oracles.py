@@ -149,13 +149,9 @@ def brute_force(ps: ParitySystem) -> SolveResult:
     dtype = np.uint32
     space = np.arange(1 << k, dtype=dtype)
     sat = np.ones(1 << k, dtype=bool)
-    for ridx in range(len(ps.rows)):
-        mask = 0
-        row_mask = ps.row_mask(ridx)
-        for j in range(k):
-            if row_mask >> j & 1:
-                mask |= 1 << (k - 1 - j)
-        sat &= (np.bitwise_count(space & dtype(mask)) & 1) == ps.rows[ridx].rhs
+    for mask, rhs in ps.rows:
+        reversed_mask = sum(1 << (k - 1 - j) for j in range(k) if mask >> j & 1)
+        sat &= (np.bitwise_count(space & dtype(reversed_mask)) & 1) == rhs
     hits = np.flatnonzero(sat)
     if hits.size == 0:
         return SolveResult(False)

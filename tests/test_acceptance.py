@@ -6,6 +6,7 @@ lines; every criterion enforces its stated tolerance and runtime budget.
 
 import functools
 import math
+import operator
 import time
 from itertools import combinations
 
@@ -200,9 +201,10 @@ def test_criterion_7_oracles():
         k = int(rng.integers(1, 21))
         rows = []
         for _ in range(int(rng.integers(1, 2 * k + 2))):
-            size = int(rng.integers(1, min(k, 6) + 1))
-            variables = tuple(sorted(rng.choice(k, size=size, replace=False).tolist()))
-            rows.append(ParityRow(variables, int(rng.integers(0, 2))))
+            # Up to 6 indices drawn with repeats, which cancel in pairs: some masks are 0.
+            size = int(rng.integers(1, 7))
+            mask = functools.reduce(operator.xor, (1 << int(v) for v in rng.integers(0, k, size=size)))
+            rows.append(ParityRow(mask, int(rng.integers(0, 2))))
         ps = ParitySystem(tuple(f"v{i}" for i in range(k)), tuple(rows))
         fast = solve(ps)
         exhaustive = brute_force(ps)

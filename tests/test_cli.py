@@ -815,7 +815,8 @@ class TestStartup:
         `json` (about 2 ms: `cli._json` writes the reports) or `__future__`,
         nor, on these well-formed command lines, `argparse` with the `gettext`
         and `locale` it loads (4-5 ms: `cli._read` reads them), or the
-        argparse parser's module `bellcheck.usage`.
+        argparse parser's module `bellcheck.usage`.  Nor `re` with its `enum`
+        (3-4 ms: `pauli` finds a rejected token's offset with `str` methods).
 
         Every command runs in one fresh interpreter started with `-S`, so no
         `.pth` file of `site` loads these modules first, and after each
@@ -824,7 +825,7 @@ class TestStartup:
         forbidden = {
             "dataclasses", "inspect", "typing", "_typing",
             "json", "json.decoder", "json.encoder", "__future__", "argparse", "gettext", "locale",
-            "bellcheck.usage",
+            "bellcheck.usage", "re", "enum",
         }
         write_readme_obs(tmp_path)
         runs = [[*argv, "--format", "json"] for argv in VERDICTS + SMALL_RUNS + [LARGE_RUN]]

@@ -329,18 +329,16 @@ class TestGhz:
         assert len(ps.variables) == 6
         assert len(ps.rows) == 4
         assert [row.rhs for row in ps.rows] == [0, 0, 0, 1]
-        assert all(len(row.variables) == 3 for row in ps.rows)
+        assert all(row.mask.bit_count() == 3 for row in ps.rows)
 
     def test_bipartite_system(self):
         ps = ghz_contexts("bipartite")
         assert len(ps.variables) == 6
         assert len(ps.rows) == 4
-        assert all(len(row.variables) == 2 for row in ps.rows)
+        assert all(row.mask.bit_count() == 2 for row in ps.rows)
         # The second observer holds particles 2 and 3, so its words have no letter on qubit 1.
         bob_vars = [i for i, word in enumerate(ps.variables) if not (word.x_mask | word.z_mask) & 1]
-        occurrences = [
-            sum(v in row.variables for row in ps.rows) for v in bob_vars
-        ]
+        occurrences = [sum(row.mask >> v & 1 for row in ps.rows) for v in bob_vars]
         assert occurrences == [1, 1, 1, 1]
 
     # Each grouping's observers, as the qubits each one holds (1-based).
@@ -354,7 +352,8 @@ class TestGhz:
         assert len(set(ps.variables)) == len(ps.variables) == 6
         assert len(ps.rows) == len(ghz_observables())
         for row, (op, _) in zip(ps.rows, ghz_observables()):
-            factors = [ps.variables[i] for i in row.variables]
+            # The variables run observer by observer, so a row's bits, low to high, are its factors in order.
+            factors = [word for i, word in enumerate(ps.variables) if row.mask >> i & 1]
             assert len(factors) == len(observers)
             assert product(factors) == op  # phase 0 included
             for factor, qubits in zip(factors, observers):

@@ -1,6 +1,8 @@
 """GF(2) solver and its exhaustive oracle."""
 
 import math
+from functools import reduce
+from operator import xor
 
 import numpy as np
 import pytest
@@ -29,12 +31,13 @@ from bellcheck.pauli import PauliOperator, format_pauli, parse_pauli
 
 
 def random_system(rng, max_vars=20):
+    """Rows of up to 6 variable indices drawn with repeats, which cancel in pairs: some masks are 0."""
     k = int(rng.integers(1, max_vars + 1))
     rows = []
     for _ in range(int(rng.integers(1, 2 * k + 2))):
-        size = int(rng.integers(1, min(k, 6) + 1))
-        variables = tuple(sorted(rng.choice(k, size=size, replace=False).tolist()))
-        rows.append(ParityRow(variables, int(rng.integers(0, 2))))
+        size = int(rng.integers(1, 7))
+        mask = reduce(xor, (1 << int(v) for v in rng.integers(0, k, size=size)))
+        rows.append(ParityRow(mask, int(rng.integers(0, 2))))
     return ParitySystem(tuple(f"v{i}" for i in range(k)), tuple(rows))
 
 
@@ -96,13 +99,21 @@ class TestSolve:
         assert check_certificate(ps, result.certificate)
 
     def test_single_row(self):
-        ps = ParitySystem(("v1",), (ParityRow((0,), 0),))
+        ps = ParitySystem(("v1",), (ParityRow(0b1, 0),))
         result = solve(ps)
         assert result.satisfiable
         assert result.assignment == {"v1": +1}
 
+    def test_an_empty_row_with_rhs_1_is_its_own_certificate(self):
+        # 0 = 1: no variable, and the right side is 1.
+        ps = ParitySystem(("a",), (ParityRow(0, 1),))
+        result = solve(ps)
+        assert result == SolveResult(False, certificate=(0,))
+        assert check_certificate(ps, result.certificate)
+        assert not brute_force(ps).satisfiable
+
     def test_free_variables_default_plus_one(self):
-        ps = ParitySystem(("a", "b", "c"), (ParityRow((0, 1), 1),))
+        ps = ParitySystem(("a", "b", "c"), (ParityRow(0b11, 1),))
         result = solve(ps)
         assert result.assignment["c"] == +1
         assert check_assignment(ps, result.assignment)
@@ -135,11 +146,11 @@ class TestBruteForce:
         assert result.assignment == {parse_pauli(text, 3): value for text, value in expected.items()}
 
     def test_single_row(self):
-        ps = ParitySystem(("v1",), (ParityRow((0,), 0),))
+        ps = ParitySystem(("v1",), (ParityRow(0b1, 0),))
         assert brute_force(ps) == SolveResult(True, assignment={"v1": +1})
 
     def test_variable_guard(self):
-        ps = ParitySystem(tuple(f"v{i}" for i in range(25)), (ParityRow((0,), 0),))
+        ps = ParitySystem(tuple(f"v{i}" for i in range(25)), (ParityRow(0b1, 0),))
         with pytest.raises(ValueError, match="limited"):
             brute_force(ps)
 
@@ -172,7 +183,7 @@ class TestWitnessChecks:
             check_certificate(ps, (0, 17))
 
     def test_assignment_value_validation(self):
-        ps = ParitySystem(("v1",), (ParityRow((0,), 0),))
+        ps = ParitySystem(("v1",), (ParityRow(0b1, 0),))
         with pytest.raises(ValueError, match="\\+1 or -1"):
             check_assignment(ps, {"v1": 0})
         with pytest.raises(ValueError):
@@ -211,7 +222,7 @@ class TestWitnessChecks:
         for ps in systems:
             assignment = solve(ps).assignment
             assert check_assignment(ps, assignment)
-            odd = {v for row in ps.rows for v in row.variables if row.variables.count(v) % 2}
+            odd = {v for row in ps.rows for v in range(len(ps.variables)) if row.mask >> v & 1}
             assert odd
             for v in odd:
                 flipped = {**assignment, ps.variables[v]: -assignment[ps.variables[v]]}
@@ -226,21 +237,25 @@ class TestWitnessChecks:
 
 
 class TestTypes:
-    def test_row_needs_variables(self):
-        with pytest.raises(ValueError, match="at least one"):
-            ParityRow((), 0)
+    def test_row_mask_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="^row mask must be non-negative, got -1$"):
+            ParityRow(-1, 0)
 
     def test_row_rhs_validation(self):
         with pytest.raises(ValueError, match="rhs"):
-            ParityRow((0,), 2)
+            ParityRow(0b1, 2)
 
     def test_system_index_validation(self):
-        with pytest.raises(ValueError, match="out of range"):
-            ParitySystem(("a",), (ParityRow((1,), 0),))
+        with pytest.raises(ValueError, match="^row variable index 1 out of range$"):
+            ParitySystem(("a",), (ParityRow(0b10, 0),))
 
     def test_row_mask_cancels_repeats(self):
-        ps = ParitySystem(("a", "b"), (ParityRow((0, 1, 0), 0),))
-        assert ps.row_mask(0) == 0b10
+        # `Z1` listed twice in one context is Z1 * Z1 = I: its row's words cancel to mask 0.
+        system = parse_document("qubits 2\nset Z1, Z1\nset Z1, Z2, Z1 Z2\n")
+        ps = build_parity_system(system)
+        assert ps.rows[0] == ParityRow(0, 0)
+        assert len(ps.rows) == 2
+        assert verdict(system).satisfiable
 
 
 # The magic square with a scalar word appended to its first context: `- I`
@@ -301,7 +316,7 @@ class TestScalarWords:
         assert not brute_force(ps).satisfiable
         # The scalar is the fourth catalog word; its row follows the contexts'.
         assert format_pauli(system.catalog[3]) == scalar
-        assert ps.rows[6] == ParityRow((3,), 1 if scalar == "- I" else 0)
+        assert ps.rows[6] == ParityRow(1 << 3, 1 if scalar == "- I" else 0)
 
     @pytest.mark.parametrize("text,value", [("set I", 1), ("set - I = -1", -1)])
     def test_a_lone_scalar_takes_its_eigenvalue(self, text, value):
@@ -373,7 +388,7 @@ class TestNegatedWords:
         assert not brute_force(ps).satisfiable
         # `- Y1 Y2` is the ninth catalog word and `Y1 Y2` the tenth; their row follows the contexts'.
         assert [format_pauli(word) for word in system.catalog[8:]] == ["- Y1 Y2", "Y1 Y2"]
-        assert ps.rows[6] == ParityRow((9, 8), 1)
+        assert ps.rows[6] == ParityRow(1 << 9 | 1 << 8, 1)
 
     def test_a_negative_without_its_word_adds_no_row(self):
         text = SQUARE_WITH_NEGATIVE.replace("Z1 Z2, Y1 Y2 = -1", "Z1 Z2, - Y1 Y2")

@@ -1,5 +1,8 @@
 """Pauli-word algebra against the dense-matrix oracle."""
 
+import re
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -111,6 +114,26 @@ MALFORMED = [
     ("X1\u3000Z7", 2, "qubit index 7 out of range 1..2", 3),
 ]
 
+# Characters that `str.split` takes for whitespace, beyond the ASCII ones:
+# the information separators, NEL, no-break and other Unicode spaces, and
+# the line and paragraph separators.
+WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u200a\u2028\u2029\u202f\u205f\u3000"
+
+
+@st.composite
+def texts_with_one_bad_token(draw):
+    """(text, k): valid 2-qubit tokens around one rejected token, the k-th, with any whitespace between."""
+    tokens = draw(st.lists(st.sampled_from(["X1", "Y2", "Z1", "I", "X01", "-", "-i"]), max_size=5))
+    tokens = [t for i, t in enumerate(tokens) if i == 0 or not t.startswith("-")]  # a phase only leads
+    non_space = st.characters(blacklist_categories=("Cs",)).filter(lambda c: not c.isspace())
+    bad = draw(st.sampled_from(["X", "X9", "x1", "X1,", "-"]) | st.text(non_space, max_size=3).map("Q".__add__))
+    k = draw(st.integers(0, len(tokens)))
+    assume(k > 0 or bad != "-")  # a leading `-` is a phase prefix
+    tokens.insert(k, bad)
+    space = st.text(st.sampled_from(WHITESPACE), max_size=3)
+    gaps = [" " + draw(space) for _ in tokens[1:]] + [draw(space)]
+    return draw(space) + "".join(t + gap for t, gap in zip(tokens, gaps)), k
+
 
 class TestParse:
     def test_basic_tokens(self):
@@ -165,6 +188,14 @@ class TestParse:
             parse_pauli(text, n)
         assert str(exc.value) == f"{message} (at position {position + 1})"
         assert exc.value.position == position
+
+    @given(texts_with_one_bad_token())
+    def test_error_position_is_where_re_finds_the_token(self, case):
+        """The rejected token's offset is the start of the k-th `\\S+` match, as `re` finds it."""
+        text, k = case
+        with pytest.raises(PauliSyntaxError) as exc:
+            parse_pauli(text, 2)
+        assert exc.value.position == next(islice(re.finditer(r"\S+", text), k, None)).start()
 
     def test_index_past_the_int_digit_limit(self):
         # int() refuses more than 4300 digits; the index is still out of range.

@@ -21,7 +21,7 @@ X1 = parse_pauli("X1", 2)
 # One builder per record type; each call builds an equal, fresh record.
 RECORDS = {
     "PauliOperator": lambda: PauliOperator(3, 0b101, 0b011, 2),
-    "ParityRow": lambda: ParityRow((0, 2), 1),
+    "ParityRow": lambda: ParityRow(0b101, 1),
     "ParitySystem": lambda: build_parity_system(mermin_square()),
     "SolveResult": lambda: solve(build_parity_system(mermin_square())),
     "Context": lambda: mermin_square().contexts[5],
@@ -39,7 +39,7 @@ RECORDS = {
 # Each record's field names, in order, and its defaults.
 SHAPES = {
     "PauliOperator": ("num_qubits x_mask z_mask phase_exponent", {}),
-    "ParityRow": ("variables rhs", {}),
+    "ParityRow": ("mask rhs", {}),
     "ParitySystem": ("variables rows", {}),
     "SolveResult": ("satisfiable assignment certificate", {"assignment": None, "certificate": None}),
     "Context": ("observables expected_sign", {}),
@@ -66,9 +66,9 @@ REFUSALS = [
     (PauliOperator(2, 1, 0), {"num_qubits": 0}, "num_qubits must be >= 1, got 0"),
     (PauliOperator(2, 1, 0), {"x_mask": 4}, "mask out of range for 2 qubits: x=0x4 z=0x0"),
     (PauliOperator(2, 1, 0), {"z_mask": -1}, "mask out of range for 2 qubits: x=0x1 z=-0x1"),
-    (ParityRow((0,), 1), {"rhs": 2}, "rhs must be 0 or 1, got 2"),
-    (ParityRow((0,), 1), {"variables": ()}, "parity row needs at least one variable"),
-    (ParitySystem(("a",), ()), {"rows": (ParityRow((1,), 0),)}, "row variable index 1 out of range"),
+    (ParityRow(0b1, 1), {"rhs": 2}, "rhs must be 0 or 1, got 2"),
+    (ParityRow(0b1, 1), {"mask": -1}, "row mask must be non-negative, got -1"),
+    (ParitySystem(("a",), ()), {"rows": (ParityRow(0b10, 0),)}, "row variable index 1 out of range"),
     (Context((X1,), +1), {"expected_sign": 0}, "expected_sign must be +1 or -1, got 0"),
     (Context((X1,), +1), {"observables": ()}, "context needs at least one observable"),
     (optimal_vectors(), {"a": (1.0, 0.0)}, "a must be a 3-vector"),
