@@ -230,7 +230,13 @@ def _report(args):
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run `argv` and return its exit status; with no `argv`, freeze the heap and run `sys.argv[1:]`."""
     if argv is None:
+        # The program entry.  No collection traverses frozen objects, the full
+        # ones at exit included, so a child's teardown skips the start-up heap.
+        import gc
+
+        gc.freeze()
         argv = sys.argv[1:]
     args = _read(argv)
     if args is None:

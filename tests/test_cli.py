@@ -1,6 +1,7 @@
 """Command surface: exit codes, report formats, determinism."""
 
 import ast
+import gc
 import importlib
 import json
 import os
@@ -881,12 +882,47 @@ class TestStartup:
         assert result.stdout.splitlines() == expected
 
     def test_cli_import_loads_only_cli(self):
-        """A fresh `import bellcheck.cli`, what the benchmark's `setup_s` times, loads no other bellcheck module."""
-        script = "import sys, bellcheck.cli\nprint(sorted(m for m in sys.modules if m.startswith('bellcheck')))\n"
+        """A fresh `import bellcheck.cli`, what the benchmark's `setup_s` times, loads no other bellcheck module.
+
+        Nor `gc`: only `main()` with no argv imports it, to freeze the heap.
+        """
+        script = (
+            "import sys, bellcheck.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('bellcheck')), 'gc' in sys.modules)\n"
+        )
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=fresh_env(), timeout=120
         )
-        assert (result.stderr, result.stdout) == ("", "['bellcheck', 'bellcheck.cli']\n")
+        assert (result.stderr, result.stdout) == ("", "['bellcheck', 'bellcheck.cli'] False\n")
+
+    @pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+    def test_program_entry_freezes_the_startup_heap(self, flags):
+        """`main()` with no argv, the entry of `python -m bellcheck` and the console script, freezes the heap.
+
+        Frozen objects are never traversed, so the collections at the child's
+        exit skip everything that start-up made.
+        """
+        script = (
+            "import gc, io, sys\n"
+            "from bellcheck import cli\n"
+            "before = gc.get_freeze_count()\n"
+            "sys.argv = ['bellcheck', 'verify', 'square', '--format', 'json']\n"
+            "sys.stdout, out = io.StringIO(), sys.stdout\n"
+            "code = cli.main()\n"
+            "sys.stdout = out\n"
+            "print(before, code, gc.get_freeze_count() > 0)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", script], capture_output=True, text=True, env=fresh_env(), timeout=120
+        )
+        assert (result.stderr, result.stdout) == ("", "0 0 True\n")
+
+    def test_in_process_main_does_not_freeze(self, capsys):
+        """`main(argv)`, as the tests, the corpus and the traced benchmark call it, leaves the heap collectable."""
+        before = gc.get_freeze_count()
+        assert cli.main(["verify", "square", "--format", "json"]) == 0
+        assert gc.get_freeze_count() == before
+        assert capsys.readouterr().out.startswith('{\n  "command": "verify square",')
 
     def test_argparse_form_loads_the_parser_module_and_prints_the_same_report(self):
         """`--format=json` goes to `bellcheck.usage`'s parser and prints the bytes of `--format json`."""

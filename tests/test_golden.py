@@ -5,6 +5,10 @@ and stderr, as `golden/regenerate.py` recorded them.  The commands run from
 `golden/`, so a `--file` argument is a path relative to it, and the report,
 which echoes that path, does not depend on where the checkout lives.  Only
 `--format json` reports are recorded: a text report shows its wall time.
+A subset of the corpus also runs as `python -m bellcheck` children, so that
+the program entry (runpy, `__main__`, `sys.exit` and the interpreter's
+exit) is checked byte for byte as well; CI runs the same subset through the
+installed `bellcheck` script.
 `golden/help.json` holds the `--help` page of the parser and of every
 command and subcommand word at `COLUMNS=80`, with the Python minor version
 that recorded it: argparse lays out its help differently from one version
@@ -18,16 +22,30 @@ in CHANGES.md.
 import contextlib
 import io
 import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from bellcheck import cli
+from test_cli import fresh_env
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = GOLDEN / "corpus.json"
 HELP = GOLDEN / "help.json"
+# One entry per command word, a `bks solve --file` and a refusal (exit 2):
+# the corpus entries that `check_program` runs as children.
+PROGRAM_SUBSET = [
+    ["verify", "square"],
+    ["bks", "solve", "--n", "5"],
+    ["bks", "solve", "--file", "verdicts-1/family13-x64.obs"],
+    ["ghz", "--grouping", "tripartite"],
+    ["correlate", "--n", "3", "--shots", "10000", "--noise", "0.05", "--efficiency", "0.9", "--seed", "1"],
+    ["chsh", "--n", "5", "--seed", "7"],
+    ["eigencheck", "--n", "3"],
+    ["verify", "sets", "--n", "4"],
+]
 # The words whose `--help` pages `help.json` records.
 HELP_WORDS = [[], *([word] for word in cli.COMMANDS), ["verify", "square"], ["verify", "sets"], ["bks", "solve"]]
 
@@ -38,6 +56,23 @@ def run_cli(argv: list[str]) -> dict:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
     return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def check_program(program: list[str]) -> None:
+    """Run each `PROGRAM_SUBSET` entry as a child `program <argv>` from `golden/`; assert the corpus's bytes.
+
+    The children import the package that this module imported.
+    """
+    env = fresh_env()
+    recorded = {tuple(entry["argv"]): entry for entry in load_corpus()}
+    expected, runs = [], []
+    for argv in PROGRAM_SUBSET:
+        argv = [*argv, "--format", "json"]
+        expected.append(recorded[tuple(argv)])
+        result = subprocess.run([*program, *argv], cwd=GOLDEN, capture_output=True, env=env, timeout=120)
+        stdout, stderr = result.stdout.decode(), result.stderr.decode()
+        runs.append({"argv": argv, "exit": result.returncode, "stdout": stdout, "stderr": stderr})
+    assert runs == expected
 
 
 def help_page(words: list[str]) -> str:
@@ -72,6 +107,10 @@ def pytest_generate_tests(metafunc):
 def test_report_is_unchanged(entry, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     assert run_cli(entry["argv"]) == entry
+
+
+def test_program_entry_reports_are_unchanged():
+    check_program([sys.executable, "-m", "bellcheck"])
 
 
 def test_help_is_unchanged(monkeypatch):
