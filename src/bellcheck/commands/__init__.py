@@ -11,16 +11,29 @@ command's handler cannot share its name with the `chsh` library module.
 
 This module, which every handler loads with its package, holds the two
 helpers that only some handlers call, so that `cli` compiles neither:
-`_system_for` picks a built-in family from `--n`, and `_verdict` solves a
-parity system, checks the verdict the paper expects, if given, and reports
-it with its sizes and witness.  Every SAT/UNSAT report, of `verify`, `bks
-solve` and `ghz`, is solved and written by `_verdict`, so all have one
-shape.  Each helper imports the library modules it runs only when called.
+`_system` loads the context system that `--n` or `--file` names, and
+`_verdict` solves a parity system, checks the verdict the paper expects, if
+given, and reports it with its sizes and witness.  Every handler that runs
+a system, of `verify`, `bks solve`, `correlate` and `eigencheck`, gets it
+from `_system`, so each refuses the same inputs with the same text.  Every
+SAT/UNSAT report, of `verify`, `bks solve` and `ghz`, is solved and written
+by `_verdict`, so all have one shape.  Each helper imports the library
+modules it runs only when called.
 """
 
 
-def _system_for(n: int, square: bool = True):
-    """The generalized family for n in `constructions.FAMILY_NS`, and the square for n = 2 if `square`."""
+def _system(report, n, path=None, square=True):
+    """The system of `--n` or `--file`; both or neither is refused in `report`'s command name.
+
+    `--n` is the family for n in `constructions.FAMILY_NS`, or the square
+    for n = 2 if `square`; `dsl.load` reads a file.
+    """
+    if (n is None) == (path is None):
+        raise ValueError(f"{report.command} needs exactly one of --n or --file")
+    if path is not None:
+        from ..dsl import load
+
+        return load(path)
     from ..constructions import FAMILY_NS, generalized_sets, mermin_square
 
     if square and n == 2:

@@ -1,7 +1,7 @@
 """`bellcheck correlate`: two-observer protocol statistics on shared Bell pairs."""
 
 from ..cli import Command, Option
-from . import _system_for
+from . import _system
 
 # The most shots `correlate` accepts, checked before any work.  On a 2-core
 # Xeon VM 10**7 shots of `--n 13 --noise 0.05 --efficiency 0.9` (the
@@ -15,7 +15,7 @@ def run(args, report) -> None:
         raise ValueError(f"--shots must be at most {MAX_SHOTS}, got {args.shots}")
     from ..protocol import MODES, run_experiment
 
-    system = _system_for(args.n)
+    system = _system(report, args.n)
     exact_regime = args.noise == 0.0 and args.efficiency == 1.0
     for mode in MODES:
         summary = run_experiment(

@@ -6,7 +6,7 @@ must be UNSAT, with a certificate that uses each of its contexts once.
 """
 
 from ..cli import Command, Option
-from . import _system_for, _verdict
+from . import _system, _verdict
 
 
 def _family(report, system, contexts: int, observables: int) -> None:
@@ -30,13 +30,11 @@ def _family(report, system, contexts: int, observables: int) -> None:
 
 
 def square(args, report) -> None:
-    from ..constructions import mermin_square
-
-    _family(report, mermin_square(), 6, 9)
+    _family(report, _system(report, 2), 6, 9)
 
 
 def sets(args, report) -> None:
-    _family(report, _system_for(args.n, square=False), args.n + 2, 3 * args.n + 1)
+    _family(report, _system(report, args.n, square=False), args.n + 2, 3 * args.n + 1)
 
 
 COMMAND = Command(

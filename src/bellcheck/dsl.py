@@ -10,11 +10,12 @@ whitespace (spaces or tabs) also ends a directive's word.  `#` starts a
 comment, and blank lines are ignored.  A line ends at LF, CRLF or CR,
 the breaks that a text-mode `open` reads as LF, and at no other
 character: a form feed or U+2028 in a comment stays in the comment.
-Parsing builds the contexts verbatim; structural validation (commutation,
-product signs) is deliberately left to the caller.
+`parse_document` builds the contexts verbatim and leaves structural
+validation (commutation, product signs) to its caller; `load` reads a
+file and refuses its first context that fails validation.
 """
 
-from .constructions import Context, ContextSystem
+from .constructions import Context, ContextSystem, validate
 from .pauli import PauliOperator, PauliSyntaxError, format_pauli, parse_pauli
 
 # The largest register a file may declare, checked before any word is
@@ -83,6 +84,21 @@ def parse_document(text: str) -> ContextSystem:
     if declared is None:
         raise DslSyntaxError("missing qubits declaration", 1, 1)
     return ContextSystem(declared, tuple(contexts))
+
+
+def load(path: str) -> ContextSystem:
+    """The system of the `.obs` file at `path`, each of its contexts validated.
+
+    The file is read as UTF-8, without the byte-order mark that some editors
+    write.  A verdict on contexts that are not physical would be
+    meaningless, so the first context that `validate` faults is refused.
+    """
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        system = parse_document(fh.read())
+    for check in validate(system).checks:
+        if check.problem is not None:
+            raise ValueError(f"{path}: context {check.context_index}: {check.problem}")
+    return system
 
 
 def _scan_set(

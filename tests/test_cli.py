@@ -212,6 +212,19 @@ class TestBksSolve:
         assert code == 2
         assert (out, err) == ("", "error: --n must be odd in 3..13, got 4\n")
 
+    @pytest.mark.parametrize("given", [["--n", "3", "--file", "my.obs"], []], ids=["both", "neither"])
+    def test_needs_exactly_one_of_n_or_file(self, capsys, tmp_path, monkeypatch, given):
+        write_readme_obs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, ["bks", "solve", *given, "--format", "json"])
+        assert (code, out, err) == (2, "", "error: bks solve needs exactly one of --n or --file\n")
+
+    @pytest.mark.parametrize("argv", [["bks", "solve"], ["verify", "sets"]], ids=" ".join)
+    def test_n_two_is_refused_where_the_square_is_no_member(self, capsys, argv):
+        """`correlate` and `eigencheck` take `--n 2` as the square; these two commands check the odd family."""
+        code, out, err = run(capsys, [*argv, "--n", "2", "--format", "json"])
+        assert (code, out, err) == (2, "", "error: --n must be odd in 3..13, got 2\n")
+
     def test_satisfiable_file(self, capsys, tmp_path):
         path = tmp_path / "simple.obs"
         path.write_text("qubits 2\nset Z1, Z2, Z1 Z2 = +1\n")
@@ -294,6 +307,14 @@ class TestBksSolve:
         payload = json.loads(out)
         assert (payload["result"], payload["certificate"]) == ("UNSAT", [0, 1, 2, 3, 4, 5])
         assert payload["checks"][0]["passed"]
+
+    def test_a_file_that_is_not_utf8_exits_two_with_one_line(self, capsys, tmp_path):
+        """A UTF-16 byte-order mark is not UTF-8: the decode error is the one `error:` line."""
+        path = tmp_path / "utf16.obs"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, ["bks", "solve", "--file", str(path), "--format", "json"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("line,word,value", [("set I", "I", 1), ("set - I = -1", "- I", -1)])
     def test_a_lone_scalar_word_takes_its_eigenvalue(self, capsys, tmp_path, line, word, value):
@@ -539,7 +560,7 @@ class TestCorrelate:
     def test_shots_above_the_cap_exit_two_before_any_work(self, capsys, monkeypatch):
         """A count above `MAX_SHOTS` is refused before the system is built or a round compiled."""
         assert correlate_command.MAX_SHOTS == 10**8
-        monkeypatch.setattr(correlate_command, "_system_for", lambda n: pytest.fail("built the system"))
+        monkeypatch.setattr(correlate_command, "_system", lambda *args: pytest.fail("built the system"))
         monkeypatch.setattr(protocol, "run_experiment", lambda *args, **kwargs: pytest.fail("ran"))
         argv = ["correlate", "--n", "13", "--shots", str(10**8 + 1), "--noise", "0.1", "--format", "json"]
         assert run(capsys, argv) == (2, "", "error: --shots must be at most 100000000, got 100000001\n")
@@ -1087,6 +1108,22 @@ class TestPackage:
             if "argparse" in packages
         ]
         assert found == [("src/bellcheck/usage.py", True)]
+
+    def test_only_the_commands_package_module_loads_systems(self):
+        """Every handler gets its system from `commands._system`, so one module builds or reads it."""
+        loaders = {"mermin_square", "generalized_sets", "FAMILY_NS", "dsl"}
+        found = set()
+        for path in (REPO / "src" / "bellcheck" / "commands").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+                if isinstance(node, ast.ImportFrom):
+                    names = {*(node.module or "").split("."), *(alias.name for alias in node.names)}
+                elif isinstance(node, ast.Import):
+                    names = {part for alias in node.names for part in alias.name.split(".")}
+                else:
+                    names = {getattr(node, "id", None), getattr(node, "attr", None)}
+                if names & loaders:
+                    found.add(path.name)
+        assert found == {"__init__.py"}
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

@@ -107,6 +107,13 @@ class TestGeneralizedSets:
         with pytest.raises(ValueError, match="odd"):
             generalized_sets(bad)
 
+    @pytest.mark.parametrize("bad", [1, 4, 15])
+    def test_refusal_names_the_family_range(self, bad):
+        """The CLI refuses these first, so only this test reads the library's own text."""
+        with pytest.raises(ValueError) as refused:
+            generalized_sets(bad)
+        assert str(refused.value) == f"n must be odd and within 3..13, got {bad}"
+
     def test_cyclic_wraparound_terms(self):
         system = generalized_sets(5)
         triples = [format_pauli(o) for o in system.contexts[0].observables[:-1]]

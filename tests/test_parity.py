@@ -177,6 +177,24 @@ class TestWitnessChecks:
         ps = build_parity_system(mermin_square())
         assert not check_certificate(ps, (0, 1))
 
+    @pytest.mark.parametrize(
+        "rows,certificate",
+        [
+            (None, ()),
+            (None, (5,)),
+            *((None, tuple(r for r in range(6) if r != dropped)) for dropped in range(5)),
+            ((ParityRow(0, 0),), (0,)),
+        ],
+        ids=["empty", "square row 5 alone", *(f"square less row {r}" for r in range(5)), "one 0 = 0 row"],
+    )
+    def test_a_certificate_needs_both_zero_mask_and_rhs_one(self, rows, certificate):
+        """Rows certify only if their masks XOR to 0 and their rhs values to 1.
+
+        `rows` None is the square, whose only row with rhs 1 is row 5.
+        """
+        ps = build_parity_system(mermin_square()) if rows is None else ParitySystem((), rows)
+        assert not check_certificate(ps, certificate)
+
     def test_out_of_range_certificate(self):
         ps = build_parity_system(mermin_square())
         with pytest.raises(ValueError, match="out of range"):
